@@ -11,8 +11,6 @@ announced (up to a global phase) and verification accepts with certainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .protocol import (
     CommitmentSession,
     CommitValue,
@@ -36,37 +34,13 @@ def pauli_for_flip(src: BellLabel, dst: BellLabel) -> PauliOp:
     return PauliOp.from_components(src.u_i ^ dst.u_i, src.u_j ^ dst.u_j)
 
 
-@dataclass(frozen=True)
-class CheatPlan:
-    """A fixed preparation plus the flip that steers it to ``target`` at reveal."""
-
-    start_label: BellLabel
-    target: CommitValue
-    flip: PauliOp
-
-    def __post_init__(self) -> None:
-        expected = pauli_for_flip(self.start_label, commit_label(self.target))
-        if self.flip is not expected:
-            raise ValueError(
-                f"flip {self.flip.name} does not map {self.start_label} to {self.target.value}"
-            )
-
-    @classmethod
-    def for_target(cls, target: CommitValue) -> "CheatPlan":
-        label = commit_label(target)
-        return cls(CHEAT_START_LABEL, target, pauli_for_flip(CHEAT_START_LABEL, label))
-
-
 def alice_commit_cheating(n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
     """Commit without choosing a value.
 
-    Physically identical to an honest commit of the (0, 0) coding; the
-    session is flagged so the recorded value reads as a preparation, not a
-    choice.
+    Physically identical to an honest commit of the (0, 0) coding: the
+    session's ``committed`` field records the preparation, not a choice.
     """
-    session = alice_commit(CommitValue.BIT0, n_pairs, m_ancillas)
-    session.uncommitted = True
-    return session
+    return alice_commit(CommitValue.BIT0, n_pairs, m_ancillas)
 
 
 def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> RevealMessage:
@@ -78,8 +52,8 @@ def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> Revea
     """
     if session.phase is not Phase.COMMITTED:
         raise ProtocolError("session was already revealed")
-    plan = CheatPlan.for_target(target)
+    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target))
     for pair in session.pairs:
-        pair.state = apply_pauli(pair.state, plan.flip, pair.alice_qubit)
+        pair.state = apply_pauli(pair.state, flip, pair.alice_qubit)
     session.phase = Phase.REVEALED
     return RevealMessage(announced=commit_label(target))

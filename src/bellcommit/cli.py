@@ -8,7 +8,7 @@ Subcommands:
 * ``selftest`` built-in invariant checks
 
 Exit codes: 0 all assertions hold, 1 an expected property failed,
-2 invalid configuration.
+2 invalid configuration or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import sys
 
 from . import reports
 from .harness import (
-    ConfigError,
+    Cell,
     ExperimentConfig,
     OutputFormat,
     Strategy,
     acceptance_matrix,
     hiding_report,
+    passes,
     run_experiment,
     selftest,
 )
@@ -103,7 +104,6 @@ def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> 
         m_ancillas=args.ancillas,
         master_seed=args.seed,
         tolerance=getattr(args, "tolerance", 1e-9),
-        output=OutputFormat(args.format),
     )
 
 
@@ -113,15 +113,12 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, bool]:
     if args.command == "run":
         config = _config_from(args)
         stats = run_experiment(config)
-        ok = (
-            stats.acceptance_rate == 1.0
-            and stats.min_outcome_probability >= 1 - config.tolerance
-        )
+        ok = passes(stats, config.tolerance)
         if fmt is OutputFormat.JSON:
             report = reports.build_report(config=config, stats=reports.stats_dict(stats))
             return reports.render_json(report), ok
         if fmt is OutputFormat.CSV:
-            return reports.render_csv_run(config, stats), ok
+            return reports.render_csv_cells((Cell(config, stats),)), ok
         return reports.render_text_run(config, stats, ok), ok
 
     if args.command == "matrix":
@@ -130,22 +127,15 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, bool]:
         ok = matrix.passed(config.tolerance)
         if fmt is OutputFormat.JSON:
             summary = {
-                "cheat_min_rate": min(matrix.cheat_rates()),
-                "honest_min_rate": min(
-                    matrix.grid[(v, v)].acceptance_rate for v in matrix.values
-                ),
-                "control_max_rate": max(
-                    matrix.grid[(a, b)].acceptance_rate
-                    for a in matrix.values
-                    for b in matrix.values
-                    if a is not b
-                ),
+                "cheat_min_rate": min(matrix.rates("cheat")),
+                "honest_min_rate": min(matrix.rates("honest")),
+                "control_max_rate": max(matrix.rates("control")),
                 "passed": ok,
             }
             report = reports.build_report(config=config, stats=summary, matrix=matrix)
             return reports.render_json(report), ok
         if fmt is OutputFormat.CSV:
-            return reports.render_csv_matrix(config, matrix), ok
+            return reports.render_csv_cells(matrix.cells), ok
         return reports.render_text_matrix(config, matrix), ok
 
     if args.command == "hiding":
@@ -173,7 +163,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[str, bool]:
             "failures": sum(1 for check in checks if not check.passed),
         }
         doc = reports.build_report(stats=summary, checks=checks)
-        doc["config"] = {"seed": args.seed, "tolerance": args.tolerance, "format": fmt.value}
+        doc["config"] = {"seed": args.seed, "tolerance": args.tolerance, "format": "json"}
         return reports.render_json(doc), ok
     if fmt is OutputFormat.CSV:
         return reports.render_csv_selftest(checks), ok
@@ -185,16 +175,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         rendered, ok = _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ProtocolError, ValueError) as exc:
-        # bad combinations surfaced below the config layer
+        # ConfigError, plus bad combinations surfaced below the config layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if ok else 1

@@ -3,14 +3,13 @@
 Randomness is fully determined by ``(master_seed, trial_index)``: each trial
 owns a generator seeded with ``SeedSequence((master_seed, trial_index))``,
 and protocol steps consume it in pair order with fixed draw counts. Trials
-never share generator state, so aggregate results are identical however
-trials are scheduled (serial or thread pool) and reports are
-byte-reproducible.
+never share generator state, so aggregate results do not depend on the
+order in which trials run, and reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -27,7 +26,6 @@ from .protocol import (
     alice_reveal_honest,
     bc_apply_operations,
     commit_label,
-    transcript,
     verify,
 )
 from .qcore import (
@@ -65,6 +63,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # written so that NaN fails too
+    if not 0 < tolerance < 1:
+        raise ConfigError("tolerance must be a finite number strictly between 0 and 1")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a fixed scenario replayed over independent trials."""
@@ -78,7 +82,6 @@ class ExperimentConfig:
     m_ancillas: int = 0
     master_seed: int = 0
     tolerance: float = 1e-9
-    output: OutputFormat = OutputFormat.TEXT
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on any inconsistent combination."""
@@ -96,16 +99,7 @@ class ExperimentConfig:
             raise ConfigError("the random-entangled policy requires at least one ancilla")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    trial_index: int
-    accept: bool
-    min_outcome_probability: float
-    transcript: dict | None = None
+        _check_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -116,89 +110,70 @@ class DetectionStats:
     accepts: int
     acceptance_rate: float
     min_outcome_probability: float
-    per_trial_outcomes: tuple[TrialOutcome, ...] | None = None
+
+
+def passes(stats: DetectionStats, tolerance: float) -> bool:
+    """The verdict on an experiment that should accept.
+
+    Every trial accepted, and every pair's announced outcome had probability
+    within ``tolerance`` of 1 before it was sampled.
+    """
+    return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - tolerance
 
 
 def _trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, trial_index))))
 
 
-def _execute_trial(
-    config: ExperimentConfig,
-    trial_index: int,
-    announce=None,
-    keep_transcript: bool = False,
-) -> TrialOutcome:
+def _execute_trial(config: ExperimentConfig, trial_index: int) -> tuple[bool, float]:
+    """Accept flag and smallest announced outcome probability of one trial.
+
+    The trial always announces ``config.reveal_value``. Only a cheat flips;
+    an honest committer whose reveal value differs from the commit value is
+    a control, which the verifier must reject.
+    """
     rng = _trial_generator(config.master_seed, trial_index)
     if config.strategy is Strategy.CHEAT:
         session = alice_commit_cheating(config.n_pairs, config.m_ancillas)
+        bc_apply_operations(session, config.bc_policy, rng)
+        alice_reveal_cheat(session, config.reveal_value)
     else:
         session = alice_commit(config.commit_value, config.n_pairs, config.m_ancillas)
-    bc_apply_operations(session, config.bc_policy, rng)
-    if config.strategy is Strategy.CHEAT:
-        reveal = alice_reveal_cheat(session, config.reveal_value)
-    else:
-        reveal = alice_reveal_honest(session)
-    if announce is not None and announce != reveal.announced:
-        reveal = RevealMessage(announced=announce)
-    report = verify(session, reveal, rng)
-    return TrialOutcome(
-        trial_index,
-        report.accept,
-        min(report.announced_probabilities),
-        transcript(session, reveal, report) if keep_transcript else None,
-    )
+        bc_apply_operations(session, config.bc_policy, rng)
+        alice_reveal_honest(session)
+    report = verify(session, RevealMessage(commit_label(config.reveal_value)), rng)
+    return report.accept, min(report.announced_probabilities)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
     """One end-to-end protocol run; bit-reproducible given (config, trial_index)."""
     config.validate()
-    return _execute_trial(config, trial_index).accept
+    return _execute_trial(config, trial_index)[0]
 
 
-def _run_many(
-    config: ExperimentConfig,
-    workers: int,
-    keep_trials: bool,
-    announce=None,
-) -> DetectionStats:
-    def one(index: int) -> TrialOutcome:
-        return _execute_trial(config, index, announce=announce, keep_transcript=keep_trials)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(config.trials)))
-    else:
-        outcomes = [one(index) for index in range(config.trials)]
-    accepts = sum(1 for outcome in outcomes if outcome.accept)
+def _run_many(config: ExperimentConfig) -> DetectionStats:
+    accepts = 0
+    min_probability = math.inf
+    for index in range(config.trials):
+        accept, probability = _execute_trial(config, index)
+        accepts += accept
+        min_probability = min(min_probability, probability)
     return DetectionStats(
-        trials=len(outcomes),
+        trials=config.trials,
         accepts=accepts,
-        acceptance_rate=accepts / len(outcomes),
-        min_outcome_probability=min(o.min_outcome_probability for o in outcomes),
-        per_trial_outcomes=tuple(outcomes) if keep_trials else None,
+        acceptance_rate=accepts / config.trials,
+        min_outcome_probability=min_probability,
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, workers: int = 1, keep_trials: bool = False
-) -> DetectionStats:
-    """Aggregate ``config.trials`` independent trials.
-
-    ``workers > 1`` runs trials on a thread pool; the statistics are
-    identical to the serial run because every trial derives its own
-    substream and aggregation is order-insensitive.
-    """
+def run_experiment(config: ExperimentConfig) -> DetectionStats:
+    """Aggregate ``config.trials`` independent trials."""
     config.validate()
-    return _run_many(config, workers, keep_trials)
+    return _run_many(config)
 
 
 def run_control_experiment(
-    config: ExperimentConfig,
-    commit_value: CommitValue,
-    announce_value: CommitValue,
-    workers: int = 1,
-    keep_trials: bool = False,
+    config: ExperimentConfig, commit_value: CommitValue, announce_value: CommitValue
 ) -> DetectionStats:
     """Honest preparation of ``commit_value`` with a mismatched announcement.
 
@@ -214,82 +189,79 @@ def run_control_experiment(
         reveal_value=commit_value,
     )
     base.validate()
-    return _run_many(base, workers, keep_trials, announce=commit_label(announce_value))
+    return _run_many(replace(base, reveal_value=announce_value))
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One experiment and its statistics: one row of a report table."""
+
+    config: ExperimentConfig
+    stats: DetectionStats
+
+    @property
+    def kind(self) -> str:
+        """``cheat``, ``honest``, or ``control`` (honest, mismatched announcement)."""
+        config = self.config
+        if config.strategy is Strategy.HONEST and config.commit_value is not config.reveal_value:
+            return "control"
+        return config.strategy.value
+
+    def passed(self, tolerance: float) -> bool:
+        """A control must reject every trial; any other cell must pass."""
+        if self.kind == "control":
+            return self.stats.accepts == 0
+        return passes(self.stats, tolerance)
 
 
 @dataclass(frozen=True)
 class AcceptanceMatrix:
-    """Cheat row plus the honest/control grid, all at the same base settings."""
+    """Every cell at the same base settings: cheat row, honest diagonal, controls."""
 
-    values: tuple[CommitValue, ...]
-    cheat: dict[CommitValue, DetectionStats]
-    grid: dict[tuple[CommitValue, CommitValue], DetectionStats]
+    cells: tuple[Cell, ...]
+    values = COMMIT_VALUES
+
+    def rates(self, kind: str) -> list[float]:
+        return [cell.stats.acceptance_rate for cell in self.cells if cell.kind == kind]
 
     def cheat_rates(self) -> list[float]:
-        return [self.cheat[value].acceptance_rate for value in self.values]
+        return self.rates("cheat")
 
     def grid_rates(self) -> list[list[float]]:
-        return [
-            [self.grid[(commit, announce)].acceptance_rate for announce in self.values]
-            for commit in self.values
-        ]
+        """Honest and control rates, indexed ``[commit][announce]``."""
+        grid = {
+            (cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
+            for cell in self.cells
+            if cell.kind != "cheat"
+        }
+        return [[grid[(commit, announce)] for announce in self.values] for commit in self.values]
 
     def passed(self, tolerance: float = 1e-9) -> bool:
-        """Every cell matches the exact prediction.
-
-        Cheat row and grid diagonal must accept every trial with per-pair
-        outcome probabilities within ``tolerance`` of 1; off-diagonal control
-        cells must reject every trial.
-        """
-        for stats in self.cheat.values():
-            if stats.acceptance_rate != 1.0 or stats.min_outcome_probability < 1 - tolerance:
-                return False
-        for commit in self.values:
-            for announce in self.values:
-                stats = self.grid[(commit, announce)]
-                if commit is announce:
-                    if stats.acceptance_rate != 1.0:
-                        return False
-                    if stats.min_outcome_probability < 1 - tolerance:
-                        return False
-                elif stats.acceptance_rate != 0.0:
-                    return False
-        return True
+        """Every cell matches the exact prediction."""
+        return all(cell.passed(tolerance) for cell in self.cells)
 
 
-def acceptance_matrix(base: ExperimentConfig, workers: int = 1) -> AcceptanceMatrix:
+def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     """Acceptance rates for every (strategy, commit, reveal) cell.
 
-    The cheat row prepares the fixed label and steers to each column's value.
-    The grid's diagonal is the honest run for each value; off-diagonal cells
-    are controls (honest state, mismatched announcement, no flip).
+    The cheat row prepares the fixed label and steers to each value. The
+    honest diagonal reveals what it committed; the controls are honest
+    commitments announced as another value, with no flip.
     """
     base.validate()
-    cheat: dict[CommitValue, DetectionStats] = {}
-    for value in COMMIT_VALUES:
-        cfg = replace(
-            base,
-            strategy=Strategy.CHEAT,
-            commit_value=CommitValue.BIT0,
-            reveal_value=value,
-        )
-        cheat[value] = run_experiment(cfg, workers=workers)
-    grid: dict[tuple[CommitValue, CommitValue], DetectionStats] = {}
-    for commit in COMMIT_VALUES:
-        for announce in COMMIT_VALUES:
-            if commit is announce:
-                cfg = replace(
-                    base,
-                    strategy=Strategy.HONEST,
-                    commit_value=commit,
-                    reveal_value=commit,
-                )
-                grid[(commit, announce)] = run_experiment(cfg, workers=workers)
-            else:
-                grid[(commit, announce)] = run_control_experiment(
-                    base, commit, announce, workers=workers
-                )
-    return AcceptanceMatrix(COMMIT_VALUES, cheat, grid)
+    honest = replace(base, strategy=Strategy.HONEST)
+    configs = [
+        replace(base, strategy=Strategy.CHEAT, commit_value=CommitValue.BIT0, reveal_value=value)
+        for value in COMMIT_VALUES
+    ]
+    configs += [replace(honest, commit_value=value, reveal_value=value) for value in COMMIT_VALUES]
+    configs += [
+        replace(honest, commit_value=commit, reveal_value=announce)
+        for commit in COMMIT_VALUES
+        for announce in COMMIT_VALUES
+        if commit is not announce
+    ]
+    return AcceptanceMatrix(tuple(Cell(config, _run_many(config)) for config in configs))
 
 
 @dataclass(frozen=True)
@@ -347,6 +319,7 @@ class CheckResult:
 
 def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]:
     """Fast invariant suite covering state algebra, protocol, and attack."""
+    _check_tolerance(tolerance)
     checks: list[CheckResult] = []
 
     def record(name: str, passed, detail: str = "") -> None:
@@ -404,7 +377,7 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
                 master_seed=master_seed,
                 tolerance=tolerance,
             )
-            ok = ok and run_experiment(cfg).acceptance_rate == 1.0
+            ok = ok and passes(run_experiment(cfg), tolerance)
     record("honest-completeness", ok)
 
     # Cheat runs accept for every target, under the entangling policy too.
@@ -421,7 +394,7 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
             master_seed=master_seed,
             tolerance=tolerance,
         )
-        ok = ok and run_experiment(cfg).acceptance_rate == 1.0
+        ok = ok and passes(run_experiment(cfg), tolerance)
     record("cheat-undetectability", ok)
 
     # Mismatched announcements without the flip are rejected.

@@ -134,7 +134,6 @@ class RevealMessage:
     """The committer's reveal: one announced label, kept qubits handed over."""
 
     announced: BellLabel
-    transferred: bool = True
 
 
 @dataclass
@@ -155,11 +154,7 @@ class VerificationReport:
 
 @dataclass
 class CommitmentSession:
-    """Mutable state of one commitment, owned by a single protocol run.
-
-    ``uncommitted`` marks sessions whose ``committed`` field records only the
-    physical preparation, not a chosen value (see the attack module).
-    """
+    """Mutable state of one commitment, owned by a single protocol run."""
 
     n_pairs: int
     committed: CommitValue
@@ -167,7 +162,6 @@ class CommitmentSession:
     bc_records: list[BCRecord]
     phase: Phase
     m_ancillas: int
-    uncommitted: bool = False
 
     def __post_init__(self) -> None:
         if len(self.pairs) != self.n_pairs or len(self.bc_records) != self.n_pairs:
@@ -241,8 +235,6 @@ def verify(
     """
     if session.phase is not Phase.REVEALED:
         raise ProtocolError("verification requires a revealed session")
-    if not reveal.transferred:
-        raise ProtocolError("verification requires the committer's qubits")
     announced_index = BELL_LABELS.index(reveal.announced)
     per_pair: list[BellLabel] = []
     announced_probs: list[float] = []

@@ -13,8 +13,9 @@ byte-identical files. The top-level JSON shape is::
       "selftest": [...]            # only for the selftest subcommand
     }
 
-CSV reports carry one row per (strategy, commit, reveal, policy) cell with
-its acceptance rate.
+``run`` and ``matrix`` both report a table of :class:`~.harness.Cell` rows,
+one row per (strategy, commit, reveal, policy) experiment with its
+acceptance rate; ``run`` is a one-row table.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import json
 from . import __version__
 from .harness import (
     AcceptanceMatrix,
+    Cell,
     CheckResult,
     DetectionStats,
     ExperimentConfig,
     HidingReport,
 )
 
-_CSV_HEADER = ("strategy", "commit", "reveal", "policy", "acceptance_rate")
+_CELL_FIELDS = ("strategy", "commit", "reveal", "policy", "acceptance_rate")
 
 
 def config_dict(config: ExperimentConfig) -> dict:
@@ -46,70 +48,31 @@ def config_dict(config: ExperimentConfig) -> dict:
         "ancillas": config.m_ancillas,
         "seed": config.master_seed,
         "tolerance": config.tolerance,
-        "format": config.output.value,
+        "format": "json",
     }
 
 
 def stats_dict(stats: DetectionStats) -> dict:
-    out = {
+    return {
         "trials": stats.trials,
         "accepts": stats.accepts,
         "acceptance_rate": stats.acceptance_rate,
         "min_outcome_probability": stats.min_outcome_probability,
     }
-    if stats.per_trial_outcomes is not None:
-        out["per_trial"] = [
-            {
-                "trial": o.trial_index,
-                "accept": o.accept,
-                "min_outcome_probability": o.min_outcome_probability,
-                "transcript": o.transcript,
-            }
-            for o in stats.per_trial_outcomes
-        ]
-    return out
 
 
-def matrix_rows(matrix: AcceptanceMatrix, policy: str) -> list[dict]:
-    """Flat cell list: cheat row, then honest diagonal, then controls."""
-    rows = []
-    for value in matrix.values:
-        stats = matrix.cheat[value]
-        rows.append(
-            {
-                "strategy": "cheat",
-                "commit": "bit0",
-                "reveal": value.value,
-                "policy": policy,
-                "acceptance_rate": stats.acceptance_rate,
-            }
+def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
+    """One ``_CELL_FIELDS`` row per cell, in the given order."""
+    return [
+        (
+            cell.kind,
+            cell.config.commit_value.value,
+            cell.config.reveal_value.value,
+            cell.config.bc_policy.value,
+            cell.stats.acceptance_rate,
         )
-    for value in matrix.values:
-        stats = matrix.grid[(value, value)]
-        rows.append(
-            {
-                "strategy": "honest",
-                "commit": value.value,
-                "reveal": value.value,
-                "policy": policy,
-                "acceptance_rate": stats.acceptance_rate,
-            }
-        )
-    for commit in matrix.values:
-        for announce in matrix.values:
-            if commit is announce:
-                continue
-            stats = matrix.grid[(commit, announce)]
-            rows.append(
-                {
-                    "strategy": "control",
-                    "commit": commit.value,
-                    "reveal": announce.value,
-                    "policy": policy,
-                    "acceptance_rate": stats.acceptance_rate,
-                }
-            )
-    return rows
+        for cell in cells
+    ]
 
 
 def matrix_dict(matrix: AcceptanceMatrix, config: ExperimentConfig) -> dict:
@@ -117,7 +80,7 @@ def matrix_dict(matrix: AcceptanceMatrix, config: ExperimentConfig) -> dict:
         "values": [value.value for value in matrix.values],
         "cheat_rates": matrix.cheat_rates(),
         "grid_rates": matrix.grid_rates(),
-        "rows": matrix_rows(matrix, config.bc_policy.value),
+        "rows": [dict(zip(_CELL_FIELDS, row)) for row in cell_rows(matrix.cells)],
         "passed": matrix.passed(config.tolerance),
     }
 
@@ -196,11 +159,8 @@ def render_text_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> st
         "",
         f"{'strategy':<8}  {'commit':<6}  {'reveal':<6}  rate",
     ]
-    for row in matrix_rows(matrix, config.bc_policy.value):
-        lines.append(
-            f"{row['strategy']:<8}  {row['commit']:<6}  {row['reveal']:<6}  "
-            f"{row['acceptance_rate']:.6f}"
-        )
+    for strategy, commit, reveal, _, rate in cell_rows(matrix.cells):
+        lines.append(f"{strategy:<8}  {commit:<6}  {reveal:<6}  {rate:.6f}")
     lines.append("")
     verdict = "PASS" if matrix.passed(config.tolerance) else "FAIL"
     lines.append(f"result  {verdict}")
@@ -249,29 +209,8 @@ def _csv(rows: list[tuple], header: tuple) -> str:
     return buf.getvalue()
 
 
-def render_csv_run(config: ExperimentConfig, stats: DetectionStats) -> str:
-    row = (
-        config.strategy.value,
-        config.commit_value.value,
-        config.reveal_value.value,
-        config.bc_policy.value,
-        stats.acceptance_rate,
-    )
-    return _csv([row], _CSV_HEADER)
-
-
-def render_csv_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> str:
-    rows = [
-        (
-            row["strategy"],
-            row["commit"],
-            row["reveal"],
-            row["policy"],
-            row["acceptance_rate"],
-        )
-        for row in matrix_rows(matrix, config.bc_policy.value)
-    ]
-    return _csv(rows, _CSV_HEADER)
+def render_csv_cells(cells: tuple[Cell, ...]) -> str:
+    return _csv(cell_rows(cells), _CELL_FIELDS)
 
 
 def render_csv_hiding(report: HidingReport) -> str:

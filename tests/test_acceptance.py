@@ -12,8 +12,10 @@ import numpy as np
 from bellcommit import cli
 from bellcommit.attack import pauli_for_flip
 from bellcommit.harness import (
+    DetectionStats,
     ExperimentConfig,
     Strategy,
+    _execute_trial,
     hiding_report,
     run_control_experiment,
     run_experiment,
@@ -245,7 +247,16 @@ def test_criterion_9_deterministic_reports(tmp_path):
         bc_policy=BCPolicy.RANDOM_LOCAL,
         master_seed=42,
     )
-    parallel_agrees = run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
-    _verdict(9, code_a == 0 and code_b == 0 and byte_identical and parallel_agrees,
+    # trials own their generators, so running them backwards changes nothing
+    backwards = [_execute_trial(cfg, index) for index in reversed(range(cfg.trials))]
+    accepts = sum(accept for accept, _ in backwards)
+    reordered = DetectionStats(
+        trials=cfg.trials,
+        accepts=accepts,
+        acceptance_rate=accepts / cfg.trials,
+        min_outcome_probability=min(probability for _, probability in backwards),
+    )
+    order_independent = run_experiment(cfg) == reordered
+    _verdict(9, code_a == 0 and code_b == 0 and byte_identical and order_independent,
              f"repeated CLI reports byte-identical: {byte_identical}, "
-             f"serial equals parallel: {parallel_agrees}")
+             f"independent of trial order: {order_independent}")

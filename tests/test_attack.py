@@ -3,7 +3,6 @@ import pytest
 
 from bellcommit.attack import (
     CHEAT_START_LABEL,
-    CheatPlan,
     alice_commit_cheating,
     alice_reveal_cheat,
     pauli_for_flip,
@@ -77,17 +76,9 @@ class TestPauliForFlip:
                     stepwise = pauli_for_flip(a, b).compose(pauli_for_flip(b, c))
                     assert stepwise is pauli_for_flip(a, c)
 
-
-class TestCheatPlan:
     def test_flip_table_is_frozen(self):
         for target, flip in EXPECTED_FLIPS.items():
-            plan = CheatPlan.for_target(target)
-            assert plan.start_label == CHEAT_START_LABEL
-            assert plan.flip is flip
-
-    def test_rejects_inconsistent_plan(self):
-        with pytest.raises(ValueError):
-            CheatPlan(CHEAT_START_LABEL, CommitValue.MINUS, PauliOp.X)
+            assert pauli_for_flip(CHEAT_START_LABEL, commit_label(target)) is flip
 
 
 class TestCheatingCommit:
@@ -96,11 +87,6 @@ class TestCheatingCommit:
         honest = alice_commit(CommitValue.BIT0, 3, m_ancillas=1)
         for a, b in zip(cheat.pairs, honest.pairs):
             assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
-
-    def test_session_is_flagged_uncommitted(self):
-        session = alice_commit_cheating(1)
-        assert session.uncommitted
-        assert not alice_commit(CommitValue.BIT0, 1).uncommitted
 
 
 class TestCheatingReveal:

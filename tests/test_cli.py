@@ -18,6 +18,11 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _assert_one_line_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestRunCommand:
     def test_honest_defaults_pass(self, capsys):
         code, out, _ = _run(["run", *FAST], capsys)
@@ -76,6 +81,23 @@ class TestInvalidConfigurations:
     def test_too_many_ancillas_exits_two(self, capsys):
         code, _, _ = _run(["run", *FAST, "--ancillas", "9"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "1", "-1"])
+    @pytest.mark.parametrize("argv", [["run", *FAST], ["matrix", *FAST], ["selftest"]],
+                             ids=["run", "matrix", "selftest"])
+    def test_tolerance_outside_unit_interval_exits_two(self, argv, tolerance, capsys):
+        code, out, err = _run([*argv, "--tolerance", tolerance], capsys)
+        _assert_one_line_error(code, out, err)
+
+    def test_out_naming_a_directory_exits_two(self, tmp_path, capsys):
+        code, out, err = _run(["run", *FAST, "--out", str(tmp_path)], capsys)
+        _assert_one_line_error(code, out, err)
+
+    def test_out_in_a_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = _run(["run", *FAST, "--out", str(target)], capsys)
+        _assert_one_line_error(code, out, err)
+        assert not target.parent.exists()
 
     def test_unknown_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from bellcommit import harness
 from bellcommit.harness import (
     AcceptanceMatrix,
     ConfigError,
@@ -50,6 +53,10 @@ class TestConfigValidation:
             dict(master_seed=-1),
             dict(master_seed=2**64),
             dict(tolerance=0.0),
+            dict(tolerance=-1.0),
+            dict(tolerance=1.0),
+            dict(tolerance=float("inf")),
+            dict(tolerance=float("nan")),
         ],
     )
     def test_rejects_inconsistent_combinations(self, overrides):
@@ -91,26 +98,30 @@ class TestRunExperiment:
             )
             assert stats.acceptance_rate == 1.0
 
-    def test_serial_and_parallel_agree(self):
+    def test_outcomes_do_not_depend_on_trial_order(self, monkeypatch):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.PLUS,
                       bc_policy=BCPolicy.RANDOM_LOCAL, trials=40)
-        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
+        execute = harness._execute_trial
+        seen = {}
+
+        def recording(config, index):
+            seen[index] = execute(config, index)
+            return seen[index]
+
+        monkeypatch.setattr(harness, "_execute_trial", recording)
+        stats = run_experiment(cfg)
+        run_outcomes = dict(seen)
+        backwards = {i: execute(cfg, i) for i in reversed(range(cfg.trials))}
+        assert run_outcomes == backwards
+        assert [accept for accept, _ in backwards.values()] == [
+            run_trial(cfg, i) for i in reversed(range(cfg.trials))
+        ]
+        assert stats.accepts == sum(accept for accept, _ in backwards.values())
+        assert stats.min_outcome_probability == min(p for _, p in backwards.values())
 
     def test_repeated_runs_are_identical(self):
         cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL)
         assert run_experiment(cfg) == run_experiment(cfg)
-
-    def test_keep_trials_collects_transcripts(self):
-        stats = run_experiment(_config(trials=4), keep_trials=True)
-        assert stats.per_trial_outcomes is not None
-        assert len(stats.per_trial_outcomes) == 4
-        for outcome in stats.per_trial_outcomes:
-            doc = outcome.transcript
-            assert set(doc) == {"phase", "value", "announced", "per_pair", "accept"}
-            assert doc["accept"] is True
-
-    def test_detail_omitted_by_default(self):
-        assert run_experiment(_config(trials=2)).per_trial_outcomes is None
 
 
 class TestControlExperiment:
@@ -143,18 +154,28 @@ class TestAcceptanceMatrix:
         matrix = acceptance_matrix(_config(trials=5))
         bad = DetectionStats(trials=5, accepts=4, acceptance_rate=0.8,
                              min_outcome_probability=0.5)
-        cheat = dict(matrix.cheat)
-        cheat[CommitValue.PLUS] = bad
-        doctored = AcceptanceMatrix(matrix.values, cheat, matrix.grid)
+        cells = list(matrix.cells)
+        cells[2] = replace(cells[2], stats=bad)  # the cheat cell revealing plus
+        doctored = AcceptanceMatrix(tuple(cells))
         assert not doctored.passed()
+
+    def test_passed_flags_an_accepting_control(self):
+        matrix = acceptance_matrix(_config(trials=5))
+        cells = list(matrix.cells)
+        kinds = [cell.kind for cell in cells]
+        assert kinds == ["cheat"] * 4 + ["honest"] * 4 + ["control"] * 12
+        one_accept = DetectionStats(trials=5, accepts=1, acceptance_rate=0.2,
+                                    min_outcome_probability=0.0)
+        cells[-1] = replace(cells[-1], stats=one_accept)
+        assert not AcceptanceMatrix(tuple(cells)).passed()
 
     def test_passed_checks_outcome_probabilities(self):
         matrix = acceptance_matrix(_config(trials=5))
         sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
                                 min_outcome_probability=0.99)
-        cheat = dict(matrix.cheat)
-        cheat[CommitValue.BIT0] = sloppy
-        doctored = AcceptanceMatrix(matrix.values, cheat, matrix.grid)
+        cells = list(matrix.cells)
+        cells[0] = replace(cells[0], stats=sloppy)
+        doctored = AcceptanceMatrix(tuple(cells))
         assert not doctored.passed(tolerance=1e-9)
         assert doctored.passed(tolerance=0.5)
 

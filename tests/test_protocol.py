@@ -63,7 +63,6 @@ class TestCommit:
             want = make_bell(commit_label(value)).amplitudes
             assert session.phase is Phase.COMMITTED
             assert session.committed is value
-            assert not session.uncommitted
             assert len(session.pairs) == 3
             for pair in session.pairs:
                 assert np.abs(pair.state.amplitudes - want).max() <= 1e-12
@@ -172,7 +171,6 @@ class TestRevealAndVerify:
         bc_apply_operations(session, policy, rng)
         reveal = alice_reveal_honest(session)
         assert reveal.announced == commit_label(value)
-        assert reveal.transferred
         report = verify(session, reveal, rng)
         assert report.accept
         assert report.revealed_value is value
@@ -201,13 +199,6 @@ class TestRevealAndVerify:
         reveal = RevealMessage(announced=commit_label(CommitValue.BIT0))
         with pytest.raises(ProtocolError):
             verify(session, reveal, _rng())
-
-    def test_verify_requires_transferred_qubits(self):
-        session = alice_commit(CommitValue.BIT0, 1)
-        reveal = alice_reveal_honest(session)
-        held_back = RevealMessage(announced=reveal.announced, transferred=False)
-        with pytest.raises(ProtocolError):
-            verify(session, held_back, _rng())
 
     def test_verification_is_seed_reproducible(self):
         reports = []

@@ -4,6 +4,7 @@ import json
 
 from bellcommit import __version__
 from bellcommit.harness import (
+    Cell,
     ExperimentConfig,
     Strategy,
     acceptance_matrix,
@@ -77,7 +78,7 @@ class TestCsvReports:
     def test_run_csv_single_row(self):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
         stats = run_experiment(cfg)
-        rows = list(csv.reader(io.StringIO(reports.render_csv_run(cfg, stats))))
+        rows = list(csv.reader(io.StringIO(reports.render_csv_cells((Cell(cfg, stats),)))))
         assert rows[0] == ["strategy", "commit", "reveal", "policy", "acceptance_rate"]
         assert rows[1] == ["cheat", "bit0", "minus", "none", "1.0"]
         assert len(rows) == 2
@@ -85,7 +86,7 @@ class TestCsvReports:
     def test_matrix_csv_has_a_row_per_cell(self):
         cfg = _config(trials=5)
         matrix = acceptance_matrix(cfg)
-        rows = list(csv.reader(io.StringIO(reports.render_csv_matrix(cfg, matrix))))
+        rows = list(csv.reader(io.StringIO(reports.render_csv_cells(matrix.cells))))
         assert len(rows) == 21  # header + 20 cells
         strategies = {row[0] for row in rows[1:]}
         assert strategies == {"cheat", "honest", "control"}
