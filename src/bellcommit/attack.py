@@ -20,7 +20,7 @@ from .protocol import (
     alice_commit,
     commit_label,
 )
-from .qcore import BellLabel, PauliOp, apply_pauli
+from .qcore import BellLabel, PauliOp, apply_unitary
 
 # The scripted attack always starts from this preparation.
 CHEAT_START_LABEL = BellLabel(0, 0)
@@ -52,8 +52,9 @@ def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> Revea
     """
     if session.phase is not Phase.COMMITTED:
         raise ProtocolError("session was already revealed")
-    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target))
+    # the committer's qubit is qubit 0 of every pair, where the flip acts
+    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).unitary()
     for pair in session.pairs:
-        pair.state = apply_pauli(pair.state, flip, pair.alice_qubit)
+        pair.state = apply_unitary(pair.state, flip)
     session.phase = Phase.REVEALED
     return RevealMessage(announced=commit_label(target))

@@ -18,13 +18,10 @@ import sys
 
 from . import reports
 from .harness import (
-    Cell,
     ExperimentConfig,
-    OutputFormat,
     Strategy,
     acceptance_matrix,
     hiding_report,
-    passes,
     run_experiment,
     selftest,
 )
@@ -32,7 +29,6 @@ from .protocol import BCPolicy, CommitValue, ProtocolError
 
 _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
-_FORMAT_NAMES = [fmt.value for fmt in OutputFormat]
 
 
 def _add_register_flags(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +45,7 @@ def _add_register_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=_FORMAT_NAMES, default="text", help="report format")
+    parser.add_argument("--format", choices=reports.FORMATS, default="text", help="report format")
     parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
 
 
@@ -107,78 +103,30 @@ def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> 
     )
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[str, bool]:
-    fmt = OutputFormat(args.format)
-
+def _report(args: argparse.Namespace) -> reports.Report:
     if args.command == "run":
         config = _config_from(args)
-        stats = run_experiment(config)
-        ok = passes(stats, config.tolerance)
-        if fmt is OutputFormat.JSON:
-            report = reports.build_report(config=config, stats=reports.stats_dict(stats))
-            return reports.render_json(report), ok
-        if fmt is OutputFormat.CSV:
-            return reports.render_csv_cells((Cell(config, stats),)), ok
-        return reports.render_text_run(config, stats, ok), ok
-
+        return reports.build_run(config, run_experiment(config))
     if args.command == "matrix":
         config = _config_from(args, strategy=Strategy.HONEST)
-        matrix = acceptance_matrix(config)
-        ok = matrix.passed(config.tolerance)
-        if fmt is OutputFormat.JSON:
-            summary = {
-                "cheat_min_rate": min(matrix.rates("cheat")),
-                "honest_min_rate": min(matrix.rates("honest")),
-                "control_max_rate": max(matrix.rates("control")),
-                "passed": ok,
-            }
-            report = reports.build_report(config=config, stats=summary, matrix=matrix)
-            return reports.render_json(report), ok
-        if fmt is OutputFormat.CSV:
-            return reports.render_csv_cells(matrix.cells), ok
-        return reports.render_text_matrix(config, matrix), ok
-
+        return reports.build_matrix(config, acceptance_matrix(config))
     if args.command == "hiding":
         config = _config_from(args, strategy=Strategy.HONEST)
-        report = hiding_report(config)
-        ok = report.passed
-        if fmt is OutputFormat.JSON:
-            summary = {
-                "max_distance": report.max_distance,
-                "threshold": report.threshold,
-                "passed": ok,
-            }
-            doc = reports.build_report(config=config, stats=summary, hiding=report)
-            return reports.render_json(doc), ok
-        if fmt is OutputFormat.CSV:
-            return reports.render_csv_hiding(report), ok
-        return reports.render_text_hiding(config, report), ok
-
-    # selftest
+        return reports.build_hiding(config, hiding_report(config))
     checks = selftest(master_seed=args.seed, tolerance=args.tolerance)
-    ok = all(check.passed for check in checks)
-    if fmt is OutputFormat.JSON:
-        summary = {
-            "checks": len(checks),
-            "failures": sum(1 for check in checks if not check.passed),
-        }
-        doc = reports.build_report(stats=summary, checks=checks)
-        doc["config"] = {"seed": args.seed, "tolerance": args.tolerance, "format": "json"}
-        return reports.render_json(doc), ok
-    if fmt is OutputFormat.CSV:
-        return reports.render_csv_selftest(checks), ok
-    return reports.render_text_selftest(checks), ok
+    return reports.build_selftest(args.seed, args.tolerance, checks)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rendered, ok = _dispatch(args)
+        report = _report(args)
     except (ProtocolError, ValueError) as exc:
         # ConfigError, plus bad combinations surfaced below the config layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rendered = report.render(args.format)
     if args.out:
         try:
             with open(args.out, "w", newline="") as handle:
@@ -188,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     else:
         sys.stdout.write(rendered)
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .qcore import (
     BELL_LABELS,
     BellLabel,
     PauliOp,
-    apply_pauli,
     apply_unitary,
     bell_probabilities,
     fidelity,
@@ -53,14 +52,13 @@ class Strategy(Enum):
     CHEAT = "cheat"
 
 
-class OutputFormat(Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def _check_seed(master_seed: int) -> None:
+    if not 0 <= master_seed < 2**64:
+        raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -97,8 +95,7 @@ class ExperimentConfig:
             raise ConfigError("the cheating preparation is fixed to bit0")
         if self.bc_policy is BCPolicy.RANDOM_ENTANGLED and self.m_ancillas < 1:
             raise ConfigError("the random-entangled policy requires at least one ancilla")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.master_seed)
         _check_tolerance(self.tolerance)
 
 
@@ -224,9 +221,6 @@ class AcceptanceMatrix:
     def rates(self, kind: str) -> list[float]:
         return [cell.stats.acceptance_rate for cell in self.cells if cell.kind == kind]
 
-    def cheat_rates(self) -> list[float]:
-        return self.rates("cheat")
-
     def grid_rates(self) -> list[list[float]]:
         """Honest and control rates, indexed ``[commit][announce]``."""
         grid = {
@@ -319,6 +313,7 @@ class CheckResult:
 
 def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]:
     """Fast invariant suite covering state algebra, protocol, and attack."""
+    _check_seed(master_seed)
     _check_tolerance(tolerance)
     checks: list[CheckResult] = []
 
@@ -340,7 +335,7 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
     for src in BELL_LABELS:
         for flip in PauliOp:
             dst = BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component)
-            got = apply_pauli(make_bell(src), flip, 0)
+            got = apply_unitary(make_bell(src), flip.unitary())
             worst = max(worst, 1.0 - fidelity(got, make_bell(dst)))
     record("pauli-label-flips", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
 
@@ -349,9 +344,9 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
     for _ in range(20):
         state = random_state(3, rng)
         op = random_unitary(2, rng).on(1, 2)
-        flip = PauliOp.ZX
-        a = apply_unitary(apply_pauli(state, flip, 0), op)
-        b = apply_pauli(apply_unitary(state, op), flip, 0)
+        flip = PauliOp.ZX.unitary()
+        a = apply_unitary(apply_unitary(state, flip), op)
+        b = apply_unitary(apply_unitary(state, op), flip)
         worst = max(worst, float(np.abs(a.amplitudes - b.amplitudes).max()))
     record("flip-commutation", worst <= 1e-12, f"max amplitude delta {worst:.3e}")
 
@@ -412,8 +407,7 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
     worst = 0.0
     for src in BELL_LABELS:
         for dst in BELL_LABELS:
-            flip = pauli_for_flip(src, dst)
-            got = apply_pauli(make_bell(src), flip, 0)
+            got = apply_unitary(make_bell(src), pauli_for_flip(src, dst).unitary())
             worst = max(worst, 1.0 - fidelity(got, make_bell(dst)))
     record("flip-chooser", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
 

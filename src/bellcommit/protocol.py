@@ -30,7 +30,6 @@ from .qcore import (
     apply_unitary,
     basis_state,
     bell_measure,
-    bell_probabilities,
     make_bell,
     random_unitary,
     tensor,
@@ -242,9 +241,8 @@ def verify(
         state = pair.state
         for op in reversed(record.ops):
             state = apply_unitary(state, op.dagger())
-        announced_probs.append(float(bell_probabilities(state, (0, 1))[announced_index]))
-        label, post = bell_measure(state, (0, 1), rng)
-        pair.state = post
+        label, pair.state, probs = bell_measure(state, (0, 1), rng)
+        announced_probs.append(float(probs[announced_index]))
         per_pair.append(label)
     accept = all(label == reveal.announced for label in per_pair)
     revealed = value_of_label(reveal.announced) if accept else None

@@ -68,17 +68,11 @@ class PauliOp(Enum):
 
     def matrix(self) -> np.ndarray:
         """2x2 matrix; read-only view of a shared constant."""
-        return _PAULI_MATRICES[self]
+        return _PAULI_UNITARIES[self].matrix
 
-
-_PAULI_MATRICES = {
-    PauliOp.IDENTITY: np.eye(2, dtype=np.complex128),
-    PauliOp.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    PauliOp.ZX: np.array([[0, 1], [-1, 0]], dtype=np.complex128),
-}
-for _mat in _PAULI_MATRICES.values():
-    _mat.setflags(write=False)
+    def unitary(self) -> "Unitary":
+        """The operator on qubit 0, a shared constant; rebind with :meth:`Unitary.on`."""
+        return _PAULI_UNITARIES[self]
 
 
 @dataclass(frozen=True)
@@ -190,6 +184,17 @@ class Unitary:
         return Unitary._trusted(mat, self.targets)
 
 
+_PAULI_UNITARIES = {
+    op: Unitary(matrix, (0,))
+    for op, matrix in (
+        (PauliOp.IDENTITY, [[1, 0], [0, 1]]),
+        (PauliOp.X, [[0, 1], [1, 0]]),
+        (PauliOp.Z, [[1, 0], [0, -1]]),
+        (PauliOp.ZX, [[0, 1], [-1, 0]]),
+    )
+}
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on k qubits."""
@@ -249,18 +254,6 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     dim = 2**num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(num_qubits, vec / np.linalg.norm(vec))
-
-
-def apply_pauli(state: StateVector, op: PauliOp, target: int) -> StateVector:
-    """Apply ``op`` to qubit ``target``, identity everywhere else."""
-    if not 0 <= target < state.num_qubits:
-        raise ValueError(f"target {target} out of range for {state.num_qubits} qubits")
-    mat = op.matrix()
-    view = state.amplitudes.reshape(2**target, 2, -1)
-    out = np.empty_like(view)
-    out[:, 0, :] = mat[0, 0] * view[:, 0, :] + mat[0, 1] * view[:, 1, :]
-    out[:, 1, :] = mat[1, 0] * view[:, 0, :] + mat[1, 1] * view[:, 1, :]
-    return StateVector(state.num_qubits, out.reshape(-1))
 
 
 def apply_unitary(state: StateVector, u: Unitary) -> StateVector:
@@ -323,12 +316,14 @@ def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
 
 def bell_measure(
     state: StateVector, pair: tuple[int, int], rng: np.random.Generator
-) -> tuple[BellLabel, StateVector]:
+) -> tuple[BellLabel, StateVector, np.ndarray]:
     """Projective Bell-basis measurement of the two qubits in ``pair``.
 
     Samples by inverse CDF in BELL_LABELS order, consuming exactly one
-    uniform draw from ``rng``. Returns the outcome label and the renormalized
-    post-measurement state (outcome Bell state on ``pair``, rest projected).
+    uniform draw from ``rng``. Returns the outcome label, the renormalized
+    post-measurement state (outcome Bell state on ``pair``, rest projected)
+    and the outcome probabilities it sampled from, as
+    :func:`bell_probabilities` would give them.
     """
     coeffs = _pair_coefficients(state, pair)
     probs = (np.abs(coeffs) ** 2).sum(axis=1)
@@ -351,7 +346,7 @@ def bell_measure(
     post = np.outer(_BELL_BASIS[outcome], rest)
     if tuple(pair) != (0, 1):
         post = np.moveaxis(post.reshape((2,) * n), (0, 1), pair)
-    return BELL_LABELS[outcome], StateVector(n, post.reshape(-1))
+    return BELL_LABELS[outcome], StateVector(n, post.reshape(-1)), probs
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:

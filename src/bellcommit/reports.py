@@ -1,4 +1,10 @@
-"""Render experiment results as text, JSON, or CSV.
+"""One report per subcommand, rendered as text, JSON, or CSV.
+
+Each builder (:func:`build_run`, :func:`build_matrix`, :func:`build_hiding`,
+:func:`build_selftest`) turns one subcommand's results into a
+:class:`Report`: its verdict ``ok``, the JSON body, the CSV header and rows,
+and the text layout. :meth:`Report.render` picks one of :data:`FORMATS`, so
+adding a field or a subcommand touches one builder.
 
 JSON reports are deterministic: keys are sorted, floats use repr, and no
 timestamps or environment data are included, so identical configs produce
@@ -23,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .harness import (
@@ -32,9 +39,45 @@ from .harness import (
     DetectionStats,
     ExperimentConfig,
     HidingReport,
+    passes,
 )
 
+FORMATS = ("text", "json", "csv")
+
 _CELL_FIELDS = ("strategy", "commit", "reveal", "policy", "acceptance_rate")
+
+
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's verdict and its content in every output format."""
+
+    ok: bool
+    body: dict
+    csv_header: tuple[str, ...]
+    csv_rows: list[tuple]
+    text: str
+
+    def render(self, fmt: str) -> str:
+        """The report as ``fmt``, one of :data:`FORMATS`."""
+        if fmt == "text":
+            return self.text
+        if fmt == "json":
+            return json.dumps(self.body, indent=2, sort_keys=True) + "\n"
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(self.csv_header)
+            writer.writerows(self.csv_rows)
+            return buf.getvalue()
+        raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _body(config: dict, stats: dict, **sections) -> dict:
+    return {"version": __version__, "config": config, "stats": stats, **sections}
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def config_dict(config: ExperimentConfig) -> dict:
@@ -52,15 +95,6 @@ def config_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def stats_dict(stats: DetectionStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "accepts": stats.accepts,
-        "acceptance_rate": stats.acceptance_rate,
-        "min_outcome_probability": stats.min_outcome_probability,
-    }
-
-
 def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
     """One ``_CELL_FIELDS`` row per cell, in the given order."""
     return [
@@ -75,65 +109,8 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
     ]
 
 
-def matrix_dict(matrix: AcceptanceMatrix, config: ExperimentConfig) -> dict:
-    return {
-        "values": [value.value for value in matrix.values],
-        "cheat_rates": matrix.cheat_rates(),
-        "grid_rates": matrix.grid_rates(),
-        "rows": [dict(zip(_CELL_FIELDS, row)) for row in cell_rows(matrix.cells)],
-        "passed": matrix.passed(config.tolerance),
-    }
-
-
-def hiding_dict(report: HidingReport) -> dict:
-    return {
-        "values": [value.value for value in report.values],
-        "distances": [list(row) for row in report.distances],
-        "max_distance": report.max_distance,
-        "threshold": report.threshold,
-        "passed": report.passed,
-    }
-
-
-def selftest_list(checks: list[CheckResult]) -> list[dict]:
-    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
-
-
-def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def build_report(
-    config: ExperimentConfig | None = None,
-    stats: dict | None = None,
-    matrix: AcceptanceMatrix | None = None,
-    hiding: HidingReport | None = None,
-    checks: list[CheckResult] | None = None,
-) -> dict:
-    report: dict = {"version": __version__}
-    if config is not None:
-        report["config"] = config_dict(config)
-        if matrix is not None:
-            report["matrix"] = matrix_dict(matrix, config)
-    if stats is not None:
-        report["stats"] = stats
-    if hiding is not None:
-        report["hiding"] = hiding_dict(hiding)
-    if checks is not None:
-        report["selftest"] = selftest_list(checks)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# text rendering
-
-
-def _kv_block(items: list[tuple[str, object]]) -> str:
-    width = max(len(key) for key, _ in items)
-    return "\n".join(f"{key.ljust(width)}  {value}" for key, value in items)
-
-
-def render_text_run(config: ExperimentConfig, stats: DetectionStats, ok: bool) -> str:
+def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
+    ok = passes(stats, config.tolerance)
     items = [
         ("strategy", config.strategy.value),
         ("commit", config.commit_value.value),
@@ -146,12 +123,34 @@ def render_text_run(config: ExperimentConfig, stats: DetectionStats, ok: bool) -
         ("accepts", f"{stats.accepts}/{stats.trials}"),
         ("acceptance rate", stats.acceptance_rate),
         ("min outcome probability", stats.min_outcome_probability),
-        ("result", "PASS" if ok else "FAIL"),
+        ("result", _verdict(ok)),
     ]
-    return _kv_block(items) + "\n"
+    width = max(len(key) for key, _ in items)
+    return Report(
+        ok=ok,
+        body=_body(config_dict(config), asdict(stats)),
+        csv_header=_CELL_FIELDS,
+        csv_rows=cell_rows((Cell(config, stats),)),
+        text="".join(f"{key.ljust(width)}  {value}\n" for key, value in items),
+    )
 
 
-def render_text_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> str:
+def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
+    ok = matrix.passed(config.tolerance)
+    rows = cell_rows(matrix.cells)
+    summary = {
+        "cheat_min_rate": min(matrix.rates("cheat")),
+        "honest_min_rate": min(matrix.rates("honest")),
+        "control_max_rate": max(matrix.rates("control")),
+        "passed": ok,
+    }
+    section = {
+        "values": [value.value for value in matrix.values],
+        "cheat_rates": matrix.rates("cheat"),
+        "grid_rates": matrix.grid_rates(),
+        "rows": [dict(zip(_CELL_FIELDS, row)) for row in rows],
+        "passed": ok,
+    }
     lines = [
         f"acceptance matrix (pairs={config.n_pairs}, trials={config.trials}, "
         f"policy={config.bc_policy.value}, ancillas={config.m_ancillas}, "
@@ -159,16 +158,27 @@ def render_text_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> st
         "",
         f"{'strategy':<8}  {'commit':<6}  {'reveal':<6}  rate",
     ]
-    for strategy, commit, reveal, _, rate in cell_rows(matrix.cells):
+    for strategy, commit, reveal, _, rate in rows:
         lines.append(f"{strategy:<8}  {commit:<6}  {reveal:<6}  {rate:.6f}")
-    lines.append("")
-    verdict = "PASS" if matrix.passed(config.tolerance) else "FAIL"
-    lines.append(f"result  {verdict}")
-    return "\n".join(lines) + "\n"
+    lines += ["", f"result  {_verdict(ok)}"]
+    return Report(
+        ok=ok,
+        body=_body(config_dict(config), summary, matrix=section),
+        csv_header=_CELL_FIELDS,
+        csv_rows=rows,
+        text="\n".join(lines) + "\n",
+    )
 
 
-def render_text_hiding(config: ExperimentConfig, report: HidingReport) -> str:
+def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
+    ok = report.passed
     names = [value.value for value in report.values]
+    summary = {"max_distance": report.max_distance, "threshold": report.threshold, "passed": ok}
+    section = {
+        "values": names,
+        "distances": [list(row) for row in report.distances],
+        **summary,
+    }
     lines = [
         f"receiver-side trace distances (pairs={config.n_pairs}, "
         f"policy={config.bc_policy.value}, ancillas={config.m_ancillas}, "
@@ -178,49 +188,40 @@ def render_text_hiding(config: ExperimentConfig, report: HidingReport) -> str:
     ]
     for name, row in zip(names, report.distances):
         lines.append(f"{name:<6}  " + "  ".join(f"{value:9.2e}" for value in row))
-    lines.append("")
-    lines.append(f"max distance  {report.max_distance:.3e}")
-    lines.append(f"threshold     {report.threshold:.3e}")
-    lines.append(f"result        {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    lines += [
+        "",
+        f"max distance  {report.max_distance:.3e}",
+        f"threshold     {report.threshold:.3e}",
+        f"result        {_verdict(ok)}",
+    ]
+    return Report(
+        ok=ok,
+        body=_body(config_dict(config), summary, hiding=section),
+        csv_header=("value_a", "value_b", "trace_distance"),
+        csv_rows=[
+            (a, b, value)
+            for a, row in zip(names, report.distances)
+            for b, value in zip(names, row)
+        ],
+        text="\n".join(lines) + "\n",
+    )
 
 
-def render_text_selftest(checks: list[CheckResult]) -> str:
-    lines = []
-    for check in checks:
-        verdict = "PASS" if check.passed else "FAIL"
-        suffix = f"  ({check.detail})" if check.detail else ""
-        lines.append(f"{verdict}  {check.name}{suffix}")
+def build_selftest(master_seed: int, tolerance: float, checks: list[CheckResult]) -> Report:
     failures = sum(1 for check in checks if not check.passed)
-    lines.append("")
-    lines.append(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# csv rendering
-
-
-def _csv(rows: list[tuple], header: tuple) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def render_csv_cells(cells: tuple[Cell, ...]) -> str:
-    return _csv(cell_rows(cells), _CELL_FIELDS)
-
-
-def render_csv_hiding(report: HidingReport) -> str:
-    rows = []
-    for a, row in zip(report.values, report.distances):
-        for b, value in zip(report.values, row):
-            rows.append((a.value, b.value, value))
-    return _csv(rows, ("value_a", "value_b", "trace_distance"))
-
-
-def render_csv_selftest(checks: list[CheckResult]) -> str:
-    rows = [(c.name, str(c.passed).lower(), c.detail) for c in checks]
-    return _csv(rows, ("check", "passed", "detail"))
+    lines = [
+        f"{_verdict(c.passed)}  {c.name}" + (f"  ({c.detail})" if c.detail else "")
+        for c in checks
+    ]
+    lines += ["", f"{len(checks) - failures}/{len(checks)} checks passed"]
+    return Report(
+        ok=failures == 0,
+        body=_body(
+            {"seed": master_seed, "tolerance": tolerance, "format": "json"},
+            {"checks": len(checks), "failures": failures},
+            selftest=[{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        ),
+        csv_header=("check", "passed", "detail"),
+        csv_rows=[(c.name, str(c.passed).lower(), c.detail) for c in checks],
+        text="\n".join(lines) + "\n",
+    )

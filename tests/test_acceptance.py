@@ -30,7 +30,6 @@ from bellcommit.qcore import (
     BELL_LABELS,
     BellLabel,
     PauliOp,
-    apply_pauli,
     apply_unitary,
     fidelity,
     inner_product,
@@ -86,11 +85,11 @@ def test_criterion_2_flip_identities_amplitude_by_amplitude():
     for ui in (0, 1):
         for uj in (0, 1):
             state = make_bell(BellLabel(ui, uj))
-            z_got = apply_pauli(state, PauliOp.Z, 0).amplitudes
+            z_got = apply_unitary(state, PauliOp.Z.unitary()).amplitudes
             z_want = make_bell(BellLabel(1 - ui, uj)).amplitudes
             worst = max(worst, float(np.abs(z_got - z_want).max()))
             count += 1
-            x_got = apply_pauli(state, PauliOp.X, 0).amplitudes
+            x_got = apply_unitary(state, PauliOp.X.unitary()).amplitudes
             x_want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
             worst = max(worst, float(np.abs(x_got - x_want).max()))
             count += 1
@@ -109,8 +108,8 @@ def test_criterion_3_commutation_on_200_random_triples():
         k = int(rng.integers(1, n))
         targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
         u = random_unitary(k, rng).on(*targets)
-        a = apply_unitary(apply_pauli(state, flip, 0), u)
-        b = apply_pauli(apply_unitary(state, u), flip, 0)
+        a = apply_unitary(apply_unitary(state, flip.unitary()), u)
+        b = apply_unitary(apply_unitary(state, u), flip.unitary())
         worst = max(worst, float(np.abs(a.amplitudes - b.amplitudes).max()))
     elapsed = time.perf_counter() - start
     _verdict(3, worst <= 1e-12 and elapsed < 1.0,
@@ -225,7 +224,7 @@ def test_criterion_8_closed_form_flip_equals_exhaustive_search():
             matches = [
                 op
                 for op in PauliOp
-                if abs(fidelity(apply_pauli(make_bell(src), op, 0), make_bell(dst)) - 1.0)
+                if abs(fidelity(apply_unitary(make_bell(src), op.unitary()), make_bell(dst)) - 1.0)
                 <= 1e-12
             ]
             agree = agree and matches == [pauli_for_flip(src, dst)]

@@ -22,7 +22,7 @@ from bellcommit.protocol import (
 from bellcommit.qcore import (
     BELL_LABELS,
     PauliOp,
-    apply_pauli,
+    apply_unitary,
     fidelity,
     make_bell,
 )
@@ -53,7 +53,8 @@ def brute_force_flip(src, dst):
     matches = [
         op
         for op in PauliOp
-        if abs(fidelity(apply_pauli(make_bell(src), op, 0), make_bell(dst)) - 1.0) <= 1e-12
+        if abs(fidelity(apply_unitary(make_bell(src), op.unitary()), make_bell(dst)) - 1.0)
+        <= 1e-12
     ]
     assert len(matches) == 1  # uniqueness is part of the claim
     return matches[0]

@@ -89,6 +89,14 @@ class TestInvalidConfigurations:
         code, out, err = _run([*argv, "--tolerance", tolerance], capsys)
         _assert_one_line_error(code, out, err)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", [["run", *FAST], ["matrix", *FAST], ["hiding"], ["selftest"]],
+                             ids=["run", "matrix", "hiding", "selftest"])
+    def test_seed_outside_uint64_exits_two(self, argv, seed, capsys):
+        code, out, err = _run([*argv, "--seed", seed], capsys)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: master_seed must fit in an unsigned 64-bit integer\n"
+
     def test_out_naming_a_directory_exits_two(self, tmp_path, capsys):
         code, out, err = _run(["run", *FAST, "--out", str(tmp_path)], capsys)
         _assert_one_line_error(code, out, err)

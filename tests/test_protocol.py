@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.protocol import (
     COMMIT_VALUES,
     MAX_ANCILLAS,
@@ -21,8 +22,11 @@ from bellcommit.protocol import (
     verify,
 )
 from bellcommit.qcore import (
+    BELL_LABELS,
     BellLabel,
+    apply_unitary,
     basis_state,
+    bell_probabilities,
     make_bell,
     random_unitary,
     reduced_density,
@@ -210,6 +214,29 @@ class TestRevealAndVerify:
             reports.append(verify(session, reveal, rng))
         assert reports[0].per_pair == reports[1].per_pair
         assert reports[0].announced_probabilities == reports[1].announced_probabilities
+
+    @pytest.mark.parametrize("kind", ["cheat", "honest", "control"])
+    def test_announced_probabilities_match_the_undone_state(self, kind):
+        announced = commit_label(CommitValue.PLUS if kind == "honest" else CommitValue.MINUS)
+        rng = _rng(13)
+        if kind == "cheat":
+            session = alice_commit_cheating(3, m_ancillas=1)
+            bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, rng)
+            alice_reveal_cheat(session, CommitValue.MINUS)
+        else:
+            session = alice_commit(CommitValue.PLUS, 3, m_ancillas=1)
+            bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, rng)
+            alice_reveal_honest(session)
+        # the reference: undo each pair's record step by step, then project
+        expected = []
+        for pair, record in zip(session.pairs, session.bc_records):
+            state = pair.state
+            for op in reversed(record.ops):
+                state = apply_unitary(state, op.dagger())
+            expected.append(float(bell_probabilities(state, (0, 1))[BELL_LABELS.index(announced)]))
+        report = verify(session, RevealMessage(announced), rng)
+        assert report.announced_probabilities == expected
+        assert report.accept is (kind != "control")
 
 
 class TestHiding:

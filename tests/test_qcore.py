@@ -12,7 +12,6 @@ from bellcommit.qcore import (
     PauliOp,
     StateVector,
     Unitary,
-    apply_pauli,
     apply_unitary,
     basis_state,
     bell_measure,
@@ -170,14 +169,14 @@ class TestApplyPauli:
     def test_z_flips_first_label_bit_exactly(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_pauli(make_bell(BellLabel(ui, uj)), PauliOp.Z, 0)
+                got = apply_unitary(make_bell(BellLabel(ui, uj)), PauliOp.Z.unitary())
                 want = make_bell(BellLabel(1 - ui, uj))
                 assert np.abs(got.amplitudes - want.amplitudes).max() <= ATOL_EXACT
 
     def test_x_flips_second_label_bit_with_sign(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_pauli(make_bell(BellLabel(ui, uj)), PauliOp.X, 0)
+                got = apply_unitary(make_bell(BellLabel(ui, uj)), PauliOp.X.unitary())
                 want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
                 assert np.abs(got.amplitudes - want).max() <= ATOL_EXACT
 
@@ -188,20 +187,16 @@ class TestApplyPauli:
             target = int(rng.integers(0, n))
             op = list(PauliOp)[int(rng.integers(0, 4))]
             state = random_state(n, rng)
-            got = apply_pauli(state, op, target).amplitudes
+            got = apply_unitary(state, op.unitary().on(target)).amplitudes
             want = expand_full(PAULI_MATS[op], (target,), n) @ state.amplitudes
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_zx_is_x_then_z(self):
         rng = np.random.default_rng(3)
         state = random_state(2, rng)
-        combined = apply_pauli(state, PauliOp.ZX, 0)
-        stepwise = apply_pauli(apply_pauli(state, PauliOp.X, 0), PauliOp.Z, 0)
+        combined = apply_unitary(state, PauliOp.ZX.unitary())
+        stepwise = apply_unitary(apply_unitary(state, PauliOp.X.unitary()), PauliOp.Z.unitary())
         assert np.abs(combined.amplitudes - stepwise.amplitudes).max() <= ATOL_EXACT
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_pauli(basis_state(2, 0), PauliOp.X, 2)
 
     def test_composition_group_table(self):
         assert PauliOp.X.compose(PauliOp.Z) is PauliOp.ZX
@@ -330,7 +325,7 @@ class TestBellMeasurement:
             for k in range(4):
                 oracle = projector_probability_oracle(state, (0, 1), BELL_LABELS[k])
                 assert abs(probs[k] - oracle) <= ATOL_EXACT
-            outcome, post = bell_measure(state, (0, 1), np.random.default_rng(0))
+            outcome, post, _ = bell_measure(state, (0, 1), np.random.default_rng(0))
             assert outcome == label
             assert fidelity(post, state) == pytest.approx(1.0, abs=ATOL_EXACT)
 
@@ -349,14 +344,14 @@ class TestBellMeasurement:
         state = basis_state(2, 0)
         outcomes = set()
         for seed in range(40):
-            outcome, _ = bell_measure(state, (0, 1), np.random.default_rng(seed))
+            outcome, _, _ = bell_measure(state, (0, 1), np.random.default_rng(seed))
             outcomes.add((outcome.u_i, outcome.u_j))
         assert outcomes == {(0, 0), (1, 0)}
 
     def test_post_state_is_the_projected_renormalized_state(self):
         rng = np.random.default_rng(31)
         state = random_state(3, rng)
-        outcome, post = bell_measure(state, (0, 1), rng)
+        outcome, post, _ = bell_measure(state, (0, 1), rng)
         index = BELL_LABELS.index(outcome)
         bell = np.asarray(EXPECTED_BELL[(outcome.u_i, outcome.u_j)], dtype=complex)
         proj = expand_full(np.outer(bell, bell.conj()), (0, 1), 3)
@@ -367,13 +362,13 @@ class TestBellMeasurement:
 
     def test_embedded_pair_with_offset(self):
         state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
-        outcome, _ = bell_measure(state, (1, 2), np.random.default_rng(0))
+        outcome, _, _ = bell_measure(state, (1, 2), np.random.default_rng(0))
         assert outcome == BellLabel(0, 1)
 
     def test_reversed_pair_order(self):
         # every Bell state maps onto itself (up to phase) under qubit swap
         for label in BELL_LABELS:
-            outcome, _ = bell_measure(make_bell(label), (1, 0), np.random.default_rng(1))
+            outcome, _, _ = bell_measure(make_bell(label), (1, 0), np.random.default_rng(1))
             assert outcome == label
 
     def test_consumes_exactly_one_draw(self):
@@ -478,8 +473,8 @@ def test_pauli_on_first_qubit_commutes_with_other_qubit_unitaries(seed):
     k = int(rng.integers(1, n))
     targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
     u = random_unitary(k, rng).on(*targets)
-    a = apply_unitary(apply_pauli(state, op, 0), u)
-    b = apply_pauli(apply_unitary(state, u), op, 0)
+    a = apply_unitary(apply_unitary(state, op.unitary()), u)
+    b = apply_unitary(apply_unitary(state, u), op.unitary())
     assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-12
 
 
@@ -489,7 +484,7 @@ def test_operations_preserve_normalization(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     state = random_state(n, rng)
-    state = apply_pauli(state, PauliOp.ZX, int(rng.integers(0, n)))
+    state = apply_unitary(state, PauliOp.ZX.unitary().on(int(rng.integers(0, n))))
     u = random_unitary(1, rng).on(int(rng.integers(0, n)))
     state = apply_unitary(state, u)
     norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
