@@ -17,10 +17,11 @@ from .protocol import (
     Phase,
     ProtocolError,
     RevealMessage,
+    _apply,
     alice_commit,
     commit_label,
 )
-from .qcore import BellLabel, PauliOp, apply_unitary
+from .qcore import BellLabel, PauliOp
 
 # The scripted attack always starts from this preparation.
 CHEAT_START_LABEL = BellLabel(0, 0)
@@ -53,8 +54,7 @@ def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> Revea
     if session.phase is not Phase.COMMITTED:
         raise ProtocolError("session was already revealed")
     # the committer's qubit is qubit 0 of every pair, where the flip acts
-    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).unitary()
-    for pair in session.pairs:
-        pair.state = apply_unitary(pair.state, flip)
+    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).matrix()
+    session.states = _apply(session.states, flip, 0)
     session.phase = Phase.REVEALED
     return RevealMessage(announced=commit_label(target))

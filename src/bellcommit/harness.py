@@ -32,6 +32,7 @@ from .qcore import (
     BELL_LABELS,
     BellLabel,
     PauliOp,
+    StateVector,
     apply_unitary,
     bell_probabilities,
     fidelity,
@@ -293,7 +294,10 @@ def hiding_report(base: ExperimentConfig) -> HidingReport:
     for value in COMMIT_VALUES:
         session = alice_commit(value, base.n_pairs, base.m_ancillas)
         bc_apply_operations(session, base.bc_policy, _trial_generator(base.master_seed, 0))
-        reduced[value] = [reduced_density(pair.state, pair.c_side) for pair in session.pairs]
+        n = 2 + session.m_ancillas
+        reduced[value] = [
+            reduced_density(StateVector(n, row), range(1, n)) for row in session.states
+        ]
     rows = []
     for a in COMMIT_VALUES:
         row = tuple(

@@ -9,9 +9,12 @@ committer announces one Bell label and hands over her kept qubits; the
 verifier undoes the recorded operations in reverse order and Bell-measures
 every pair, accepting only a unanimous match with the announcement.
 
-Qubit layout inside each :class:`PairRegister`: qubit 0 belongs to the
-committer, qubit 1 to the receiving side, qubits ``2 .. 1+m`` are
-receiver-side ancillas starting in ``|0...0>``.
+A session holds all its pairs as one ``(N, 2**(2+m))`` amplitude array, one
+row per pair. In every row qubit 0 belongs to the committer, qubit 1 to the
+receiving side, and qubits ``2 .. 1+m`` are receiver-side ancillas starting
+in ``|0...0>``. Each receiver step is recorded as one ``(N, d, d)`` stack of
+unitaries, one per pair, acting on qubits ``1 .. log2 d``; every step of the
+protocol transforms all rows at once.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .qcore import (
+    ATOL_EXACT,
     BELL_LABELS,
     BellLabel,
-    StateVector,
-    Unitary,
-    apply_unitary,
     basis_state,
-    bell_measure,
     make_bell,
+    measure_bell_pairs,
     random_unitary,
     tensor,
 )
@@ -92,43 +93,6 @@ def value_of_label(label: BellLabel) -> CommitValue:
 
 
 @dataclass
-class PairRegister:
-    """Joint state of one committed pair plus any receiver-side ancillas."""
-
-    state: StateVector
-    m_ancillas: int
-
-    @property
-    def alice_qubit(self) -> int:
-        return 0
-
-    @property
-    def c_qubit(self) -> int:
-        return 1
-
-    @property
-    def ancillas(self) -> tuple[int, ...]:
-        return tuple(range(2, 2 + self.m_ancillas))
-
-    @property
-    def c_side(self) -> tuple[int, ...]:
-        """Every qubit the receiving side holds: its pair half plus ancillas."""
-        return (self.c_qubit,) + self.ancillas
-
-
-@dataclass
-class BCRecord:
-    """Ordered record of receiver-side operations applied to one pair."""
-
-    ops: list[Unitary] = field(default_factory=list)
-
-    def append(self, op: Unitary) -> None:
-        if 0 in op.targets:
-            raise ValueError("receiver-side operations may not target the committer's qubit")
-        self.ops.append(op)
-
-
-@dataclass
 class RevealMessage:
     """The committer's reveal: one announced label, kept qubits handed over."""
 
@@ -153,26 +117,53 @@ class VerificationReport:
 
 @dataclass
 class CommitmentSession:
-    """Mutable state of one commitment, owned by a single protocol run."""
+    """Mutable state of one commitment, owned by a single protocol run.
 
-    n_pairs: int
+    ``states`` holds one row of amplitudes per pair. ``ops`` holds one
+    ``(n_pairs, d, d)`` stack per receiver step, in the order applied, each
+    acting on qubits ``1 .. log2 d`` of its row.
+    """
+
     committed: CommitValue
-    pairs: list[PairRegister]
-    bc_records: list[BCRecord]
     phase: Phase
-    m_ancillas: int
+    states: np.ndarray
+    ops: list[np.ndarray] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if len(self.pairs) != self.n_pairs or len(self.bc_records) != self.n_pairs:
-            raise ValueError("pairs and bc_records must both have n_pairs entries")
+    @property
+    def n_pairs(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def m_ancillas(self) -> int:
+        # a row holds 2**(2 + m_ancillas) amplitudes
+        return self.states.shape[1].bit_length() - 3
 
 
-@lru_cache(maxsize=None)
-def _initial_pair_state(label: BellLabel, m_ancillas: int) -> StateVector:
+@lru_cache(maxsize=32)
+def _initial_states(label: BellLabel, m_ancillas: int, n_pairs: int) -> np.ndarray:
+    # read-only, so sessions can share it: every step replaces the array
     state = make_bell(label)
     if m_ancillas:
         state = tensor(state, basis_state(m_ancillas, 0))
-    return state
+    states = np.tile(state.amplitudes, (n_pairs, 1))
+    states.setflags(write=False)
+    return states
+
+
+def _apply(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
+    """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
+
+    Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
+    """
+    if matrices.ndim == 3:
+        matrices = matrices[:, None]
+    n = states.shape[0]
+    out = (matrices @ states.reshape(n, 2**first, matrices.shape[-1], -1)).reshape(n, -1)
+    norms = np.einsum("ij,ij->i", out.conj(), out).real
+    # written so that NaN fails too
+    if not np.abs(norms - 1.0).max() <= ATOL_EXACT:
+        raise ValueError("a pair's state is no longer normalized")
+    return out
 
 
 def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
@@ -181,10 +172,8 @@ def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> Commi
         raise ValueError("n_pairs must be at least 1")
     if not 0 <= m_ancillas <= MAX_ANCILLAS:
         raise ValueError(f"m_ancillas must be between 0 and {MAX_ANCILLAS}")
-    template = _initial_pair_state(commit_label(value), m_ancillas)
-    pairs = [PairRegister(template, m_ancillas) for _ in range(n_pairs)]
-    records = [BCRecord() for _ in range(n_pairs)]
-    return CommitmentSession(n_pairs, value, pairs, records, Phase.COMMITTED, m_ancillas)
+    states = _initial_states(commit_label(value), m_ancillas, n_pairs)
+    return CommitmentSession(value, Phase.COMMITTED, states)
 
 
 def bc_apply_operations(
@@ -204,13 +193,10 @@ def bc_apply_operations(
         return session
     if policy is BCPolicy.RANDOM_ENTANGLED and session.m_ancillas == 0:
         raise ValueError("the entangling policy requires at least one ancilla")
-    for pair, record in zip(session.pairs, session.bc_records):
-        if policy is BCPolicy.RANDOM_LOCAL:
-            op = random_unitary(1, rng).on(pair.c_qubit)
-        else:
-            op = random_unitary(1 + session.m_ancillas, rng).on(*pair.c_side)
-        record.append(op)
-        pair.state = apply_unitary(pair.state, op)
+    width = 1 if policy is BCPolicy.RANDOM_LOCAL else 1 + session.m_ancillas
+    ops = np.stack([random_unitary(width, rng).matrix for _ in range(session.n_pairs)])
+    session.states = _apply(session.states, ops, 1)
+    session.ops.append(ops)
     return session
 
 
@@ -230,23 +216,21 @@ def verify(
     Per pair: undo the recorded receiver-side operations in reverse order,
     then Bell-measure qubits (0, 1). Accept iff every measured label equals
     the announced one. Measurements consume one draw from ``rng`` per pair,
-    in pair order.
+    in pair order. The session is left as it was, so verifying it again
+    with an equally seeded generator gives the same report.
     """
     if session.phase is not Phase.REVEALED:
         raise ProtocolError("verification requires a revealed session")
+    states = session.states
+    for ops in reversed(session.ops):
+        states = _apply(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
+    outcomes, probs = measure_bell_pairs(states, rng)
+    indices = outcomes.tolist()
     announced_index = BELL_LABELS.index(reveal.announced)
-    per_pair: list[BellLabel] = []
-    announced_probs: list[float] = []
-    for pair, record in zip(session.pairs, session.bc_records):
-        state = pair.state
-        for op in reversed(record.ops):
-            state = apply_unitary(state, op.dagger())
-        label, pair.state, probs = bell_measure(state, (0, 1), rng)
-        announced_probs.append(float(probs[announced_index]))
-        per_pair.append(label)
-    accept = all(label == reveal.announced for label in per_pair)
+    accept = set(indices) == {announced_index}
+    per_pair = [BELL_LABELS[k] for k in indices]
     revealed = value_of_label(reveal.announced) if accept else None
-    return VerificationReport(per_pair, accept, revealed, announced_probs)
+    return VerificationReport(per_pair, accept, revealed, probs[:, announced_index].tolist())
 
 
 def transcript(

@@ -288,9 +288,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(1.0, abs(inner_product(a, b)) ** 2)
 
 
-_BELL_BASIS = np.stack([make_bell(label).amplitudes for label in BELL_LABELS])
-_BELL_BASIS.setflags(write=False)
-_BELL_BASIS_CONJ = _BELL_BASIS.conj()
+_BELL_BASIS_CONJ = np.stack([make_bell(label).amplitudes for label in BELL_LABELS]).conj()
 _BELL_BASIS_CONJ.setflags(write=False)
 
 
@@ -314,39 +312,32 @@ def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     return (np.abs(coeffs) ** 2).sum(axis=1)
 
 
-def bell_measure(
-    state: StateVector, pair: tuple[int, int], rng: np.random.Generator
-) -> tuple[BellLabel, StateVector, np.ndarray]:
-    """Projective Bell-basis measurement of the two qubits in ``pair``.
+def measure_bell_pairs(
+    states: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projective Bell-basis measurement of qubits (0, 1) in every row of ``states``.
 
-    Samples by inverse CDF in BELL_LABELS order, consuming exactly one
-    uniform draw from ``rng``. Returns the outcome label, the renormalized
-    post-measurement state (outcome Bell state on ``pair``, rest projected)
-    and the outcome probabilities it sampled from, as
-    :func:`bell_probabilities` would give them.
+    ``states`` holds one register's amplitudes per row. Each row is sampled
+    by inverse CDF in BELL_LABELS order from one uniform draw of ``rng``,
+    drawn in row order. Returns the outcome indices into BELL_LABELS and the
+    ``(rows, 4)`` outcome probabilities they were sampled from, each row as
+    :func:`bell_probabilities` would give it.
     """
-    coeffs = _pair_coefficients(state, pair)
-    probs = (np.abs(coeffs) ** 2).sum(axis=1)
-    total = float(probs.sum())
-    if abs(total - 1.0) > ATOL_ACCUM:
+    rows = states.shape[0]
+    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
+    cdf = probs.cumsum(axis=1)
+    deviation = np.abs(cdf[:, -1] - 1.0)
+    # written so that NaN fails too
+    if not deviation.max() <= ATOL_ACCUM:
+        total = float(cdf[deviation.argmax(), -1])
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    draw = float(rng.random())
-    outcome = -1
-    acc = 0.0
-    for k in range(4):
-        acc += float(probs[k])
-        if draw < acc:
-            outcome = k
-            break
-    if outcome < 0:
-        # the draw landed in the rounding slack above the last cumulative step
-        outcome = int(np.argmax(probs))
-    rest = coeffs[outcome] / np.sqrt(probs[outcome])
-    n = state.num_qubits
-    post = np.outer(_BELL_BASIS[outcome], rest)
-    if tuple(pair) != (0, 1):
-        post = np.moveaxis(post.reshape((2,) * n), (0, 1), pair)
-    return BELL_LABELS[outcome], StateVector(n, post.reshape(-1)), probs
+    # the first label whose cumulative probability exceeds the draw
+    outcomes = (cdf <= rng.random(rows)[:, None]).sum(axis=1)
+    if outcomes.max() == 4:
+        # a draw landed in the rounding slack above the last cumulative step
+        slack = outcomes == 4
+        outcomes[slack] = probs[slack].argmax(axis=1)
+    return outcomes, probs
 
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:

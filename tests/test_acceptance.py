@@ -30,6 +30,7 @@ from bellcommit.qcore import (
     BELL_LABELS,
     BellLabel,
     PauliOp,
+    StateVector,
     apply_unitary,
     fidelity,
     inner_product,
@@ -207,8 +208,8 @@ def test_criterion_7_hiding():
     marginal_worst = 0.0
     for value in COMMIT_VALUES:
         session = alice_commit(value, 2, m_ancillas=1)
-        for pair in session.pairs:
-            rho = reduced_density(pair.state, (pair.c_qubit,)).matrix
+        for row in session.states:
+            rho = reduced_density(StateVector(3, row), (1,)).matrix
             marginal_worst = max(
                 marginal_worst, float(np.abs(rho - np.eye(2) / 2).max())
             )

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from bellcommit.protocol import (
     COMMIT_VALUES,
     MAX_ANCILLAS,
     BCPolicy,
-    BCRecord,
     CommitValue,
     Phase,
     ProtocolError,
@@ -24,11 +24,12 @@ from bellcommit.protocol import (
 from bellcommit.qcore import (
     BELL_LABELS,
     BellLabel,
+    StateVector,
+    Unitary,
     apply_unitary,
     basis_state,
     bell_probabilities,
     make_bell,
-    random_unitary,
     reduced_density,
     tensor,
     trace_distance,
@@ -45,6 +46,12 @@ CODING = [
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _pair_states(session):
+    """Each row of the session as a StateVector."""
+    n = 2 + session.m_ancillas
+    return [StateVector(n, row) for row in session.states]
 
 
 class TestCoding:
@@ -67,23 +74,27 @@ class TestCommit:
             want = make_bell(commit_label(value)).amplitudes
             assert session.phase is Phase.COMMITTED
             assert session.committed is value
-            assert len(session.pairs) == 3
-            for pair in session.pairs:
-                assert np.abs(pair.state.amplitudes - want).max() <= 1e-12
+            assert session.n_pairs == 3
+            assert session.states.shape == (3, 4)
+            for row in session.states:
+                assert np.abs(row - want).max() <= 1e-12
 
     def test_ancillas_start_in_zero(self):
         session = alice_commit(CommitValue.PLUS, 1, m_ancillas=2)
         want = tensor(make_bell(BellLabel(1, 0)), basis_state(2, 0)).amplitudes
-        assert np.abs(session.pairs[0].state.amplitudes - want).max() <= 1e-12
-        assert session.pairs[0].state.num_qubits == 4
+        assert np.abs(session.states[0] - want).max() <= 1e-12
+        assert session.states.shape == (1, 2**4)
+        assert session.m_ancillas == 2
 
-    def test_pair_register_layout(self):
-        session = alice_commit(CommitValue.BIT0, 1, m_ancillas=2)
-        pair = session.pairs[0]
-        assert pair.alice_qubit == 0
-        assert pair.c_qubit == 1
-        assert pair.ancillas == (2, 3)
-        assert pair.c_side == (1, 2, 3)
+    def test_shared_initial_states_are_never_written(self):
+        first = alice_commit(CommitValue.MINUS, 2, m_ancillas=1)
+        second = alice_commit(CommitValue.MINUS, 2, m_ancillas=1)
+        assert not first.states.flags.writeable
+        template = np.tile(tensor(make_bell(BellLabel(1, 1)), basis_state(1, 0)).amplitudes, (2, 1))
+        bc_apply_operations(first, BCPolicy.RANDOM_ENTANGLED, _rng(3))
+        assert not np.array_equal(first.states, template)
+        assert second.states.shape == template.shape
+        assert np.array_equal(second.states, template)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -94,48 +105,31 @@ class TestCommit:
             alice_commit(CommitValue.BIT0, 1, m_ancillas=-1)
 
 
-class TestBCRecord:
-    def test_rejects_operations_on_the_committer_qubit(self):
-        record = BCRecord()
-        op = random_unitary(1, _rng()).on(0)
-        with pytest.raises(ValueError):
-            record.append(op)
-
-    def test_keeps_order(self):
-        record = BCRecord()
-        a = random_unitary(1, _rng(1)).on(1)
-        b = random_unitary(1, _rng(2)).on(1)
-        record.append(a)
-        record.append(b)
-        assert record.ops == [a, b]
-
-
 class TestBCOperations:
     def test_none_policy_changes_nothing(self):
         session = alice_commit(CommitValue.BIT0, 2)
-        before = [pair.state for pair in session.pairs]
+        before = session.states
         rng = _rng(5)
         state0 = rng.bit_generator.state
         bc_apply_operations(session, BCPolicy.NONE, rng)
-        assert [pair.state for pair in session.pairs] == before
-        assert all(not record.ops for record in session.bc_records)
+        assert session.states is before
+        assert session.ops == []
         assert rng.bit_generator.state == state0  # no draws consumed
 
     def test_random_local_records_one_op_per_pair(self):
         session = alice_commit(CommitValue.BIT1, 3)
         bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, _rng(5))
-        for pair, record in zip(session.pairs, session.bc_records):
-            assert len(record.ops) == 1
-            assert record.ops[0].targets == (1,)
-            # states moved away from the bare Bell pair
-            assert pair.state.num_qubits == 2
+        assert len(session.ops) == 1
+        # one single-qubit unitary per pair, acting on qubit 1
+        assert session.ops[0].shape == (3, 2, 2)
+        assert session.states.shape == (3, 4)
 
     def test_random_entangled_targets_all_receiver_qubits(self):
         session = alice_commit(CommitValue.BIT1, 2, m_ancillas=2)
         bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng(5))
-        for record in session.bc_records:
-            assert record.ops[0].targets == (1, 2, 3)
-            assert record.ops[0].dim == 8
+        # one unitary per pair on qubits 1, 2 and 3
+        assert len(session.ops) == 1
+        assert session.ops[0].shape == (2, 8, 8)
 
     def test_random_entangled_requires_ancillas(self):
         session = alice_commit(CommitValue.BIT1, 2)
@@ -147,8 +141,7 @@ class TestBCOperations:
         b = alice_commit(CommitValue.PLUS, 2)
         bc_apply_operations(a, BCPolicy.RANDOM_LOCAL, _rng(9))
         bc_apply_operations(b, BCPolicy.RANDOM_LOCAL, _rng(9))
-        for x, y in zip(a.pairs, b.pairs):
-            assert np.array_equal(x.state.amplitudes, y.state.amplitudes)
+        assert np.array_equal(a.states, b.states)
 
     def test_rejected_after_reveal(self):
         session = alice_commit(CommitValue.BIT0, 1)
@@ -156,11 +149,22 @@ class TestBCOperations:
         with pytest.raises(ProtocolError):
             bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, _rng())
 
+    def test_a_row_off_unit_norm_is_refused_at_the_next_step(self):
+        # every whole-array step checks each row's norm, as StateVector did
+        for step in (
+            lambda session: bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, _rng()),
+            lambda session: alice_reveal_cheat(session, CommitValue.PLUS),
+        ):
+            session = alice_commit(CommitValue.BIT0, 2)
+            session.states = session.states * np.array([[1.0], [1.0 + 1e-9]])
+            with pytest.raises(ValueError):
+                step(session)
+
     def test_pairs_evolve_independently(self):
         session = alice_commit(CommitValue.BIT0, 2)
         bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, _rng(13))
-        a, b = session.pairs
-        assert not np.array_equal(a.state.amplitudes, b.state.amplitudes)
+        a, b = session.states
+        assert not np.array_equal(a, b)
 
 
 class TestRevealAndVerify:
@@ -215,28 +219,62 @@ class TestRevealAndVerify:
         assert reports[0].per_pair == reports[1].per_pair
         assert reports[0].announced_probabilities == reports[1].announced_probabilities
 
+    def test_verifying_twice_gives_the_same_report(self):
+        session = alice_commit(CommitValue.PLUS, 3, m_ancillas=1)
+        bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng(8))
+        reveal = alice_reveal_honest(session)
+        first = verify(session, reveal, _rng(9))
+        second = verify(session, reveal, _rng(9))
+        assert first.accept
+        assert second == first
+
     @pytest.mark.parametrize("kind", ["cheat", "honest", "control"])
     def test_announced_probabilities_match_the_undone_state(self, kind):
         announced = commit_label(CommitValue.PLUS if kind == "honest" else CommitValue.MINUS)
-        rng = _rng(13)
-        if kind == "cheat":
-            session = alice_commit_cheating(3, m_ancillas=1)
-            bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, rng)
-            alice_reveal_cheat(session, CommitValue.MINUS)
-        else:
-            session = alice_commit(CommitValue.PLUS, 3, m_ancillas=1)
-            bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, rng)
-            alice_reveal_honest(session)
-        # the reference: undo each pair's record step by step, then project
-        expected = []
-        for pair, record in zip(session.pairs, session.bc_records):
-            state = pair.state
-            for op in reversed(record.ops):
-                state = apply_unitary(state, op.dagger())
-            expected.append(float(bell_probabilities(state, (0, 1))[BELL_LABELS.index(announced)]))
-        report = verify(session, RevealMessage(announced), rng)
-        assert report.announced_probabilities == expected
-        assert report.accept is (kind != "control")
+        announced_index = BELL_LABELS.index(announced)
+        cases = [
+            ((BCPolicy.NONE,), 0),
+            ((BCPolicy.RANDOM_LOCAL,), 2),
+            ((BCPolicy.RANDOM_ENTANGLED,), 1),
+            ((BCPolicy.RANDOM_ENTANGLED,), 2),
+            # two steps that do not commute: the undo must run in reverse order
+            ((BCPolicy.RANDOM_LOCAL, BCPolicy.RANDOM_ENTANGLED), 1),
+        ]
+        for policies, m in cases:
+            for n_pairs in (1, 3):
+                rng = _rng(13)
+                if kind == "cheat":
+                    session = alice_commit_cheating(n_pairs, m_ancillas=m)
+                else:
+                    session = alice_commit(CommitValue.PLUS, n_pairs, m_ancillas=m)
+                for policy in policies:
+                    bc_apply_operations(session, policy, rng)
+                if kind == "cheat":
+                    alice_reveal_cheat(session, CommitValue.MINUS)
+                else:
+                    alice_reveal_honest(session)
+                assert len(session.ops) == sum(p is not BCPolicy.NONE for p in policies)
+                # the reference: undo each pair's steps one by one, then
+                # project and sample by inverse CDF, one draw per pair
+                oracle_rng = copy.deepcopy(rng)
+                labels, probabilities = [], []
+                for index, state in enumerate(_pair_states(session)):
+                    for ops in reversed(session.ops):
+                        targets = tuple(range(1, ops.shape[-1].bit_length()))
+                        state = apply_unitary(state, Unitary(ops[index], targets).dagger())
+                    probs = bell_probabilities(state, (0, 1))
+                    draw, cdf, outcome = oracle_rng.random(), 0.0, None
+                    for k in range(4):
+                        cdf += float(probs[k])
+                        if outcome is None and draw < cdf:
+                            outcome = k
+                    labels.append(BELL_LABELS[int(np.argmax(probs)) if outcome is None else outcome])
+                    probabilities.append(float(probs[announced_index]))
+                report = verify(session, RevealMessage(announced), rng)
+                case = (policies, m, n_pairs)
+                assert report.per_pair == labels, case
+                assert report.announced_probabilities == probabilities, case
+                assert report.accept is (kind != "control"), case
 
 
 class TestHiding:
@@ -250,7 +288,7 @@ class TestHiding:
             session = alice_commit(value, 2, m_ancillas=m)
             bc_apply_operations(session, policy, _rng(7))  # same seed: same ops
             reduced[value] = [
-                reduced_density(pair.state, pair.c_side) for pair in session.pairs
+                reduced_density(state, range(1, 2 + m)) for state in _pair_states(session)
             ]
         for a in COMMIT_VALUES:
             for b in COMMIT_VALUES:
@@ -260,12 +298,12 @@ class TestHiding:
     def test_fresh_commit_marginal_is_maximally_mixed(self):
         for value in COMMIT_VALUES:
             session = alice_commit(value, 1)
-            rho = reduced_density(session.pairs[0].state, (1,)).matrix
+            rho = reduced_density(_pair_states(session)[0], (1,)).matrix
             assert np.abs(rho - np.eye(2) / 2).max() <= 1e-12
 
     def test_committer_marginal_is_also_mixed(self):
         session = alice_commit(CommitValue.MINUS, 1, m_ancillas=1)
-        rho = reduced_density(session.pairs[0].state, (0,)).matrix
+        rho = reduced_density(_pair_states(session)[0], (0,)).matrix
         assert np.abs(rho - np.eye(2) / 2).max() <= 1e-12
 
 
