@@ -30,6 +30,7 @@ from bellcommit.qcore import (
     basis_state,
     bell_probabilities,
     make_bell,
+    random_unitary,
     reduced_density,
     tensor,
     trace_distance,
@@ -96,6 +97,22 @@ class TestCommit:
         assert second.states.shape == template.shape
         assert np.array_equal(second.states, template)
 
+    def test_pair_register_layout(self):
+        # qubit 0 is the committer's, qubit 1 the receiver's, qubits 2 and 3
+        # the receiver's ancillas in |00>
+        session = alice_commit(CommitValue.BIT0, 1, m_ancillas=2)
+        (state,) = _pair_states(session)
+        index = BELL_LABELS.index(commit_label(CommitValue.BIT0))
+        assert bell_probabilities(state, (0, 1))[index] >= 1 - 1e-12
+        assert abs(reduced_density(state, (2, 3)).matrix[0, 0] - 1) <= 1e-12
+        # the receiver's step acts on qubits 1, 2 and 3 only: the committer's
+        # marginal stays as it was
+        before = reduced_density(state, (0,)).matrix
+        bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng(4))
+        (state,) = _pair_states(session)
+        assert np.abs(reduced_density(state, (0,)).matrix - before).max() <= 1e-12
+        assert bell_probabilities(state, (0, 1))[index] < 1 - 1e-6
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             alice_commit(CommitValue.BIT0, 0)
@@ -103,6 +120,18 @@ class TestCommit:
             alice_commit(CommitValue.BIT0, 1, m_ancillas=MAX_ANCILLAS + 1)
         with pytest.raises(ValueError):
             alice_commit(CommitValue.BIT0, 1, m_ancillas=-1)
+
+
+class TestBCRecord:
+    def test_keeps_order(self):
+        session = alice_commit(CommitValue.BIT0, 2, m_ancillas=1)
+        bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, _rng(1))
+        bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng(2))
+        # one stack per step, in the order applied, each drawn in pair order
+        for ops, (seed, width) in zip(session.ops, [(1, 1), (2, 2)], strict=True):
+            rng = _rng(seed)
+            want = np.stack([random_unitary(width, rng).matrix for _ in range(2)])
+            assert np.array_equal(ops, want)
 
 
 class TestBCOperations:

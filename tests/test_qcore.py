@@ -362,6 +362,16 @@ class TestBellMeasurement:
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
         assert outcomes.tolist() == [2]
 
+    def test_embedded_pair_with_offset(self):
+        state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
+        probs = bell_probabilities(state, (1, 2))
+        assert probs[BELL_LABELS.index(BellLabel(0, 1))] >= 1 - 1e-9
+
+    def test_reversed_pair_order(self):
+        # every Bell state maps onto itself (up to phase) under qubit swap
+        for index, label in enumerate(BELL_LABELS):
+            assert bell_probabilities(make_bell(label), (1, 0))[index] >= 1 - 1e-9
+
     def test_consumes_exactly_one_draw(self):
         states = np.stack([basis_state(2, 0).amplitudes] * 3)
         rng_a = np.random.default_rng(77)
@@ -369,6 +379,13 @@ class TestBellMeasurement:
         rng_b = np.random.default_rng(77)
         rng_b.random(3)
         assert rng_a.random() == rng_b.random()
+
+    def test_invalid_pair(self):
+        state = basis_state(2, 0)
+        with pytest.raises(ValueError):
+            bell_probabilities(state, (0, 0))
+        with pytest.raises(ValueError):
+            bell_probabilities(state, (0, 2))
 
     @pytest.mark.parametrize("scale", [1.1, np.nan])
     def test_unnormalized_register_is_rejected(self, scale):
