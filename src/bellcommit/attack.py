@@ -17,11 +17,10 @@ from .protocol import (
     Phase,
     ProtocolError,
     RevealMessage,
-    _apply,
     alice_commit,
     commit_label,
 )
-from .qcore import BellLabel, PauliOp
+from .qcore import BellLabel, PauliOp, apply_rows
 
 # The scripted attack always starts from this preparation.
 CHEAT_START_LABEL = BellLabel(0, 0)
@@ -55,6 +54,6 @@ def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> Revea
         raise ProtocolError("session was already revealed")
     # the committer's qubit is qubit 0 of every pair, where the flip acts
     flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).matrix()
-    session.states = _apply(session.states, flip, 0)
+    session.states = apply_rows(session.states, flip, 0)
     session.phase = Phase.REVEALED
     return RevealMessage(announced=commit_label(target))

@@ -29,19 +29,14 @@ from .protocol import (
     verify,
 )
 from .qcore import (
+    BELL,
     BELL_LABELS,
     BellLabel,
     PauliOp,
-    StateVector,
-    apply_unitary,
-    bell_probabilities,
-    fidelity,
-    inner_product,
-    make_bell,
-    random_state,
+    apply_rows,
     random_unitary,
-    reduced_density,
-    trace_distance,
+    receiver_states,
+    trace_distances,
 )
 
 # Two states of the receiving side's view are "identical" below this.
@@ -290,22 +285,13 @@ def hiding_report(base: ExperimentConfig) -> HidingReport:
     would mean the commitment leaks before the reveal.
     """
     base.validate()
-    reduced = {}
+    reduced = []
     for value in COMMIT_VALUES:
         session = alice_commit(value, base.n_pairs, base.m_ancillas)
         bc_apply_operations(session, base.bc_policy, _trial_generator(base.master_seed, 0))
-        n = 2 + session.m_ancillas
-        reduced[value] = [
-            reduced_density(StateVector(n, row), range(1, n)) for row in session.states
-        ]
-    rows = []
-    for a in COMMIT_VALUES:
-        row = tuple(
-            max(trace_distance(x, y) for x, y in zip(reduced[a], reduced[b]))
-            for b in COMMIT_VALUES
-        )
-        rows.append(row)
-    return HidingReport(COMMIT_VALUES, tuple(rows))
+        reduced.append(receiver_states(session.states))
+    rows = tuple(tuple(float(trace_distances(a, b).max()) for b in reduced) for a in reduced)
+    return HidingReport(COMMIT_VALUES, rows)
 
 
 @dataclass(frozen=True)
@@ -326,39 +312,41 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
 
     rng = _trial_generator(master_seed, 0)
 
+    def fidelity_defect(states: np.ndarray, targets: np.ndarray) -> float:
+        # largest 1 - |<state|target>|**2 over the rows
+        overlaps = np.einsum("ij,ij->i", states.conj(), targets)
+        return float((1.0 - np.minimum(1.0, np.abs(overlaps) ** 2)).max())
+
     # Bell basis is orthonormal.
-    worst = 0.0
-    for i, a in enumerate(BELL_LABELS):
-        for j, b in enumerate(BELL_LABELS):
-            ip = inner_product(make_bell(a), make_bell(b))
-            worst = max(worst, abs(ip - (1.0 if i == j else 0.0)))
+    worst = float(np.abs(BELL.conj() @ BELL.T - np.eye(4)).max())
     record("bell-orthonormality", worst <= 1e-12, f"max deviation {worst:.3e}")
 
     # Pauli flips permute labels as advertised (Z flips u_i, X flips u_j).
     worst = 0.0
-    for src in BELL_LABELS:
-        for flip in PauliOp:
-            dst = BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component)
-            got = apply_unitary(make_bell(src), flip.unitary())
-            worst = max(worst, 1.0 - fidelity(got, make_bell(dst)))
+    for flip in PauliOp:
+        dst = [
+            BELL_LABELS.index(BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component))
+            for src in BELL_LABELS
+        ]
+        worst = max(worst, fidelity_defect(apply_rows(BELL, flip.matrix(), 0), BELL[dst]))
     record("pauli-label-flips", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
 
     # The committer's flip commutes with receiver-side unitaries.
-    worst = 0.0
+    states, ops = [], []
     for _ in range(20):
-        state = random_state(3, rng)
-        op = random_unitary(2, rng).on(1, 2)
-        flip = PauliOp.ZX.unitary()
-        a = apply_unitary(apply_unitary(state, flip), op)
-        b = apply_unitary(apply_unitary(state, op), flip)
-        worst = max(worst, float(np.abs(a.amplitudes - b.amplitudes).max()))
+        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        states.append(vec / np.linalg.norm(vec))
+        ops.append(random_unitary(2, rng).matrix)
+    states, ops = np.stack(states), np.stack(ops)
+    flip = PauliOp.ZX.matrix()
+    a = apply_rows(apply_rows(states, flip, 0), ops, 1)
+    b = apply_rows(apply_rows(states, ops, 1), flip, 0)
+    worst = float(np.abs(a - b).max())
     record("flip-commutation", worst <= 1e-12, f"max amplitude delta {worst:.3e}")
 
     # Measuring a prepared Bell state returns its label with certainty.
-    worst = 1.0
-    for index, label in enumerate(BELL_LABELS):
-        probs = bell_probabilities(make_bell(label), (0, 1))
-        worst = min(worst, float(probs[index]))
+    probs = (np.abs(BELL.conj() @ BELL[:, :, None]) ** 2).sum(axis=2)
+    worst = float(probs.diagonal().min())
     record("measurement-certainty", worst >= 1 - tolerance, f"min outcome probability {worst!r}")
 
     # Honest runs accept, for every value and policy.
@@ -409,10 +397,9 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
 
     # The closed-form flip chooser reaches every label from every label.
     worst = 0.0
-    for src in BELL_LABELS:
-        for dst in BELL_LABELS:
-            got = apply_unitary(make_bell(src), pauli_for_flip(src, dst).unitary())
-            worst = max(worst, 1.0 - fidelity(got, make_bell(dst)))
+    for index, dst in enumerate(BELL_LABELS):
+        flips = np.stack([pauli_for_flip(src, dst).matrix() for src in BELL_LABELS])
+        worst = max(worst, fidelity_defect(apply_rows(BELL, flips, 0), BELL[[index] * 4]))
     record("flip-chooser", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
 
     # The receiving side's view is independent of the committed value.

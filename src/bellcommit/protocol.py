@@ -25,16 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import (
-    ATOL_EXACT,
-    BELL_LABELS,
-    BellLabel,
-    basis_state,
-    make_bell,
-    measure_bell_pairs,
-    random_unitary,
-    tensor,
-)
+from .qcore import BELL, BELL_LABELS, BellLabel, apply_rows, measure_bell_pairs, random_unitary
 
 
 class CommitValue(Enum):
@@ -59,7 +50,6 @@ _VALUE_TO_LABEL = {
     CommitValue.PLUS: BellLabel(1, 0),
     CommitValue.MINUS: BellLabel(1, 1),
 }
-_LABEL_TO_VALUE = {label: value for value, label in _VALUE_TO_LABEL.items()}
 
 # Ancilla count per pair is a session parameter: default 0, at most 2.
 MAX_ANCILLAS = 2
@@ -87,11 +77,6 @@ def commit_label(value: CommitValue) -> BellLabel:
     return _VALUE_TO_LABEL[value]
 
 
-def value_of_label(label: BellLabel) -> CommitValue:
-    """Inverse coding table."""
-    return _LABEL_TO_VALUE[label]
-
-
 @dataclass
 class RevealMessage:
     """The committer's reveal: one announced label, kept qubits handed over."""
@@ -106,12 +91,11 @@ class VerificationReport:
     ``per_pair`` holds one measured label per pair. ``announced_probabilities``
     holds, per pair, the probability that the measurement yields the announced
     label, recorded just before sampling; useful as a numerical soundness
-    diagnostic. ``revealed_value`` decodes the announcement when accepted.
+    diagnostic.
     """
 
     per_pair: list[BellLabel]
     accept: bool
-    revealed_value: CommitValue | None
     announced_probabilities: list[float]
 
 
@@ -142,28 +126,10 @@ class CommitmentSession:
 @lru_cache(maxsize=32)
 def _initial_states(label: BellLabel, m_ancillas: int, n_pairs: int) -> np.ndarray:
     # read-only, so sessions can share it: every step replaces the array
-    state = make_bell(label)
-    if m_ancillas:
-        state = tensor(state, basis_state(m_ancillas, 0))
-    states = np.tile(state.amplitudes, (n_pairs, 1))
+    ancillas = np.eye(2**m_ancillas, dtype=np.complex128)[0]
+    states = np.tile(np.kron(BELL[BELL_LABELS.index(label)], ancillas), (n_pairs, 1))
     states.setflags(write=False)
     return states
-
-
-def _apply(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
-    """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
-
-    Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
-    """
-    if matrices.ndim == 3:
-        matrices = matrices[:, None]
-    n = states.shape[0]
-    out = (matrices @ states.reshape(n, 2**first, matrices.shape[-1], -1)).reshape(n, -1)
-    norms = np.einsum("ij,ij->i", out.conj(), out).real
-    # written so that NaN fails too
-    if not np.abs(norms - 1.0).max() <= ATOL_EXACT:
-        raise ValueError("a pair's state is no longer normalized")
-    return out
 
 
 def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
@@ -195,7 +161,7 @@ def bc_apply_operations(
         raise ValueError("the entangling policy requires at least one ancilla")
     width = 1 if policy is BCPolicy.RANDOM_LOCAL else 1 + session.m_ancillas
     ops = np.stack([random_unitary(width, rng).matrix for _ in range(session.n_pairs)])
-    session.states = _apply(session.states, ops, 1)
+    session.states = apply_rows(session.states, ops, 1)
     session.ops.append(ops)
     return session
 
@@ -223,37 +189,10 @@ def verify(
         raise ProtocolError("verification requires a revealed session")
     states = session.states
     for ops in reversed(session.ops):
-        states = _apply(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
+        states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
     outcomes, probs = measure_bell_pairs(states, rng)
     indices = outcomes.tolist()
     announced_index = BELL_LABELS.index(reveal.announced)
     accept = set(indices) == {announced_index}
     per_pair = [BELL_LABELS[k] for k in indices]
-    revealed = value_of_label(reveal.announced) if accept else None
-    return VerificationReport(per_pair, accept, revealed, probs[:, announced_index].tolist())
-
-
-def transcript(
-    session: CommitmentSession,
-    reveal: RevealMessage | None = None,
-    report: VerificationReport | None = None,
-) -> dict:
-    """JSON-serializable session transcript.
-
-    Shape::
-
-        {
-          "phase": "committed" | "revealed",
-          "value": "bit0" | "bit1" | "plus" | "minus",
-          "announced": [u_i, u_j] | null,
-          "per_pair": [[u_i, u_j], ...] | null,
-          "accept": true | false | null
-        }
-    """
-    return {
-        "phase": session.phase.value,
-        "value": session.committed.value,
-        "announced": [reveal.announced.u_i, reveal.announced.u_j] if reveal else None,
-        "per_pair": [[lab.u_i, lab.u_j] for lab in report.per_pair] if report else None,
-        "accept": report.accept if report else None,
-    }
+    return VerificationReport(per_pair, accept, probs[:, announced_index].tolist())

@@ -1,8 +1,19 @@
-"""Dense state-vector simulation of few-qubit registers.
+"""Array kernel and reference oracle for few-qubit registers.
 
 Everything operates on exact complex amplitudes (double precision), which is
 all the commitment protocol needs: registers stay tiny and every identity the
 protocol relies on holds exactly up to rounding.
+
+The kernel works on ``(rows, dim)`` arrays, one register per row: the
+``BELL`` table, :func:`apply_rows`, :func:`measure_bell_pairs`,
+:func:`receiver_states`, :func:`trace_distances` and the matrices of
+:func:`random_unitary` and :meth:`PauliOp.matrix`. Every production path
+runs through it.
+
+The reference oracle is the one-register object layer: :class:`StateVector`,
+:class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
+steps through one register at a time with validated values and any target
+qubits, and the tests check the kernel against it.
 
 Conventions:
 
@@ -12,17 +23,12 @@ Conventions:
 * Bell states are indexed by a pair of bits ``(u_i, u_j)`` via
   ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)``; ``BELL_LABELS`` fixes
   the order ``(0,0), (0,1), (1,0), (1,1)`` used for sampling and reporting.
-* Values are immutable after construction, and every operation is a pure
-  function of its inputs (plus an explicit generator where sampling is
-  involved), so concurrent use is safe as long as each thread owns its
-  generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +65,6 @@ class PauliOp(Enum):
     def from_components(cls, z: int, x: int) -> "PauliOp":
         return cls((int(bool(z)), int(bool(x))))
 
-    def compose(self, other: "PauliOp") -> "PauliOp":
-        """Group product up to global phase."""
-        return PauliOp.from_components(
-            self.z_component ^ other.z_component,
-            self.x_component ^ other.x_component,
-        )
-
     def matrix(self) -> np.ndarray:
         """2x2 matrix; read-only view of a shared constant."""
         return _PAULI_UNITARIES[self].matrix
@@ -96,6 +95,98 @@ BELL_LABELS: tuple[BellLabel, ...] = (
     BellLabel(1, 1),
 )
 
+# Bell amplitudes, one row per label in BELL_LABELS order; read-only.
+BELL = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=np.complex128
+) * _SQRT1_2
+BELL.setflags(write=False)
+_BELL_BASIS_CONJ = BELL.conj()
+_BELL_BASIS_CONJ.setflags(write=False)
+
+
+# ---------------------------------------------------------------------------
+# array kernel: one register per row
+
+
+def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
+    """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
+
+    Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
+    """
+    if matrices.ndim == 3:
+        matrices = matrices[:, None]
+    n = states.shape[0]
+    out = (matrices @ states.reshape(n, 2**first, matrices.shape[-1], -1)).reshape(n, -1)
+    norms = np.einsum("ij,ij->i", out.conj(), out).real
+    # written so that NaN fails too
+    if not np.abs(norms - 1.0).max() <= ATOL_EXACT:
+        raise ValueError("a pair's state is no longer normalized")
+    return out
+
+
+def measure_bell_pairs(
+    states: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projective Bell-basis measurement of qubits (0, 1) in every row of ``states``.
+
+    ``states`` holds one register's amplitudes per row. Each row is sampled
+    by inverse CDF in BELL_LABELS order from one uniform draw of ``rng``,
+    drawn in row order. Returns the outcome indices into BELL_LABELS and the
+    ``(rows, 4)`` outcome probabilities they were sampled from, each row as
+    :func:`bell_probabilities` would give it.
+    """
+    rows = states.shape[0]
+    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
+    cdf = probs.cumsum(axis=1)
+    deviation = np.abs(cdf[:, -1] - 1.0)
+    # written so that NaN fails too
+    if not deviation.max() <= ATOL_ACCUM:
+        total = float(cdf[deviation.argmax(), -1])
+        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+    # the first label whose cumulative probability exceeds the draw
+    outcomes = (cdf <= rng.random(rows)[:, None]).sum(axis=1)
+    if outcomes.max() == 4:
+        # a draw landed in the rounding slack above the last cumulative step
+        slack = outcomes == 4
+        outcomes[slack] = probs[slack].argmax(axis=1)
+    return outcomes, probs
+
+
+def receiver_states(states: np.ndarray) -> np.ndarray:
+    """Reduced states of qubits ``1 ..`` of every row (qubit 0 traced out), ``(rows, d, d)``."""
+    n = states.shape[0]
+    psi = states.reshape(n, 2, -1).swapaxes(1, 2)
+    return psi @ psi.conj().swapaxes(1, 2)
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``0.5 * sum |eig(a - b)|`` per matrix of two equally shaped stacks of density matrices."""
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+
+
+def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> Unitary:
+    """Haar-distributed unitary on ``num_target_qubits`` qubits.
+
+    Complex Ginibre matrix, QR factorization, then a diagonal phase
+    correction so the distribution is exactly Haar. Intended for small
+    blocks (a few qubits); targets default to ``0..k-1``, rebind with
+    :meth:`Unitary.on`.
+    """
+    if num_target_qubits < 1:
+        raise ValueError("need at least one target qubit")
+    dim = 2**num_target_qubits
+    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return Unitary(q * phases, tuple(range(num_target_qubits)))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: one validated register at a time
+
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -114,7 +205,8 @@ class StateVector:
                 f"got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > ATOL_EXACT:
+        # written so that NaN and inf fail too
+        if not abs(norm_sq - 1.0) <= ATOL_EXACT:
             raise ValueError(f"state is not normalized: sum of |amp|^2 is {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -146,8 +238,11 @@ class Unitary:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} does not match {len(targets)} target qubits"
             )
-        residual = mat @ mat.conj().T - np.eye(mat.shape[0])
-        if float(np.abs(residual).max()) > ATOL_ACCUM:
+        # an inf entry makes NaNs here; the check below rejects them
+        with np.errstate(invalid="ignore"):
+            residual = mat @ mat.conj().T - np.eye(mat.shape[0])
+        # written so that NaN and inf fail too
+        if not float(np.abs(residual).max()) <= ATOL_ACCUM:
             raise ValueError("matrix is not unitary")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -195,67 +290,6 @@ _PAULI_UNITARIES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on k qubits."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim == 0 or dim & (dim - 1):
-            raise ValueError(f"dimension must be a power of two, got {dim}")
-        if float(np.abs(mat - mat.conj().T).max()) > ATOL_EXACT:
-            raise ValueError("matrix is not Hermitian")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > ATOL_EXACT:
-            raise ValueError(f"trace is {trace!r}, not 1")
-        # eigvalsh is cheap at these dimensions and pins positivity exactly
-        if float(np.linalg.eigvalsh(mat).min()) < -1e-10:
-            raise ValueError("matrix is not positive semidefinite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def basis_state(num_qubits: int, index: int = 0) -> StateVector:
-    """Computational basis state ``|index>`` (qubit 0 = most significant bit)."""
-    if num_qubits < 0:
-        raise ValueError("num_qubits must be non-negative")
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-@lru_cache(maxsize=None)
-def make_bell(label: BellLabel) -> StateVector:
-    """Two-qubit Bell state ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)``."""
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[label.u_j] = _SQRT1_2
-    amps[2 + (1 - label.u_j)] = -_SQRT1_2 if label.u_i else _SQRT1_2
-    return StateVector(2, amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; ``a``'s qubits come first (most significant)."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
-
-
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state (normalized complex Gaussian vector)."""
-    dim = 2**num_qubits
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(num_qubits, vec / np.linalg.norm(vec))
-
-
 def apply_unitary(state: StateVector, u: Unitary) -> StateVector:
     """Apply ``u`` to its target qubits, identity everywhere else."""
     n = state.num_qubits
@@ -276,24 +310,8 @@ def apply_unitary(state: StateVector, u: Unitary) -> StateVector:
     return StateVector(n, out.reshape(-1))
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """``<a|b>``, conjugate-linear in ``a``."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """``|<a|b>|**2``, insensitive to global phase; clipped into [0, 1]."""
-    return min(1.0, abs(inner_product(a, b)) ** 2)
-
-
-_BELL_BASIS_CONJ = np.stack([make_bell(label).amplitudes for label in BELL_LABELS]).conj()
-_BELL_BASIS_CONJ.setflags(write=False)
-
-
-def _pair_coefficients(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
-    """Amplitudes regrouped as (bell outcome on ``pair``) x (rest), shape (4, dim/4)."""
+def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
+    """Probabilities of the four Bell outcomes on ``pair``, in BELL_LABELS order."""
     i, j = pair
     n = state.num_qubits
     if i == j or not 0 <= i < n or not 0 <= j < n:
@@ -303,76 +321,5 @@ def _pair_coefficients(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     else:
         psi = state.amplitudes.reshape((2,) * n)
         psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
-    return _BELL_BASIS_CONJ @ psi
-
-
-def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
-    """Probabilities of the four Bell outcomes on ``pair``, in BELL_LABELS order."""
-    coeffs = _pair_coefficients(state, pair)
+    coeffs = _BELL_BASIS_CONJ @ psi
     return (np.abs(coeffs) ** 2).sum(axis=1)
-
-
-def measure_bell_pairs(
-    states: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projective Bell-basis measurement of qubits (0, 1) in every row of ``states``.
-
-    ``states`` holds one register's amplitudes per row. Each row is sampled
-    by inverse CDF in BELL_LABELS order from one uniform draw of ``rng``,
-    drawn in row order. Returns the outcome indices into BELL_LABELS and the
-    ``(rows, 4)`` outcome probabilities they were sampled from, each row as
-    :func:`bell_probabilities` would give it.
-    """
-    rows = states.shape[0]
-    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
-    cdf = probs.cumsum(axis=1)
-    deviation = np.abs(cdf[:, -1] - 1.0)
-    # written so that NaN fails too
-    if not deviation.max() <= ATOL_ACCUM:
-        total = float(cdf[deviation.argmax(), -1])
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    # the first label whose cumulative probability exceeds the draw
-    outcomes = (cdf <= rng.random(rows)[:, None]).sum(axis=1)
-    if outcomes.max() == 4:
-        # a draw landed in the rounding slack above the last cumulative step
-        slack = outcomes == 4
-        outcomes[slack] = probs[slack].argmax(axis=1)
-    return outcomes, probs
-
-
-def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Partial trace onto the qubits in ``keep`` (rows ordered as listed)."""
-    keep = tuple(int(q) for q in keep)
-    n = state.num_qubits
-    if not keep:
-        raise ValueError("keep must list at least one qubit")
-    if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
-        raise ValueError(f"invalid keep indices {keep!r} for {n} qubits")
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, keep, range(len(keep))).reshape(2 ** len(keep), -1)
-    return DensityMatrix(psi @ psi.conj().T)
-
-
-def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> Unitary:
-    """Haar-distributed unitary on ``num_target_qubits`` qubits.
-
-    Complex Ginibre matrix, QR factorization, then a diagonal phase
-    correction so the distribution is exactly Haar. Intended for small
-    blocks (a few qubits); targets default to ``0..k-1``, rebind with
-    :meth:`Unitary.on`.
-    """
-    if num_target_qubits < 1:
-        raise ValueError("need at least one target qubit")
-    dim = 2**num_target_qubits
-    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return Unitary(q * phases, tuple(range(num_target_qubits)))
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """``0.5 * sum |eig(a - b)|`` (the difference is Hermitian)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimensions differ: {a.dim} vs {b.dim}")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())

@@ -26,6 +26,7 @@ COMMANDS = {
     "matrix": ["matrix", "--pairs", "2", "--trials", "50", *HAAR],
     "hiding": ["hiding", "--pairs", "2", *HAAR],
     "selftest": ["selftest"],
+    "selftest-20260819": ["selftest", "--seed", "20260819"],
 }
 
 

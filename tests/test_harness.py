@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bellcommit import harness
@@ -16,7 +17,15 @@ from bellcommit.harness import (
     run_trial,
     selftest,
 )
-from bellcommit.protocol import COMMIT_VALUES, BCPolicy, CommitValue
+from bellcommit.protocol import (
+    COMMIT_VALUES,
+    BCPolicy,
+    CommitValue,
+    alice_commit,
+    bc_apply_operations,
+)
+from bellcommit.qcore import StateVector, receiver_states
+from reference import reduced_density, trace_distance
 
 
 def _config(**overrides):
@@ -190,6 +199,35 @@ class TestHidingReport:
         assert report.max_distance <= report.threshold
         for i in range(4):
             assert report.distances[i][i] == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    @pytest.mark.parametrize(
+        "policy,m",
+        [
+            (BCPolicy.NONE, 0),
+            (BCPolicy.RANDOM_LOCAL, 0),
+            (BCPolicy.RANDOM_LOCAL, 2),
+            (BCPolicy.RANDOM_ENTANGLED, 1),
+            (BCPolicy.RANDOM_ENTANGLED, 2),
+        ],
+    )
+    def test_equals_the_per_row_reference_exactly(self, policy, m, n_pairs, seed):
+        # the array path against one StateVector per row, bit for bit
+        n = 2 + m
+        reduced = []
+        for value in COMMIT_VALUES:
+            session = alice_commit(value, n_pairs, m)
+            bc_apply_operations(session, policy, harness._trial_generator(seed, 0))
+            want = [reduced_density(StateVector(n, row), range(1, n)) for row in session.states]
+            assert np.array_equal(receiver_states(session.states), np.stack(want))
+            reduced.append(want)
+        distances = tuple(
+            tuple(max(trace_distance(x, y) for x, y in zip(a, b)) for b in reduced)
+            for a in reduced
+        )
+        config = _config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed)
+        assert hiding_report(config).distances == distances
 
     def test_table_is_symmetric(self):
         report = hiding_report(_config(bc_policy=BCPolicy.RANDOM_LOCAL))

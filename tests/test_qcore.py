@@ -6,21 +6,25 @@ from hypothesis import strategies as st
 from bellcommit.qcore import (
     ATOL_ACCUM,
     ATOL_EXACT,
+    BELL,
     BELL_LABELS,
     BellLabel,
-    DensityMatrix,
     PauliOp,
     StateVector,
     Unitary,
     apply_unitary,
-    basis_state,
     bell_probabilities,
+    measure_bell_pairs,
+    random_unitary,
+    receiver_states,
+    trace_distances,
+)
+from reference import (
+    basis_state,
     fidelity,
     inner_product,
     make_bell,
-    measure_bell_pairs,
     random_state,
-    random_unitary,
     reduced_density,
     tensor,
     trace_distance,
@@ -107,8 +111,11 @@ def projector_probability_oracle(state: StateVector, pair, label: BellLabel) -> 
 class TestMakeBell:
     def test_amplitudes_match_frozen_table(self):
         for (ui, uj), expected in EXPECTED_BELL.items():
-            got = make_bell(BellLabel(ui, uj)).amplitudes
-            assert np.abs(got - np.asarray(expected)).max() <= ATOL_EXACT
+            row = BELL[BELL_LABELS.index(BellLabel(ui, uj))]
+            assert np.abs(row - np.asarray(expected)).max() <= ATOL_EXACT
+            assert np.array_equal(make_bell(BellLabel(ui, uj)).amplitudes, row)
+        with pytest.raises(ValueError):
+            BELL[0, 0] = 0.0
 
     def test_orthonormality_all_sixteen_inner_products(self):
         for i, a in enumerate(BELL_LABELS):
@@ -136,6 +143,19 @@ class TestStateVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: StateVector(1, [bad, 0.0]),
+            lambda bad: Unitary([[bad, 0.0], [0.0, 1.0]], (0,)),
+        ],
+        ids=["StateVector", "Unitary"],
+    )
+    def test_rejects_non_finite_entries(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
 
     def test_amplitudes_are_read_only(self):
         state = basis_state(2, 0)
@@ -197,12 +217,6 @@ class TestApplyPauli:
         combined = apply_unitary(state, PauliOp.ZX.unitary())
         stepwise = apply_unitary(apply_unitary(state, PauliOp.X.unitary()), PauliOp.Z.unitary())
         assert np.abs(combined.amplitudes - stepwise.amplitudes).max() <= ATOL_EXACT
-
-    def test_composition_group_table(self):
-        assert PauliOp.X.compose(PauliOp.Z) is PauliOp.ZX
-        assert PauliOp.ZX.compose(PauliOp.ZX) is PauliOp.IDENTITY
-        for op in PauliOp:
-            assert op.compose(PauliOp.IDENTITY) is op
 
     def test_matrices_are_frozen_constants(self):
         assert np.array_equal(PauliOp.ZX.matrix(), np.array([[0, 1], [-1, 0]]))
@@ -404,18 +418,32 @@ class TestReducedDensity:
         for label in BELL_LABELS:
             state = make_bell(label)
             for keep in ((0,), (1,)):
-                rho = reduced_density(state, keep).matrix
+                rho = reduced_density(state, keep)
                 assert np.abs(rho - np.eye(2) / 2).max() <= ATOL_EXACT
+        for rho in receiver_states(BELL):
+            assert np.abs(rho - np.eye(2) / 2).max() <= ATOL_EXACT
 
     def test_product_state_marginal(self):
-        rho = reduced_density(basis_state(2, 1), (1,)).matrix
+        rho = reduced_density(basis_state(2, 1), (1,))
+        assert np.abs(rho - np.array([[0, 0], [0, 1]])).max() <= ATOL_EXACT
+        (rho,) = receiver_states(basis_state(2, 1).amplitudes[None])
         assert np.abs(rho - np.array([[0, 0], [0, 1]])).max() <= ATOL_EXACT
 
-    def test_matches_double_loop_oracle(self):
+    def test_receiver_states_match_double_loop_oracle(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4):
+            rows = np.stack([random_state(n, rng).amplitudes for _ in range(3)])
+            got = receiver_states(rows)
+            assert got.shape == (3, 2 ** (n - 1), 2 ** (n - 1))
+            for row, rho in zip(rows, got, strict=True):
+                want = partial_trace_oracle(row, n, tuple(range(1, n)))
+                assert np.abs(rho - want).max() <= ATOL_EXACT
+
+    def test_reference_matches_double_loop_oracle(self):
         rng = np.random.default_rng(41)
         for n, keep in ((2, (0,)), (3, (1, 2)), (3, (2, 0)), (4, (1, 3))):
             state = random_state(n, rng)
-            got = reduced_density(state, keep).matrix
+            got = reduced_density(state, keep)
             want = partial_trace_oracle(state.amplitudes, n, keep)
             assert np.abs(got - want).max() <= ATOL_EXACT
 
@@ -429,42 +457,37 @@ class TestReducedDensity:
             reduced_density(state, (2,))
 
 
-class TestDensityMatrix:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative_eigenvalues(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
+def _batched_trace_distance(a, b):
+    # the kernel's trace_distances over a stack of one
+    (distance,) = trace_distances(a[None], b[None])
+    return float(distance)
 
 
+@pytest.mark.parametrize(
+    "distance", [trace_distance, _batched_trace_distance], ids=["reference", "kernel"]
+)
 class TestTraceDistance:
-    def test_identical_states_have_zero_distance(self):
+    def test_identical_states_have_zero_distance(self, distance):
         rho = reduced_density(make_bell(BellLabel(0, 0)), (1,))
-        assert trace_distance(rho, rho) == 0.0
+        assert distance(rho, rho) == 0.0
 
-    def test_orthogonal_pure_states_have_distance_one(self):
+    def test_orthogonal_pure_states_have_distance_one(self, distance):
         a = reduced_density(basis_state(1, 0), (0,))
         b = reduced_density(basis_state(1, 1), (0,))
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=ATOL_EXACT)
+        assert distance(a, b) == pytest.approx(1.0, abs=ATOL_EXACT)
 
-    def test_matches_singular_value_oracle(self):
+    def test_matches_singular_value_oracle(self, distance):
         rng = np.random.default_rng(53)
         a = reduced_density(random_state(3, rng), (0, 1))
         b = reduced_density(random_state(3, rng), (0, 1))
-        oracle = 0.5 * np.linalg.svd(a.matrix - b.matrix, compute_uv=False).sum()
-        assert trace_distance(a, b) == pytest.approx(float(oracle), abs=ATOL_ACCUM)
+        oracle = 0.5 * np.linalg.svd(a - b, compute_uv=False).sum()
+        assert distance(a, b) == pytest.approx(float(oracle), abs=ATOL_ACCUM)
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, distance):
         a = reduced_density(basis_state(1, 0), (0,))
         b = reduced_density(basis_state(2, 0), (0, 1))
         with pytest.raises(ValueError):
-            trace_distance(a, b)
+            distance(a, b)
 
 
 # ---------------------------------------------------------------------------
