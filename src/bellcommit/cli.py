@@ -8,7 +8,7 @@ Subcommands:
 * ``selftest`` built-in invariant checks
 
 Exit codes: 0 all assertions hold, 1 an expected property failed,
-2 invalid configuration or an unwritable ``--out``.
+2 invalid configuration, one too large to allocate, or an unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -125,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ProtocolError, ValueError) as exc:
         # ConfigError, plus bad combinations surfaced below the config layer
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a register too large to allocate is a configuration this host cannot run
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     rendered = report.render(args.format)
     if args.out:

@@ -1,10 +1,18 @@
 """Monte Carlo experiment harness.
 
-Randomness is fully determined by ``(master_seed, trial_index)``: each trial
-owns a generator seeded with ``SeedSequence((master_seed, trial_index))``,
-and protocol steps consume it in pair order with fixed draw counts. Trials
-never share generator state, so aggregate results do not depend on the
-order in which trials run, and reports are byte-reproducible.
+Randomness is fully determined by ``(master_seed, trial_index)``: trial
+``i`` draws from ``PCG64(SeedSequence((master_seed, i)))``, and protocol
+steps consume it in pair order with fixed draw counts. Trials never share
+generator state, so aggregate results do not depend on the order in which
+trials run, and reports are byte-reproducible.
+
+``_execute_trial`` runs one trial step by step; it is the reference.
+Experiments run on a batched engine with the same results bit for bit. It
+loads each trial's PCG64 state, derived by :mod:`.seeding`, into one reused
+generator, makes the reference's draws in the reference's order, and runs
+each protocol step once over a bounded chunk of trials. Each run checks its
+first derived state against NumPy's own, so a change to NumPy's seeding
+fails loudly instead of changing a report.
 """
 
 from __future__ import annotations
@@ -15,7 +23,12 @@ from enum import Enum
 
 import numpy as np
 
-from .attack import alice_commit_cheating, alice_reveal_cheat, pauli_for_flip
+from .attack import (
+    CHEAT_START_LABEL,
+    alice_commit_cheating,
+    alice_reveal_cheat,
+    pauli_for_flip,
+)
 from .protocol import (
     COMMIT_VALUES,
     MAX_ANCILLAS,
@@ -26,6 +39,7 @@ from .protocol import (
     alice_reveal_honest,
     bc_apply_operations,
     commit_label,
+    op_width,
     verify,
 )
 from .qcore import (
@@ -34,10 +48,12 @@ from .qcore import (
     BellLabel,
     PauliOp,
     apply_rows,
+    measure_bell_pairs,
     random_unitary,
     receiver_states,
     trace_distances,
 )
+from .seeding import pcg64_states
 
 # Two states of the receiving side's view are "identical" below this.
 HIDING_THRESHOLD = 1e-12
@@ -144,13 +160,69 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
     return _execute_trial(config, trial_index)[0]
 
 
+# A chunk of trials holds at most this many complex entries of state rows
+# plus receiver unitaries (at least one trial), so memory stays flat in trials.
+_CHUNK_ENTRIES = 2**11
+# Trials whose generator states are derived in one vectorised pass.
+_SEED_BLOCK = 256
+
+
+def _trial_seeds(master_seed: int, trials: int):
+    """PCG64 ``(state, inc)`` of every trial's generator, in trial order."""
+    for first in range(0, trials, _SEED_BLOCK):
+        stop = min(first + _SEED_BLOCK, trials)
+        block = pcg64_states(master_seed, np.arange(first, stop, dtype=np.uint64))
+        if first == 0:
+            want = _trial_generator(master_seed, 0).bit_generator.state["state"]
+            if want != {"state": block[0][0], "inc": block[0][1]}:
+                raise RuntimeError("NumPy's SeedSequence or PCG64 seeding has changed")
+        yield from block
+
+
 def _run_many(config: ExperimentConfig) -> DetectionStats:
+    """All trials of ``config``; the same results as ``_execute_trial``, bit for bit."""
+    n = config.n_pairs
+    width = op_width(config.bc_policy, config.m_ancillas)
+    row = alice_commit(config.commit_value, 1, config.m_ancillas).states
+    per_trial = n * (row.shape[1] + (4**width if width else 0))
+    chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
+    initial = np.tile(row, (chunk * n, 1))
+    flip = None
+    if config.strategy is Strategy.CHEAT:
+        flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(config.reveal_value)).matrix()
+    announced = BELL_LABELS.index(commit_label(config.reveal_value))
+
+    seeds = _trial_seeds(config.master_seed, config.trials)
+    bit_generator = np.random.PCG64(0)  # each trial loads its own state below
+    rng = np.random.Generator(bit_generator)
     accepts = 0
     min_probability = math.inf
-    for index in range(config.trials):
-        accept, probability = _execute_trial(config, index)
-        accepts += accept
-        min_probability = min(min_probability, probability)
+    for first in range(0, config.trials, chunk):
+        count = min(chunk, config.trials - first)
+        draws = np.empty((count, n))
+        matrices = []
+        for t in range(count):
+            state, inc = next(seeds)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            if width:
+                matrices.extend(random_unitary(width, rng).matrix for _ in range(n))
+            draws[t] = rng.random(n)
+        states = initial[: count * n]
+        if width:
+            ops = np.stack(matrices)
+            states = apply_rows(states, ops, 1)
+        if flip is not None:
+            states = apply_rows(states, flip, 0)
+        if width:
+            states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
+        outcomes, probs = measure_bell_pairs(states, draws.reshape(-1))
+        accepts += int((outcomes.reshape(count, n) == announced).all(axis=1).sum())
+        min_probability = min(min_probability, float(probs[:, announced].min()))
     return DetectionStats(
         trials=config.trials,
         accepts=accepts,

@@ -142,6 +142,13 @@ def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> Commi
     return CommitmentSession(value, Phase.COMMITTED, states)
 
 
+def op_width(policy: BCPolicy, m_ancillas: int) -> int:
+    """Qubits each receiver-side unitary acts on under ``policy``; 0 for NONE."""
+    if policy is BCPolicy.NONE:
+        return 0
+    return 1 if policy is BCPolicy.RANDOM_LOCAL else 1 + m_ancillas
+
+
 def bc_apply_operations(
     session: CommitmentSession, policy: BCPolicy, rng: np.random.Generator
 ) -> CommitmentSession:
@@ -159,7 +166,7 @@ def bc_apply_operations(
         return session
     if policy is BCPolicy.RANDOM_ENTANGLED and session.m_ancillas == 0:
         raise ValueError("the entangling policy requires at least one ancilla")
-    width = 1 if policy is BCPolicy.RANDOM_LOCAL else 1 + session.m_ancillas
+    width = op_width(policy, session.m_ancillas)
     ops = np.stack([random_unitary(width, rng).matrix for _ in range(session.n_pairs)])
     session.states = apply_rows(session.states, ops, 1)
     session.ops.append(ops)
@@ -190,7 +197,7 @@ def verify(
     states = session.states
     for ops in reversed(session.ops):
         states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
-    outcomes, probs = measure_bell_pairs(states, rng)
+    outcomes, probs = measure_bell_pairs(states, rng.random(session.n_pairs))
     indices = outcomes.tolist()
     announced_index = BELL_LABELS.index(reveal.announced)
     accept = set(indices) == {announced_index}

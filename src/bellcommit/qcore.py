@@ -124,18 +124,18 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
     return out
 
 
-def measure_bell_pairs(
-    states: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective Bell-basis measurement of qubits (0, 1) in every row of ``states``.
 
-    ``states`` holds one register's amplitudes per row. Each row is sampled
-    by inverse CDF in BELL_LABELS order from one uniform draw of ``rng``,
-    drawn in row order. Returns the outcome indices into BELL_LABELS and the
-    ``(rows, 4)`` outcome probabilities they were sampled from, each row as
-    :func:`bell_probabilities` would give it.
+    ``states`` holds one register's amplitudes per row and ``draws`` one
+    uniform draw in [0, 1) per row. Each row is sampled by inverse CDF in
+    BELL_LABELS order from its draw. Returns the outcome indices into
+    BELL_LABELS and the ``(rows, 4)`` outcome probabilities they were
+    sampled from, each row as :func:`bell_probabilities` would give it.
     """
     rows = states.shape[0]
+    if draws.shape != (rows,):
+        raise ValueError(f"expected {rows} draws, got shape {draws.shape}")
     probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
     cdf = probs.cumsum(axis=1)
     deviation = np.abs(cdf[:, -1] - 1.0)
@@ -144,7 +144,7 @@ def measure_bell_pairs(
         total = float(cdf[deviation.argmax(), -1])
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     # the first label whose cumulative probability exceeds the draw
-    outcomes = (cdf <= rng.random(rows)[:, None]).sum(axis=1)
+    outcomes = (cdf <= draws[:, None]).sum(axis=1)
     if outcomes.max() == 4:
         # a draw landed in the rounding slack above the last cumulative step
         slack = outcomes == 4

@@ -107,6 +107,26 @@ class TestInvalidConfigurations:
         _assert_one_line_error(code, out, err)
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("run_experiment", ["run", *FAST]),
+            ("acceptance_matrix", ["matrix", *FAST]),
+            ("hiding_report", ["hiding"]),
+        ],
+        ids=["run", "matrix", "hiding"],
+    )
+    def test_register_too_large_to_allocate_exits_two(self, entry, argv, capsys, monkeypatch):
+        # a real oversized --pairs fails fast or not depending on the host's
+        # overcommit setting, so the allocation failure is injected
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 512. TiB for an array")
+
+        monkeypatch.setattr(cli, entry, out_of_memory)
+        code, out, err = _run(argv, capsys)
+        _assert_one_line_error(code, out, err)
+        assert "512. TiB" in err
+
     def test_unknown_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--strategy", "sneaky"])

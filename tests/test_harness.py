@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bellcommit import harness
+from bellcommit import harness, protocol
 from bellcommit.harness import (
     AcceptanceMatrix,
     ConfigError,
@@ -25,6 +26,7 @@ from bellcommit.protocol import (
     bc_apply_operations,
 )
 from bellcommit.qcore import StateVector, receiver_states
+from bellcommit.seeding import pcg64_states
 from reference import reduced_density, trace_distance
 
 
@@ -106,30 +108,140 @@ class TestRunExperiment:
             )
             assert stats.acceptance_rate == 1.0
 
-    def test_outcomes_do_not_depend_on_trial_order(self, monkeypatch):
+    def test_outcomes_do_not_depend_on_trial_order(self):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.PLUS,
                       bc_policy=BCPolicy.RANDOM_LOCAL, trials=40)
-        execute = harness._execute_trial
-        seen = {}
-
-        def recording(config, index):
-            seen[index] = execute(config, index)
-            return seen[index]
-
-        monkeypatch.setattr(harness, "_execute_trial", recording)
-        stats = run_experiment(cfg)
-        run_outcomes = dict(seen)
-        backwards = {i: execute(cfg, i) for i in reversed(range(cfg.trials))}
-        assert run_outcomes == backwards
+        backwards = {i: harness._execute_trial(cfg, i) for i in reversed(range(cfg.trials))}
         assert [accept for accept, _ in backwards.values()] == [
             run_trial(cfg, i) for i in reversed(range(cfg.trials))
         ]
+        stats = run_experiment(cfg)
         assert stats.accepts == sum(accept for accept, _ in backwards.values())
         assert stats.min_outcome_probability == min(p for _, p in backwards.values())
 
     def test_repeated_runs_are_identical(self):
         cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL)
         assert run_experiment(cfg) == run_experiment(cfg)
+
+
+def _reference_stats(config):
+    outcomes = [harness._execute_trial(config, i) for i in range(config.trials)]
+    accepts = sum(accept for accept, _ in outcomes)
+    return DetectionStats(
+        trials=config.trials,
+        accepts=accepts,
+        acceptance_rate=accepts / config.trials,
+        min_outcome_probability=min(p for _, p in outcomes),
+    )
+
+
+ENGINE_KINDS = {
+    **{f"cheat-{value.value}": (Strategy.CHEAT, CommitValue.BIT0, value) for value in COMMIT_VALUES},
+    "honest": (Strategy.HONEST, CommitValue.PLUS, CommitValue.PLUS),
+    "control": (Strategy.HONEST, CommitValue.BIT1, CommitValue.MINUS),
+}
+
+
+class TestBatchedEngine:
+    """``run_experiment`` against ``_execute_trial`` run trial by trial, bit for bit."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    @pytest.mark.parametrize(
+        "policy,m",
+        [
+            (BCPolicy.NONE, 0),
+            (BCPolicy.NONE, 1),
+            (BCPolicy.NONE, 2),
+            (BCPolicy.RANDOM_LOCAL, 0),
+            (BCPolicy.RANDOM_LOCAL, 1),
+            (BCPolicy.RANDOM_LOCAL, 2),
+            (BCPolicy.RANDOM_ENTANGLED, 1),
+            (BCPolicy.RANDOM_ENTANGLED, 2),
+        ],
+    )
+    @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
+    def test_equals_the_reference_exactly(self, kind, policy, m, n_pairs, per_chunk, monkeypatch):
+        strategy, commit, reveal = ENGINE_KINDS[kind]
+        cfg = _config(strategy=strategy, commit_value=commit, reveal_value=reveal,
+                      n_pairs=n_pairs, trials=17, bc_policy=policy, m_ancillas=m,
+                      master_seed=2**64 - 1)
+        width = protocol.op_width(policy, m)
+        per_trial = n_pairs * (2 ** (2 + m) + (4**width if width else 0))
+        budget = {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", budget)
+
+        # every state measured and every draw it is sampled from, on both paths
+        measured = {"engine": [], "reference": []}
+
+        def recording(path, measure):
+            def wrapper(states, draws):
+                measured[path].append((states.copy(), draws.copy()))
+                return measure(states, draws)
+            return wrapper
+
+        monkeypatch.setattr(harness, "measure_bell_pairs",
+                            recording("engine", harness.measure_bell_pairs))
+        monkeypatch.setattr(protocol, "measure_bell_pairs",
+                            recording("reference", protocol.measure_bell_pairs))
+        want = _reference_stats(cfg)
+        if kind == "control":
+            got = run_control_experiment(cfg, commit, reveal)
+        else:
+            got = run_experiment(cfg)
+        assert got == want  # accepts and min_outcome_probability compared with ==
+
+        rows = [states.shape[0] for states, _ in measured["engine"]]
+        chunk = cfg.trials if per_chunk == "all" else per_chunk
+        assert rows == [n_pairs * min(chunk, cfg.trials - first)
+                        for first in range(0, cfg.trials, chunk)]
+        # bytes, not values: the flip commutes with the undo exactly, so only
+        # the signs of zero amplitudes show the steps in the wrong order
+        for position in (0, 1):
+            engine = np.concatenate([record[position] for record in measured["engine"]])
+            reference = np.concatenate([record[position] for record in measured["reference"]])
+            assert engine.tobytes() == reference.tobytes()
+
+    def test_matrix_cells_equal_the_reference(self):
+        cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL, trials=9, master_seed=3)
+        for cell in acceptance_matrix(cfg).cells:
+            assert cell.stats == _reference_stats(cell.config)
+
+    def test_memory_does_not_grow_with_trials(self):
+        def peak(trials):
+            cfg = _config(n_pairs=1, trials=trials)
+            run_experiment(cfg)  # caches filled outside the measurement
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) <= 1.1 * peak(1000)
+
+    def test_a_changed_numpy_seeding_stops_the_run(self, monkeypatch):
+        def off_by_one(master_seed, indices):
+            return [(state + 1, inc) for state, inc in pcg64_states(master_seed, indices)]
+
+        monkeypatch.setattr(harness, "pcg64_states", off_by_one)
+        with pytest.raises(RuntimeError, match="seeding"):
+            run_experiment(_config())
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_matches_numpy_generator_states(self, seed):
+        indices = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7,
+                   2**63, 2**64 - 1]
+        indices += np.random.default_rng(seed % 97).integers(
+            0, 2**64, 40, dtype=np.uint64, endpoint=False
+        ).tolist()
+        got = pcg64_states(seed, np.array(indices, dtype=np.uint64))
+        want = [
+            np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"] for i in indices
+        ]
+        assert [{"state": state, "inc": inc} for state, inc in got] == want
 
 
 class TestControlExperiment:

@@ -212,6 +212,16 @@ class TestRevealAndVerify:
         assert not report.accept
         assert max(report.announced_probabilities) <= 1e-9
 
+    @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.RANDOM_ENTANGLED, 1)])
+    def test_verify_consumes_exactly_n_pairs_uniforms_after_the_receivers_draws(self, policy, m):
+        session = alice_commit(CommitValue.BIT0, 3, m_ancillas=m)
+        rng = _rng(77)
+        bc_apply_operations(session, policy, rng)
+        expected = copy.deepcopy(rng)
+        verify(session, alice_reveal_honest(session), rng)
+        expected.random(3)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_double_reveal_raises(self):
         session = alice_commit(CommitValue.BIT0, 1)
         alice_reveal_honest(session)

@@ -339,7 +339,7 @@ class TestBellMeasurement:
             for k in range(4):
                 oracle = projector_probability_oracle(state, (0, 1), BELL_LABELS[k])
                 assert abs(probs[k] - oracle) <= ATOL_EXACT
-            outcomes, sampled = measure_bell_pairs(state.amplitudes[None], np.random.default_rng(0))
+            outcomes, sampled = measure_bell_pairs(state.amplitudes[None], np.random.default_rng(0).random(1))
             assert outcomes.tolist() == [index]
             assert np.array_equal(sampled[0], probs)
 
@@ -359,20 +359,16 @@ class TestBellMeasurement:
         outcomes = set()
         for seed in range(40):
             draw = np.random.default_rng(seed).random()
-            (outcome,), _ = measure_bell_pairs(state, np.random.default_rng(seed))
+            (outcome,), _ = measure_bell_pairs(state, np.array([draw]))
             assert outcome == (0 if draw < 0.5 else 2)
             outcomes.add(outcome)
         assert outcomes == {0, 2}
 
     def test_draw_in_the_rounding_slack_yields_the_most_likely_label(self):
-        class TopDraw:
-            def random(self, n):
-                return np.full(n, 0.9999999999999999)
-
         amps = np.sqrt(0.3) * make_bell(BellLabel(0, 1)).amplitudes
         amps += np.sqrt(0.7) * make_bell(BellLabel(1, 0)).amplitudes
         amps *= np.sqrt(1 - 2e-14)  # the cumulative walk ends below the draw
-        outcomes, probs = measure_bell_pairs(amps[None], TopDraw())
+        outcomes, probs = measure_bell_pairs(amps[None], np.array([0.9999999999999999]))
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
         assert outcomes.tolist() == [2]
 
@@ -386,13 +382,11 @@ class TestBellMeasurement:
         for index, label in enumerate(BELL_LABELS):
             assert bell_probabilities(make_bell(label), (1, 0))[index] >= 1 - 1e-9
 
-    def test_consumes_exactly_one_draw(self):
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_one_draw_per_row_is_required(self, count):
         states = np.stack([basis_state(2, 0).amplitudes] * 3)
-        rng_a = np.random.default_rng(77)
-        measure_bell_pairs(states, rng_a)
-        rng_b = np.random.default_rng(77)
-        rng_b.random(3)
-        assert rng_a.random() == rng_b.random()
+        with pytest.raises(ValueError):
+            measure_bell_pairs(states, np.full(count, 0.5))
 
     def test_invalid_pair(self):
         state = basis_state(2, 0)
@@ -406,7 +400,7 @@ class TestBellMeasurement:
         states = np.stack([make_bell(BellLabel(0, 0)).amplitudes] * 2)
         states[1] *= scale
         with pytest.raises(ValueError):
-            measure_bell_pairs(states, np.random.default_rng(0))
+            measure_bell_pairs(states, np.random.default_rng(0).random(2))
 
 
 # ---------------------------------------------------------------------------
