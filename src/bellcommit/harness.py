@@ -8,11 +8,13 @@ trials run, and reports are byte-reproducible.
 
 ``_execute_trial`` runs one trial step by step; it is the reference.
 Experiments run on a batched engine with the same results bit for bit. It
-loads each trial's PCG64 state, derived by :mod:`.seeding`, into one reused
-generator, makes the reference's draws in the reference's order, and runs
-each protocol step once over a bounded chunk of trials. Each run checks its
-first derived state against NumPy's own, so a change to NumPy's seeding
-fails loudly instead of changing a report.
+makes the reference's draws in the reference's order and runs each protocol
+step once over a bounded chunk of trials. Without receiver operations a
+trial's draws are its first uniforms, which :mod:`.seeding` computes for a
+block of trials at once with no generator. With Haar draws each trial's
+PCG64 state, derived by :mod:`.seeding`, is loaded into one reused
+generator. Each run checks its first trial against NumPy's own generator,
+so a change to NumPy's seeding fails loudly instead of changing a report.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .qcore import (
     receiver_states,
     trace_distances,
 )
-from .seeding import pcg64_states
+from .seeding import pcg64_states, pcg64_uniforms
 
 # Two states of the receiving side's view are "identical" below this.
 HIDING_THRESHOLD = 1e-12
@@ -165,6 +167,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 _CHUNK_ENTRIES = 2**11
 # Trials whose generator states are derived in one vectorised pass.
 _SEED_BLOCK = 256
+# Without receiver operations, the uniforms of a block of whole chunks are
+# derived in one pass: at most _SEED_BLOCK trials and, unless one chunk needs
+# more, this many uniforms.
+_DRAW_ENTRIES = 2**11
+_SEEDING_CHANGED = "NumPy's SeedSequence or PCG64 seeding has changed"
 
 
 def _trial_seeds(master_seed: int, trials: int):
@@ -175,8 +182,46 @@ def _trial_seeds(master_seed: int, trials: int):
         if first == 0:
             want = _trial_generator(master_seed, 0).bit_generator.state["state"]
             if want != {"state": block[0][0], "inc": block[0][1]}:
-                raise RuntimeError("NumPy's SeedSequence or PCG64 seeding has changed")
+                raise RuntimeError(_SEEDING_CHANGED)
         yield from block
+
+
+def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
+    """Per chunk of trials: the receiver unitaries (``None`` if there are none)
+    and the ``(count, n_pairs)`` measurement draws, in the reference's order."""
+    seed, n, trials = config.master_seed, config.n_pairs, config.trials
+    if not width:
+        # the draws are each trial's first n uniforms, so they come straight
+        # from the PCG64 arithmetic
+        block = chunk * max(1, min(_SEED_BLOCK, _DRAW_ENTRIES // n) // chunk)
+        for start in range(0, trials, block):
+            indices = np.arange(start, min(start + block, trials), dtype=np.uint64)
+            draws = pcg64_uniforms(seed, indices, n)
+            if start == 0 and draws[0].tobytes() != _trial_generator(seed, 0).random(n).tobytes():
+                raise RuntimeError(_SEEDING_CHANGED)
+            for first in range(0, draws.shape[0], chunk):
+                yield None, draws[first : first + chunk]
+        return
+    # the uniforms follow the Haar draws' normals, whose count varies, so
+    # each trial's state is loaded into one reused generator
+    seeds = _trial_seeds(seed, trials)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for first in range(0, trials, chunk):
+        count = min(chunk, trials - first)
+        draws = np.empty((count, n))
+        matrices = []
+        for t in range(count):
+            state, inc = next(seeds)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            matrices.extend(random_unitary(width, rng).matrix for _ in range(n))
+            draws[t] = rng.random(n)
+        yield np.stack(matrices), draws
 
 
 def _run_many(config: ExperimentConfig) -> DetectionStats:
@@ -192,33 +237,16 @@ def _run_many(config: ExperimentConfig) -> DetectionStats:
         flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(config.reveal_value)).matrix()
     announced = BELL_LABELS.index(commit_label(config.reveal_value))
 
-    seeds = _trial_seeds(config.master_seed, config.trials)
-    bit_generator = np.random.PCG64(0)  # each trial loads its own state below
-    rng = np.random.Generator(bit_generator)
     accepts = 0
     min_probability = math.inf
-    for first in range(0, config.trials, chunk):
-        count = min(chunk, config.trials - first)
-        draws = np.empty((count, n))
-        matrices = []
-        for t in range(count):
-            state, inc = next(seeds)
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            if width:
-                matrices.extend(random_unitary(width, rng).matrix for _ in range(n))
-            draws[t] = rng.random(n)
+    for ops, draws in _chunk_draws(config, width, chunk):
+        count = draws.shape[0]
         states = initial[: count * n]
-        if width:
-            ops = np.stack(matrices)
+        if ops is not None:
             states = apply_rows(states, ops, 1)
         if flip is not None:
             states = apply_rows(states, flip, 0)
-        if width:
+        if ops is not None:
             states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
         outcomes, probs = measure_bell_pairs(states, draws.reshape(-1))
         accepts += int((outcomes.reshape(count, n) == announced).all(axis=1).sum())

@@ -123,13 +123,13 @@ class CommitmentSession:
         return self.states.shape[1].bit_length() - 3
 
 
-@lru_cache(maxsize=32)
-def _initial_states(label: BellLabel, m_ancillas: int, n_pairs: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _initial_row(label: BellLabel, m_ancillas: int) -> np.ndarray:
     # read-only, so sessions can share it: every step replaces the array
     ancillas = np.eye(2**m_ancillas, dtype=np.complex128)[0]
-    states = np.tile(np.kron(BELL[BELL_LABELS.index(label)], ancillas), (n_pairs, 1))
-    states.setflags(write=False)
-    return states
+    row = np.kron(BELL[BELL_LABELS.index(label)], ancillas)
+    row.setflags(write=False)
+    return row
 
 
 def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
@@ -138,7 +138,8 @@ def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> Commi
         raise ValueError("n_pairs must be at least 1")
     if not 0 <= m_ancillas <= MAX_ANCILLAS:
         raise ValueError(f"m_ancillas must be between 0 and {MAX_ANCILLAS}")
-    states = _initial_states(commit_label(value), m_ancillas, n_pairs)
+    row = _initial_row(commit_label(value), m_ancillas)
+    states = np.broadcast_to(row, (n_pairs, row.size))
     return CommitmentSession(value, Phase.COMMITTED, states)
 
 

@@ -1,10 +1,11 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bellcommit import harness, protocol
+from bellcommit import harness, protocol, seeding
 from bellcommit.harness import (
     AcceptanceMatrix,
     ConfigError,
@@ -26,7 +27,7 @@ from bellcommit.protocol import (
     bc_apply_operations,
 )
 from bellcommit.qcore import StateVector, receiver_states
-from bellcommit.seeding import pcg64_states
+from bellcommit.seeding import pcg64_states, pcg64_uniforms
 from reference import reduced_density, trace_distance
 
 
@@ -207,9 +208,13 @@ class TestBatchedEngine:
         for cell in acceptance_matrix(cfg).cells:
             assert cell.stats == _reference_stats(cell.config)
 
-    def test_memory_does_not_grow_with_trials(self):
+    @pytest.mark.parametrize(
+        "n_pairs,policy",
+        [(1, BCPolicy.NONE), (8, BCPolicy.NONE), (2, BCPolicy.RANDOM_LOCAL)],
+    )
+    def test_memory_does_not_grow_with_trials(self, n_pairs, policy):
         def peak(trials):
-            cfg = _config(n_pairs=1, trials=trials)
+            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy)
             run_experiment(cfg)  # caches filled outside the measurement
             tracemalloc.start()
             try:
@@ -220,13 +225,19 @@ class TestBatchedEngine:
 
         assert peak(8000) <= 1.1 * peak(1000)
 
-    def test_a_changed_numpy_seeding_stops_the_run(self, monkeypatch):
-        def off_by_one(master_seed, indices):
-            return [(state + 1, inc) for state, inc in pcg64_states(master_seed, indices)]
+    @pytest.mark.parametrize("policy", [BCPolicy.NONE, BCPolicy.RANDOM_LOCAL])
+    def test_a_changed_numpy_seeding_stops_the_run(self, policy, monkeypatch):
+        # both draw sources, generator-free uniforms and loaded generator
+        # states, are built from the same words
+        words = seeding.pcg64_words
 
-        monkeypatch.setattr(harness, "pcg64_states", off_by_one)
+        def off_by_one(master_seed, indices):
+            state_hi, state_lo, inc_hi, inc_lo = words(master_seed, indices)
+            return state_hi, state_lo + np.uint64(1), inc_hi, inc_lo
+
+        monkeypatch.setattr(seeding, "pcg64_words", off_by_one)
         with pytest.raises(RuntimeError, match="seeding"):
-            run_experiment(_config())
+            run_experiment(_config(bc_policy=policy))
 
 
 class TestSeeding:
@@ -242,6 +253,23 @@ class TestSeeding:
             np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"] for i in indices
         ]
         assert [{"state": state, "inc": inc} for state, inc in got] == want
+
+    # the last n spans more than one jump of _JUMP_SPAN steps
+    @pytest.mark.parametrize("n", [1, 3, 8, 2 * seeding._JUMP_SPAN + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_uniforms_match_numpy_generator_draws(self, seed, n):
+        # carries out of the low word happen in the seeding and in every step
+        indices = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7,
+                   2**63, 2**64 - 1]
+        indices += np.random.default_rng(seed % 97).integers(
+            0, 2**64, 40, dtype=np.uint64, endpoint=False
+        ).tolist()
+        got = pcg64_uniforms(seed, np.array(indices, dtype=np.uint64), n)
+        want = np.stack([
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))).random(n)
+            for i in indices
+        ])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestControlExperiment:
@@ -340,6 +368,18 @@ class TestHidingReport:
         )
         config = _config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed)
         assert hiding_report(config).distances == distances
+
+    def test_no_register_outlives_the_report(self):
+        # sessions share one cached row per value, not a cached register
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hiding_report(_config(n_pairs=20000, m_ancillas=2))
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before <= 2**20
 
     def test_table_is_symmetric(self):
         report = hiding_report(_config(bc_policy=BCPolicy.RANDOM_LOCAL))
