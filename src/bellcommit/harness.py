@@ -11,10 +11,10 @@ Experiments run on a batched engine with the same results bit for bit. It
 makes the reference's draws in the reference's order and runs each protocol
 step once over a bounded chunk of trials. Without receiver operations a
 trial's draws are its first uniforms, which :mod:`.seeding` computes for a
-block of trials at once with no generator. With Haar draws each trial's
-PCG64 state, derived by :mod:`.seeding`, is loaded into one reused
-generator. Each run checks its first trial against NumPy's own generator,
-so a change to NumPy's seeding fails loudly instead of changing a report.
+block of trials at once with no generator; each such run checks its first
+trial against NumPy's own generator, so a change to NumPy's seeding fails
+loudly instead of changing a report. With Haar draws each trial draws from
+its own NumPy generator, as the reference does.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .qcore import (
     receiver_states,
     trace_distances,
 )
-from .seeding import pcg64_states, pcg64_uniforms
+from .seeding import pcg64_uniforms
 
 # Two states of the receiving side's view are "identical" below this.
 HIDING_THRESHOLD = 1e-12
@@ -164,26 +164,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 
 # A chunk of trials holds at most this many complex entries of state rows
 # plus receiver unitaries (at least one trial), so memory stays flat in trials.
+# Without receiver operations the uniforms of a block of whole chunks are
+# derived in one pass, at most this many too unless one chunk needs more.
 _CHUNK_ENTRIES = 2**11
-# Trials whose generator states are derived in one vectorised pass.
+# Trials per block of generator-free uniforms.
 _SEED_BLOCK = 256
-# Without receiver operations, the uniforms of a block of whole chunks are
-# derived in one pass: at most _SEED_BLOCK trials and, unless one chunk needs
-# more, this many uniforms.
-_DRAW_ENTRIES = 2**11
 _SEEDING_CHANGED = "NumPy's SeedSequence or PCG64 seeding has changed"
-
-
-def _trial_seeds(master_seed: int, trials: int):
-    """PCG64 ``(state, inc)`` of every trial's generator, in trial order."""
-    for first in range(0, trials, _SEED_BLOCK):
-        stop = min(first + _SEED_BLOCK, trials)
-        block = pcg64_states(master_seed, np.arange(first, stop, dtype=np.uint64))
-        if first == 0:
-            want = _trial_generator(master_seed, 0).bit_generator.state["state"]
-            if want != {"state": block[0][0], "inc": block[0][1]}:
-                raise RuntimeError(_SEEDING_CHANGED)
-        yield from block
 
 
 def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
@@ -193,7 +179,7 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
     if not width:
         # the draws are each trial's first n uniforms, so they come straight
         # from the PCG64 arithmetic
-        block = chunk * max(1, min(_SEED_BLOCK, _DRAW_ENTRIES // n) // chunk)
+        block = chunk * max(1, min(_SEED_BLOCK, _CHUNK_ENTRIES // n) // chunk)
         for start in range(0, trials, block):
             indices = np.arange(start, min(start + block, trials), dtype=np.uint64)
             draws = pcg64_uniforms(seed, indices, n)
@@ -203,22 +189,13 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
                 yield None, draws[first : first + chunk]
         return
     # the uniforms follow the Haar draws' normals, whose count varies, so
-    # each trial's state is loaded into one reused generator
-    seeds = _trial_seeds(seed, trials)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    # each trial draws from its own generator
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
         draws = np.empty((count, n))
         matrices = []
         for t in range(count):
-            state, inc = next(seeds)
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            rng = _trial_generator(seed, first + t)
             matrices.extend(random_unitary(width, rng).matrix for _ in range(n))
             draws[t] = rng.random(n)
         yield np.stack(matrices), draws

@@ -6,10 +6,9 @@ after O'Neill's ``seed_seq_fe``) and seeds PCG64 with two steps of its
 128-bit LCG (O'Neill, "PCG", HMC-CS-2014-0905, 2014). Here the hash runs for
 many indices at once in uint32 array arithmetic, which wraps modulo 2**32
 as the reference does, and the 128-bit LCG runs on ``(hi, lo)`` pairs of
-uint64 arrays. :func:`pcg64_states` gives the seeded states as Python ints,
-to load into a NumPy generator; :func:`pcg64_uniforms` computes
-``Generator.random(n)`` of every index straight from the LCG and its XSL-RR
-output, with no generator at all.
+uint64 arrays. :func:`pcg64_uniforms` computes ``Generator.random(n)`` of
+every index straight from the seeded words, the LCG and its XSL-RR output,
+with no generator at all.
 """
 
 from __future__ import annotations
@@ -104,14 +103,6 @@ def pcg64_words(master_seed: int, indices: np.ndarray) -> Words:
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
     state = _add(*_mul(*_add(init_hi, init_lo, *inc), *_MULT), *inc)
     return (*state, *inc)
-
-
-def pcg64_states(master_seed: int, indices: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence((master_seed, i)))`` per index, as Python ints."""
-    state_hi, state_lo, inc_hi, inc_lo = pcg64_words(master_seed, indices)
-    state = state_hi.astype(object) << 64 | state_lo.astype(object)
-    inc = inc_hi.astype(object) << 64 | inc_lo.astype(object)
-    return list(zip(state.tolist(), inc.tolist()))
 
 
 @lru_cache(maxsize=1)

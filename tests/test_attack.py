@@ -80,6 +80,70 @@ class TestPauliForFlip:
             assert pauli_for_flip(CHEAT_START_LABEL, commit_label(target)) is flip
 
 
+# (ancillas, receiver qubits a random unitary acts on, starting at qubit 1)
+RECEIVER_SHAPES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)]
+
+
+def _receiver_unitary(m, width, rng):
+    """A random unitary on the receiving side's ``1 + m`` qubits, acting on the first ``width``."""
+    d = 2**width
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return np.kron(q, np.eye(2 ** (1 + m - width)))
+
+
+def _coefficients(row, receiver):
+    """``2 x 2**(1+m)`` coefficients of a row after ``receiver``; row index is the committer's qubit."""
+    return row.reshape(2, -1) @ receiver.T
+
+
+def _bell_row(label, m):
+    return np.kron(make_bell(label).amplitudes, np.eye(2**m)[0])
+
+
+def _steering_unitary(a, b):
+    """Uhlmann's unitary on the committer's qubit: the polar part of ``M_b M_a^+``."""
+    w, _, vh = np.linalg.svd(b @ np.linalg.pinv(a))
+    return w @ vh
+
+
+class TestUhlmannOracle:
+    """The attack's flips rebuilt from the purifications alone, without ``pauli_for_flip``.
+
+    Two rows with the same receiver-side reduced state are purifications of
+    it, so a unitary on the committer's qubit maps one onto the other
+    (Uhlmann); the converse fails when the reduced states differ.
+    """
+
+    @pytest.mark.parametrize("m,width", RECEIVER_SHAPES)
+    def test_recovers_the_pauli_flip_on_all_sixteen_pairs(self, m, width):
+        rng = _rng(10 * m + width)
+        for src in BELL_LABELS:
+            for dst in BELL_LABELS:
+                receiver = _receiver_unitary(m, width, rng)
+                a = _coefficients(_bell_row(src, m), receiver)
+                b = _coefficients(_bell_row(dst, m), receiver)
+                u = _steering_unitary(a, b)
+                assert np.abs(u @ a - b).max() <= 1e-12
+                flip = pauli_for_flip(src, dst).matrix()
+                phase = np.trace(flip.conj().T @ u) / 2
+                assert abs(abs(phase) - 1) <= 1e-12
+                assert np.abs(u - phase * flip).max() <= 1e-12
+
+    @pytest.mark.parametrize("m,width", RECEIVER_SHAPES)
+    def test_no_unitary_steers_onto_a_different_receiver_state(self, m, width):
+        rng = _rng(10 * m + width)
+        product = np.eye(2 ** (2 + m))[0]  # |0>|0 .. 0>: the receiving side holds a pure state
+        for src in BELL_LABELS:
+            receiver = _receiver_unitary(m, width, rng)
+            a = _coefficients(_bell_row(src, m), receiver)
+            b = _coefficients(product, receiver)
+            assert np.abs(a.T @ a.conj() - b.T @ b.conj()).max() > 0.1
+            # a is maximally entangled, so M_a^+ = 2 M_a^H and the polar part is
+            # the closest unitary of all: |U M_a - M_b|**2 = 2 - 2 |M_b M_a^H|_* = 2 - sqrt(2)
+            u = _steering_unitary(a, b)
+            assert abs(np.linalg.norm(u @ a - b) - np.sqrt(2 - np.sqrt(2))) <= 1e-12
+
+
 class TestCheatingCommit:
     def test_physically_identical_to_an_honest_fixed_commit(self):
         cheat = alice_commit_cheating(3, m_ancillas=1)

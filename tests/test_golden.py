@@ -24,6 +24,10 @@ COMMANDS = {
     "run": ["run", "--strategy", "cheat", "--reveal", "minus", "--pairs", "2", "--trials", "50",
             *HAAR],
     "matrix": ["matrix", "--pairs", "2", "--trials", "50", *HAAR],
+    # the largest seed, two entropy words, over several chunks of Haar draws
+    "run-seed-max": ["run", "--strategy", "cheat", "--reveal", "plus", "--pairs", "3",
+                     "--trials", "300", "--bc-ops", "random-local", "--ancillas", "1",
+                     "--seed", "18446744073709551615"],
     "hiding": ["hiding", "--pairs", "2", *HAAR],
     "selftest": ["selftest"],
     "selftest-20260819": ["selftest", "--seed", "20260819"],

@@ -27,7 +27,7 @@ from bellcommit.protocol import (
     bc_apply_operations,
 )
 from bellcommit.qcore import StateVector, receiver_states
-from bellcommit.seeding import pcg64_states, pcg64_uniforms
+from bellcommit.seeding import pcg64_uniforms
 from reference import reduced_density, trace_distance
 
 
@@ -225,10 +225,9 @@ class TestBatchedEngine:
 
         assert peak(8000) <= 1.1 * peak(1000)
 
-    @pytest.mark.parametrize("policy", [BCPolicy.NONE, BCPolicy.RANDOM_LOCAL])
-    def test_a_changed_numpy_seeding_stops_the_run(self, policy, monkeypatch):
-        # both draw sources, generator-free uniforms and loaded generator
-        # states, are built from the same words
+    def test_a_changed_numpy_seeding_stops_the_run(self, monkeypatch):
+        # the generator-free uniforms are built from these words; the Haar
+        # policies draw from NumPy's own generator and need no such check
         words = seeding.pcg64_words
 
         def off_by_one(master_seed, indices):
@@ -237,23 +236,10 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(seeding, "pcg64_words", off_by_one)
         with pytest.raises(RuntimeError, match="seeding"):
-            run_experiment(_config(bc_policy=policy))
+            run_experiment(_config(bc_policy=BCPolicy.NONE))
 
 
 class TestSeeding:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_matches_numpy_generator_states(self, seed):
-        indices = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7,
-                   2**63, 2**64 - 1]
-        indices += np.random.default_rng(seed % 97).integers(
-            0, 2**64, 40, dtype=np.uint64, endpoint=False
-        ).tolist()
-        got = pcg64_states(seed, np.array(indices, dtype=np.uint64))
-        want = [
-            np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"] for i in indices
-        ]
-        assert [{"state": state, "inc": inc} for state, inc in got] == want
-
     # the last n spans more than one jump of _JUMP_SPAN steps
     @pytest.mark.parametrize("n", [1, 3, 8, 2 * seeding._JUMP_SPAN + 3])
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
