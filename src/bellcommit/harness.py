@@ -51,7 +51,7 @@ from .qcore import (
     PauliOp,
     apply_rows,
     measure_bell_pairs,
-    random_unitary,
+    random_unitaries,
     receiver_states,
     trace_distances,
 )
@@ -196,9 +196,9 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         matrices = []
         for t in range(count):
             rng = _trial_generator(seed, first + t)
-            matrices.extend(random_unitary(width, rng).matrix for _ in range(n))
+            matrices.append(random_unitaries(width, n, rng))
             draws[t] = rng.random(n)
-        yield np.stack(matrices), draws
+        yield np.concatenate(matrices), draws
 
 
 def _run_many(config: ExperimentConfig) -> DetectionStats:
@@ -413,8 +413,8 @@ def selftest(master_seed: int = 0, tolerance: float = 1e-9) -> list[CheckResult]
     for _ in range(20):
         vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         states.append(vec / np.linalg.norm(vec))
-        ops.append(random_unitary(2, rng).matrix)
-    states, ops = np.stack(states), np.stack(ops)
+        ops.append(random_unitaries(2, 1, rng))
+    states, ops = np.stack(states), np.concatenate(ops)
     flip = PauliOp.ZX.matrix()
     a = apply_rows(apply_rows(states, flip, 0), ops, 1)
     b = apply_rows(apply_rows(states, ops, 1), flip, 0)

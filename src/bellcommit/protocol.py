@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import BELL, BELL_LABELS, BellLabel, apply_rows, measure_bell_pairs, random_unitary
+from .qcore import BELL, BELL_LABELS, BellLabel, apply_rows, measure_bell_pairs, random_unitaries
 
 
 class CommitValue(Enum):
@@ -167,8 +167,7 @@ def bc_apply_operations(
         return session
     if policy is BCPolicy.RANDOM_ENTANGLED and session.m_ancillas == 0:
         raise ValueError("the entangling policy requires at least one ancilla")
-    width = op_width(policy, session.m_ancillas)
-    ops = np.stack([random_unitary(width, rng).matrix for _ in range(session.n_pairs)])
+    ops = random_unitaries(op_width(policy, session.m_ancillas), session.n_pairs, rng)
     session.states = apply_rows(session.states, ops, 1)
     session.ops.append(ops)
     return session

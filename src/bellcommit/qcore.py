@@ -4,11 +4,12 @@ Everything operates on exact complex amplitudes (double precision), which is
 all the commitment protocol needs: registers stay tiny and every identity the
 protocol relies on holds exactly up to rounding.
 
-The kernel works on ``(rows, dim)`` arrays, one register per row: the
+The kernel works on plain arrays: ``(rows, dim)`` registers, one per row,
+and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
 ``BELL`` table, :func:`apply_rows`, :func:`measure_bell_pairs`,
-:func:`receiver_states`, :func:`trace_distances` and the matrices of
-:func:`random_unitary` and :meth:`PauliOp.matrix`. Every production path
-runs through it.
+:func:`receiver_states`, :func:`trace_distances`, :func:`random_unitary`,
+:func:`random_unitaries` and :meth:`PauliOp.matrix`. Every production path
+runs through it, and none constructs an oracle object.
 
 The reference oracle is the one-register object layer: :class:`StateVector`,
 :class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
@@ -66,12 +67,22 @@ class PauliOp(Enum):
         return cls((int(bool(z)), int(bool(x))))
 
     def matrix(self) -> np.ndarray:
-        """2x2 matrix; read-only view of a shared constant."""
-        return _PAULI_UNITARIES[self].matrix
+        """2x2 matrix; a shared read-only constant."""
+        return _PAULI_MATRICES[self]
 
-    def unitary(self) -> "Unitary":
-        """The operator on qubit 0, a shared constant; rebind with :meth:`Unitary.on`."""
-        return _PAULI_UNITARIES[self]
+
+def _frozen(rows) -> np.ndarray:
+    matrix = np.array(rows, dtype=np.complex128)
+    matrix.setflags(write=False)
+    return matrix
+
+
+_PAULI_MATRICES = {
+    PauliOp.IDENTITY: _frozen([[1, 0], [0, 1]]),
+    PauliOp.X: _frozen([[0, 1], [1, 0]]),
+    PauliOp.Z: _frozen([[1, 0], [0, -1]]),
+    PauliOp.ZX: _frozen([[0, 1], [-1, 0]]),
+}
 
 
 @dataclass(frozen=True)
@@ -166,13 +177,13 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
-def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> Unitary:
-    """Haar-distributed unitary on ``num_target_qubits`` qubits.
+def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed ``(d, d)`` unitary matrix on ``num_target_qubits`` qubits.
 
     Complex Ginibre matrix, QR factorization, then a diagonal phase
     correction so the distribution is exactly Haar. Intended for small
-    blocks (a few qubits); targets default to ``0..k-1``, rebind with
-    :meth:`Unitary.on`.
+    blocks (a few qubits). Unchecked: :func:`random_unitaries` checks its
+    stacks.
     """
     if num_target_qubits < 1:
         raise ValueError("need at least one target qubit")
@@ -181,7 +192,23 @@ def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> Unitary:
     q, r = np.linalg.qr(ginibre)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
-    return Unitary(q * phases, tuple(range(num_target_qubits)))
+    return q * phases
+
+
+def random_unitaries(num_target_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` successive :func:`random_unitary` draws, stacked as ``(count, d, d)``.
+
+    Raises ValueError if any matrix of the stack leaves unitarity by more
+    than ATOL_ACCUM.
+    """
+    # one call per draw, by its module-global name: the benchmark's traced
+    # run counts Haar draws as calls of random_unitary
+    stack = np.stack([random_unitary(num_target_qubits, rng) for _ in range(count)])
+    residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(stack.shape[-1])
+    # written so that NaN fails too
+    if not np.abs(residual).max() <= ATOL_ACCUM:
+        raise ValueError("a Haar draw is not unitary")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -252,42 +279,13 @@ class Unitary:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, targets: tuple[int, ...]) -> "Unitary":
-        # caller guarantees: matrix is a read-only complex128 unitary of the
-        # right dimension, targets are distinct and non-negative
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "matrix", matrix)
-        object.__setattr__(obj, "targets", targets)
-        return obj
-
     def on(self, *targets: int) -> "Unitary":
         """Same matrix bound to different target qubits."""
-        targets = tuple(int(t) for t in targets)
-        if not targets or len(set(targets)) != len(targets) or any(t < 0 for t in targets):
-            raise ValueError(f"targets must be distinct and non-negative, got {targets}")
-        if self.dim != 2 ** len(targets):
-            raise ValueError(
-                f"matrix dimension {self.dim} does not match {len(targets)} target qubits"
-            )
-        return Unitary._trusted(self.matrix, targets)
+        return Unitary(self.matrix, targets)
 
     def dagger(self) -> "Unitary":
         """Inverse (conjugate transpose) on the same targets."""
-        mat = np.ascontiguousarray(self.matrix.conj().T)
-        mat.setflags(write=False)
-        return Unitary._trusted(mat, self.targets)
-
-
-_PAULI_UNITARIES = {
-    op: Unitary(matrix, (0,))
-    for op, matrix in (
-        (PauliOp.IDENTITY, [[1, 0], [0, 1]]),
-        (PauliOp.X, [[0, 1], [1, 0]]),
-        (PauliOp.Z, [[1, 0], [0, -1]]),
-        (PauliOp.ZX, [[0, 1], [-1, 0]]),
-    )
-}
+        return Unitary(np.ascontiguousarray(self.matrix.conj().T), self.targets)
 
 
 def apply_unitary(state: StateVector, u: Unitary) -> StateVector:

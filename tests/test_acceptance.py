@@ -31,6 +31,7 @@ from bellcommit.qcore import (
     BellLabel,
     PauliOp,
     StateVector,
+    Unitary,
     apply_unitary,
     random_unitary,
 )
@@ -82,11 +83,11 @@ def test_criterion_2_flip_identities_amplitude_by_amplitude():
     for ui in (0, 1):
         for uj in (0, 1):
             state = make_bell(BellLabel(ui, uj))
-            z_got = apply_unitary(state, PauliOp.Z.unitary()).amplitudes
+            z_got = apply_unitary(state, Unitary(PauliOp.Z.matrix(), (0,))).amplitudes
             z_want = make_bell(BellLabel(1 - ui, uj)).amplitudes
             worst = max(worst, float(np.abs(z_got - z_want).max()))
             count += 1
-            x_got = apply_unitary(state, PauliOp.X.unitary()).amplitudes
+            x_got = apply_unitary(state, Unitary(PauliOp.X.matrix(), (0,))).amplitudes
             x_want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
             worst = max(worst, float(np.abs(x_got - x_want).max()))
             count += 1
@@ -104,9 +105,10 @@ def test_criterion_3_commutation_on_200_random_triples():
         flip = list(PauliOp)[int(rng.integers(0, 4))]
         k = int(rng.integers(1, n))
         targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
-        u = random_unitary(k, rng).on(*targets)
-        a = apply_unitary(apply_unitary(state, flip.unitary()), u)
-        b = apply_unitary(apply_unitary(state, u), flip.unitary())
+        u = Unitary(random_unitary(k, rng), targets)
+        pauli = Unitary(flip.matrix(), (0,))
+        a = apply_unitary(apply_unitary(state, pauli), u)
+        b = apply_unitary(apply_unitary(state, u), pauli)
         worst = max(worst, float(np.abs(a.amplitudes - b.amplitudes).max()))
     elapsed = time.perf_counter() - start
     _verdict(3, worst <= 1e-12 and elapsed < 1.0,
@@ -221,7 +223,7 @@ def test_criterion_8_closed_form_flip_equals_exhaustive_search():
             matches = [
                 op
                 for op in PauliOp
-                if abs(fidelity(apply_unitary(make_bell(src), op.unitary()), make_bell(dst)) - 1.0)
+                if abs(fidelity(apply_unitary(make_bell(src), Unitary(op.matrix(), (0,))), make_bell(dst)) - 1.0)
                 <= 1e-12
             ]
             agree = agree and matches == [pauli_for_flip(src, dst)]

@@ -19,7 +19,7 @@ from bellcommit.protocol import (
     commit_label,
     verify,
 )
-from bellcommit.qcore import BELL_LABELS, PauliOp, apply_unitary
+from bellcommit.qcore import BELL_LABELS, PauliOp, Unitary, apply_unitary
 from reference import fidelity, make_bell
 
 ALL_POLICIES = [
@@ -48,7 +48,7 @@ def brute_force_flip(src, dst):
     matches = [
         op
         for op in PauliOp
-        if abs(fidelity(apply_unitary(make_bell(src), op.unitary()), make_bell(dst)) - 1.0)
+        if abs(fidelity(apply_unitary(make_bell(src), Unitary(op.matrix(), (0,))), make_bell(dst)) - 1.0)
         <= 1e-12
     ]
     assert len(matches) == 1  # uniqueness is part of the claim

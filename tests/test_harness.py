@@ -26,7 +26,7 @@ from bellcommit.protocol import (
     alice_commit,
     bc_apply_operations,
 )
-from bellcommit.qcore import StateVector, receiver_states
+from bellcommit.qcore import StateVector, Unitary, receiver_states
 from bellcommit.seeding import pcg64_uniforms
 from reference import reduced_density, trace_distance
 
@@ -388,6 +388,37 @@ class TestSelftest:
         assert len(names) == len(set(names))
 
 
-class TestOutputFormatEnum:
+class TestNoOracleObjects:
+    @pytest.mark.parametrize(
+        "work",
+        [
+            lambda: run_experiment(
+                _config(
+                    strategy=Strategy.CHEAT,
+                    reveal_value=CommitValue.MINUS,
+                    n_pairs=2,
+                    trials=20,
+                    bc_policy=BCPolicy.RANDOM_ENTANGLED,
+                    m_ancillas=1,
+                )
+            ),
+            selftest,
+        ],
+        ids=["cheat-random-entangled", "selftest"],
+    )
+    def test_production_paths_build_no_oracle_object(self, work, monkeypatch):
+        built = []
+        for cls in (StateVector, Unitary):
+
+            def counting(self, validate=cls.__post_init__):
+                built.append(type(self).__name__)
+                validate(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        work()
+        assert built == []
+
+
+class TestStrategy:
     def test_round_trip_from_strings(self):
         assert Strategy("cheat") is Strategy.CHEAT

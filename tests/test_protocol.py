@@ -119,7 +119,7 @@ class TestBCRecord:
         # one stack per step, in the order applied, each drawn in pair order
         for ops, (seed, width) in zip(session.ops, [(1, 1), (2, 2)], strict=True):
             rng = _rng(seed)
-            want = np.stack([random_unitary(width, rng).matrix for _ in range(2)])
+            want = np.stack([random_unitary(width, rng) for _ in range(2)])
             assert np.array_equal(ops, want)
 
 

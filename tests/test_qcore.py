@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellcommit import cli, qcore
+from bellcommit.harness import ExperimentConfig, Strategy, run_experiment
+from bellcommit.protocol import BCPolicy, CommitValue, alice_commit, bc_apply_operations
 from bellcommit.qcore import (
     ATOL_ACCUM,
     ATOL_EXACT,
@@ -15,6 +18,7 @@ from bellcommit.qcore import (
     apply_unitary,
     bell_probabilities,
     measure_bell_pairs,
+    random_unitaries,
     random_unitary,
     receiver_states,
     trace_distances,
@@ -189,14 +193,14 @@ class TestApplyPauli:
     def test_z_flips_first_label_bit_exactly(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_unitary(make_bell(BellLabel(ui, uj)), PauliOp.Z.unitary())
+                got = apply_unitary(make_bell(BellLabel(ui, uj)), Unitary(PauliOp.Z.matrix(), (0,)))
                 want = make_bell(BellLabel(1 - ui, uj))
                 assert np.abs(got.amplitudes - want.amplitudes).max() <= ATOL_EXACT
 
     def test_x_flips_second_label_bit_with_sign(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_unitary(make_bell(BellLabel(ui, uj)), PauliOp.X.unitary())
+                got = apply_unitary(make_bell(BellLabel(ui, uj)), Unitary(PauliOp.X.matrix(), (0,)))
                 want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
                 assert np.abs(got.amplitudes - want).max() <= ATOL_EXACT
 
@@ -207,15 +211,16 @@ class TestApplyPauli:
             target = int(rng.integers(0, n))
             op = list(PauliOp)[int(rng.integers(0, 4))]
             state = random_state(n, rng)
-            got = apply_unitary(state, op.unitary().on(target)).amplitudes
+            got = apply_unitary(state, Unitary(op.matrix(), (0,)).on(target)).amplitudes
             want = expand_full(PAULI_MATS[op], (target,), n) @ state.amplitudes
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_zx_is_x_then_z(self):
         rng = np.random.default_rng(3)
         state = random_state(2, rng)
-        combined = apply_unitary(state, PauliOp.ZX.unitary())
-        stepwise = apply_unitary(apply_unitary(state, PauliOp.X.unitary()), PauliOp.Z.unitary())
+        z, x, zx = (Unitary(op.matrix(), (0,)) for op in (PauliOp.Z, PauliOp.X, PauliOp.ZX))
+        combined = apply_unitary(state, zx)
+        stepwise = apply_unitary(apply_unitary(state, x), z)
         assert np.abs(combined.amplitudes - stepwise.amplitudes).max() <= ATOL_EXACT
 
     def test_matrices_are_frozen_constants(self):
@@ -244,14 +249,14 @@ class TestUnitary:
             Unitary(np.eye(1), ())
 
     def test_on_rebinds_targets(self):
-        u = random_unitary(1, np.random.default_rng(0))
+        u = Unitary(random_unitary(1, np.random.default_rng(0)), (0,))
         assert u.on(3).targets == (3,)
         with pytest.raises(ValueError):
             u.on(1, 2)
 
     def test_dagger_inverts(self):
         rng = np.random.default_rng(5)
-        u = random_unitary(2, rng).on(0, 1)
+        u = Unitary(random_unitary(2, rng), (0, 1))
         state = random_state(2, rng)
         round_trip = apply_unitary(apply_unitary(state, u), u.dagger())
         assert np.abs(round_trip.amplitudes - state.amplitudes).max() <= ATOL_ACCUM
@@ -268,14 +273,14 @@ class TestUnitary:
             (4, (0, 1, 2)),
         ]
         for n, targets in cases:
-            u = random_unitary(len(targets), rng).on(*targets)
+            u = Unitary(random_unitary(len(targets), rng), targets)
             state = random_state(n, rng)
             got = apply_unitary(state, u).amplitudes
             want = expand_full(u.matrix, targets, n) @ state.amplitudes
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_apply_rejects_out_of_range_targets(self):
-        u = random_unitary(1, np.random.default_rng(0)).on(5)
+        u = Unitary(random_unitary(1, np.random.default_rng(0)), (5,))
         with pytest.raises(ValueError):
             apply_unitary(basis_state(2, 0), u)
 
@@ -285,24 +290,91 @@ class TestRandomUnitary:
         rng = np.random.default_rng(23)
         for k in (1, 2, 3):
             u = random_unitary(k, rng)
-            residual = u.matrix @ u.matrix.conj().T - np.eye(2**k)
+            residual = u @ u.conj().T - np.eye(2**k)
             assert np.abs(residual).max() <= ATOL_ACCUM
 
     def test_deterministic_for_equal_seeds(self):
         a = random_unitary(2, np.random.default_rng(99))
         b = random_unitary(2, np.random.default_rng(99))
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(8)
         state = random_state(3, rng)
-        u = random_unitary(2, rng).on(0, 2)
+        u = Unitary(random_unitary(2, rng), (0, 2))
         out = apply_unitary(state, u)
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) <= ATOL_EXACT
 
     def test_requires_at_least_one_qubit(self):
         with pytest.raises(ValueError):
             random_unitary(0, np.random.default_rng(0))
+
+
+def _off_unitarity(defect):
+    """A stand-in for ``qcore.random_unitary`` whose draws are not unitary."""
+    draw = qcore.random_unitary
+
+    def corrupted(k, rng):
+        u = draw(k, rng)
+        if defect == "nan":
+            u[0, 0] = np.nan
+        else:
+            u[:, 0] *= 1 + 1e-6
+        return u
+
+    return corrupted
+
+
+def _haar_run(policy, m_ancillas):
+    return lambda: run_experiment(
+        ExperimentConfig(
+            strategy=Strategy.CHEAT,
+            reveal_value=CommitValue.MINUS,
+            n_pairs=2,
+            trials=3,
+            bc_policy=policy,
+            m_ancillas=m_ancillas,
+        )
+    )
+
+
+DRAWING_CALLERS = {
+    "random_unitaries": lambda: random_unitaries(2, 3, np.random.default_rng(0)),
+    "bc_apply_operations": lambda: bc_apply_operations(
+        alice_commit(CommitValue.BIT0, 3, 1), BCPolicy.RANDOM_LOCAL, np.random.default_rng(0)
+    ),
+    "run-random-local": _haar_run(BCPolicy.RANDOM_LOCAL, 0),
+    "run-random-entangled": _haar_run(BCPolicy.RANDOM_ENTANGLED, 1),
+}
+
+
+class TestRandomUnitaries:
+    @pytest.mark.parametrize("count", [1, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_successive_draws(self, k, count):
+        rng, oracle_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = random_unitaries(k, count, rng)
+        want = np.stack([random_unitary(k, oracle_rng) for _ in range(count)])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    # the match keeps apply_rows' norm check from standing in for this one
+    @pytest.mark.parametrize("defect", ["nan", "scaled-column"])
+    @pytest.mark.parametrize("caller", list(DRAWING_CALLERS))
+    def test_a_draw_off_unitarity_is_refused(self, caller, defect, monkeypatch):
+        monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(defect))
+        with pytest.raises(ValueError, match="unitary"):
+            DRAWING_CALLERS[caller]()
+
+    @pytest.mark.parametrize("defect", ["nan", "scaled-column"])
+    def test_a_draw_off_unitarity_exits_two(self, defect, monkeypatch, capsys):
+        monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(defect))
+        code = cli.main(["run", "--bc-ops", "random-local", "--pairs", "2", "--trials", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "unitary" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +569,10 @@ def test_pauli_on_first_qubit_commutes_with_other_qubit_unitaries(seed):
     op = list(PauliOp)[int(rng.integers(0, 4))]
     k = int(rng.integers(1, n))
     targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
-    u = random_unitary(k, rng).on(*targets)
-    a = apply_unitary(apply_unitary(state, op.unitary()), u)
-    b = apply_unitary(apply_unitary(state, u), op.unitary())
+    u = Unitary(random_unitary(k, rng), targets)
+    flip = Unitary(op.matrix(), (0,))
+    a = apply_unitary(apply_unitary(state, flip), u)
+    b = apply_unitary(apply_unitary(state, u), flip)
     assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-12
 
 
@@ -509,8 +582,8 @@ def test_operations_preserve_normalization(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     state = random_state(n, rng)
-    state = apply_unitary(state, PauliOp.ZX.unitary().on(int(rng.integers(0, n))))
-    u = random_unitary(1, rng).on(int(rng.integers(0, n)))
+    state = apply_unitary(state, Unitary(PauliOp.ZX.matrix(), (int(rng.integers(0, n)),)))
+    u = Unitary(random_unitary(1, rng), (int(rng.integers(0, n)),))
     state = apply_unitary(state, u)
     norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
     assert abs(norm_sq - 1.0) <= ATOL_EXACT
