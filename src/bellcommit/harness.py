@@ -14,7 +14,9 @@ trial's draws are its first uniforms, which :mod:`.seeding` computes for a
 block of trials at once with no generator; each such run checks its first
 trial against NumPy's own generator, so a change to NumPy's seeding fails
 loudly instead of changing a report. With Haar draws each trial draws from
-its own NumPy generator, as the reference does.
+its own NumPy generator, as the reference does. Experiments that share their
+draws share the pass: the acceptance matrix draws each trial once, and all
+its cells run on the same receiver operations and measurement draws.
 """
 
 from __future__ import annotations
@@ -201,45 +203,60 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         yield np.concatenate(matrices), draws
 
 
-def _run_many(config: ExperimentConfig) -> DetectionStats:
-    """All trials of ``config``; the same results as ``_execute_trial``, bit for bit."""
+# configs run in one pass agree on what their draws depend on, and on tolerance
+_SHARED_FIELDS = ("master_seed", "trials", "n_pairs", "bc_policy", "m_ancillas", "tolerance")
+
+
+def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
+    """All trials of every config, in one pass over the draws they share.
+
+    One ``DetectionStats`` per config; the same results as ``_execute_trial``,
+    bit for bit. Each chunk's draws and undo matrices are made once, then
+    every config runs its own apply, flip, undo and measurement on them.
+    """
+    config = configs[0]
+    if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
+        raise ValueError("configs run in one pass must agree on " + ", ".join(_SHARED_FIELDS))
     n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
-    row = alice_commit(config.commit_value, 1, config.m_ancillas).states
-    per_trial = n * (row.shape[1] + (4**width if width else 0))
+    rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
+    per_trial = n * (rows[config.commit_value].shape[1] + (4**width if width else 0))
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
-    initial = np.tile(row, (chunk * n, 1))
-    flip = None
-    if config.strategy is Strategy.CHEAT:
-        flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(config.reveal_value)).matrix()
-    announced = BELL_LABELS.index(commit_label(config.reveal_value))
+    # one initial tile per commit value, shared by the configs that commit it
+    initial = {value: np.tile(row, (chunk * n, 1)) for value, row in rows.items()}
+    cells = []
+    for c in configs:
+        flip = None
+        if c.strategy is Strategy.CHEAT:
+            flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value)).matrix()
+        cells.append((initial[c.commit_value], flip, BELL_LABELS.index(commit_label(c.reveal_value))))
 
-    accepts = 0
-    min_probability = math.inf
+    accepts, min_probability = [0] * len(configs), [math.inf] * len(configs)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
-        states = initial[: count * n]
-        if ops is not None:
-            states = apply_rows(states, ops, 1)
-        if flip is not None:
-            states = apply_rows(states, flip, 0)
-        if ops is not None:
-            states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
-        outcomes, probs = measure_bell_pairs(states, draws.reshape(-1))
-        accepts += int((outcomes.reshape(count, n) == announced).all(axis=1).sum())
-        min_probability = min(min_probability, float(probs[:, announced].min()))
-    return DetectionStats(
-        trials=config.trials,
-        accepts=accepts,
-        acceptance_rate=accepts / config.trials,
-        min_outcome_probability=min_probability,
-    )
+        undo = None if ops is None else np.ascontiguousarray(ops.conj().swapaxes(1, 2))
+        uniforms = draws.reshape(-1)
+        for k, (tile, flip, announced) in enumerate(cells):
+            states = tile[: count * n]
+            if ops is not None:
+                states = apply_rows(states, ops, 1)
+            if flip is not None:
+                states = apply_rows(states, flip, 0)
+            if undo is not None:
+                states = apply_rows(states, undo, 1)
+            outcomes, probs = measure_bell_pairs(states, uniforms)
+            accepts[k] += int((outcomes.reshape(count, n) == announced).all(axis=1).sum())
+            min_probability[k] = min(min_probability[k], float(probs[:, announced].min()))
+    return [
+        DetectionStats(config.trials, accepted, accepted / config.trials, low)
+        for accepted, low in zip(accepts, min_probability)
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> DetectionStats:
     """Aggregate ``config.trials`` independent trials."""
     config.validate()
-    return _run_many(config)
+    return _run_many(config)[0]
 
 
 def run_control_experiment(
@@ -259,7 +276,7 @@ def run_control_experiment(
         reveal_value=commit_value,
     )
     base.validate()
-    return _run_many(replace(base, reveal_value=announce_value))
+    return _run_many(replace(base, reveal_value=announce_value))[0]
 
 
 @dataclass(frozen=True)
@@ -313,7 +330,9 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
 
     The cheat row prepares the fixed label and steers to each value. The
     honest diagonal reveals what it committed; the controls are honest
-    commitments announced as another value, with no flip.
+    commitments announced as another value, with no flip. All cells share
+    each trial's receiver operations and draws, drawn once: one receiver
+    history, four cheat reveals that all accept, and controls that reject.
     """
     base.validate()
     honest = replace(base, strategy=Strategy.HONEST)
@@ -328,7 +347,7 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
         for announce in COMMIT_VALUES
         if commit is not announce
     ]
-    return AcceptanceMatrix(tuple(Cell(config, _run_many(config)) for config in configs))
+    return AcceptanceMatrix(tuple(map(Cell, configs, _run_many(*configs))))
 
 
 @dataclass(frozen=True)

@@ -201,10 +201,14 @@ def random_unitaries(num_target_qubits: int, count: int, rng: np.random.Generato
     Raises ValueError if any matrix of the stack leaves unitarity by more
     than ATOL_ACCUM.
     """
+    # allocated before any draw, so a count too large to hold fails at once
+    dim = 1 << num_target_qubits
+    stack = np.empty((count, dim, dim), complex)
     # one call per draw, by its module-global name: the benchmark's traced
     # run counts Haar draws as calls of random_unitary
-    stack = np.stack([random_unitary(num_target_qubits, rng) for _ in range(count)])
-    residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(stack.shape[-1])
+    for index in range(count):
+        stack[index] = random_unitary(num_target_qubits, rng)
+    residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(dim)
     # written so that NaN fails too
     if not np.abs(residual).max() <= ATOL_ACCUM:
         raise ValueError("a Haar draw is not unitary")

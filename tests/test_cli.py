@@ -127,6 +127,20 @@ class TestInvalidConfigurations:
         _assert_one_line_error(code, out, err)
         assert "512. TiB" in err
 
+    def test_huge_hiding_register_exits_two_at_once(self):
+        # the receiver unitaries (279 TiB, more than a process's address
+        # space) are allocated before any draw; the timeout turns a run that
+        # draws without bound into a failure instead of a hang
+        result = subprocess.run(
+            [sys.executable, "-m", "bellcommit", "hiding", "--pairs", "300000000000",
+             "--bc-ops", "random-entangled", "--ancillas", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        _assert_one_line_error(result.returncode, result.stdout, result.stderr)
+        assert "Traceback" not in result.stderr
+
     def test_unknown_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--strategy", "sneaky"])

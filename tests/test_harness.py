@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellcommit import harness, protocol, seeding
+from bellcommit import harness, protocol, qcore, seeding
 from bellcommit.harness import (
     AcceptanceMatrix,
     ConfigError,
@@ -29,6 +29,7 @@ from bellcommit.protocol import (
 from bellcommit.qcore import StateVector, Unitary, receiver_states
 from bellcommit.seeding import pcg64_uniforms
 from reference import reduced_density, trace_distance
+from test_acceptance import POLICY_GRID
 
 
 def _config(**overrides):
@@ -136,6 +137,21 @@ def _reference_stats(config):
     )
 
 
+def _chunk_budget(config, per_chunk):
+    """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all)."""
+    width = protocol.op_width(config.bc_policy, config.m_ancillas)
+    per_trial = config.n_pairs * (2 ** (2 + config.m_ancillas) + (4**width if width else 0))
+    return {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
+
+
+def _recording(measured, measure):
+    """``measure`` that also appends a copy of its states and draws to ``measured``."""
+    def wrapper(states, draws):
+        measured.append((states.copy(), draws.copy()))
+        return measure(states, draws)
+    return wrapper
+
+
 ENGINE_KINDS = {
     **{f"cheat-{value.value}": (Strategy.CHEAT, CommitValue.BIT0, value) for value in COMMIT_VALUES},
     "honest": (Strategy.HONEST, CommitValue.PLUS, CommitValue.PLUS),
@@ -148,43 +164,21 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
     @pytest.mark.parametrize("n_pairs", [1, 3])
-    @pytest.mark.parametrize(
-        "policy,m",
-        [
-            (BCPolicy.NONE, 0),
-            (BCPolicy.NONE, 1),
-            (BCPolicy.NONE, 2),
-            (BCPolicy.RANDOM_LOCAL, 0),
-            (BCPolicy.RANDOM_LOCAL, 1),
-            (BCPolicy.RANDOM_LOCAL, 2),
-            (BCPolicy.RANDOM_ENTANGLED, 1),
-            (BCPolicy.RANDOM_ENTANGLED, 2),
-        ],
-    )
+    @pytest.mark.parametrize("policy,m", POLICY_GRID)
     @pytest.mark.parametrize("kind", sorted(ENGINE_KINDS))
     def test_equals_the_reference_exactly(self, kind, policy, m, n_pairs, per_chunk, monkeypatch):
         strategy, commit, reveal = ENGINE_KINDS[kind]
         cfg = _config(strategy=strategy, commit_value=commit, reveal_value=reveal,
                       n_pairs=n_pairs, trials=17, bc_policy=policy, m_ancillas=m,
                       master_seed=2**64 - 1)
-        width = protocol.op_width(policy, m)
-        per_trial = n_pairs * (2 ** (2 + m) + (4**width if width else 0))
-        budget = {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
-        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
 
         # every state measured and every draw it is sampled from, on both paths
         measured = {"engine": [], "reference": []}
-
-        def recording(path, measure):
-            def wrapper(states, draws):
-                measured[path].append((states.copy(), draws.copy()))
-                return measure(states, draws)
-            return wrapper
-
         monkeypatch.setattr(harness, "measure_bell_pairs",
-                            recording("engine", harness.measure_bell_pairs))
+                            _recording(measured["engine"], harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
-                            recording("reference", protocol.measure_bell_pairs))
+                            _recording(measured["reference"], protocol.measure_bell_pairs))
         want = _reference_stats(cfg)
         if kind == "control":
             got = run_control_experiment(cfg, commit, reveal)
@@ -203,10 +197,68 @@ class TestBatchedEngine:
             reference = np.concatenate([record[position] for record in measured["reference"]])
             assert engine.tobytes() == reference.tobytes()
 
-    def test_matrix_cells_equal_the_reference(self):
-        cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL, trials=9, master_seed=3)
-        for cell in acceptance_matrix(cfg).cells:
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    @pytest.mark.parametrize("policy,m", POLICY_GRID)
+    def test_matrix_cells_equal_the_reference(self, policy, m, per_chunk, monkeypatch):
+        cfg = _config(bc_policy=policy, m_ancillas=m, trials=9, master_seed=3)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
+
+        engine, reference = [], []
+        monkeypatch.setattr(harness, "measure_bell_pairs",
+                            _recording(engine, harness.measure_bell_pairs))
+        monkeypatch.setattr(protocol, "measure_bell_pairs",
+                            _recording(reference, protocol.measure_bell_pairs))
+        cells = acceptance_matrix(cfg).cells
+        for k, cell in enumerate(cells):
+            reference.clear()
             assert cell.stats == _reference_stats(cell.config)
+            # the engine measures chunk by chunk, every cell in turn; each
+            # cell's states and draws must be its own reference's, bit for bit
+            for position in (0, 1):
+                got = np.concatenate([record[position] for record in engine[k :: len(cells)]])
+                want = np.concatenate([record[position] for record in reference])
+                assert got.tobytes() == want.tobytes()
+
+    def test_matrix_draws_each_trial_once(self, monkeypatch):
+        # all cells share each trial's generator and Haar draws
+        calls = {"_trial_generator": 0, "random_unitary": 0}
+
+        def counting(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(harness, "_trial_generator")
+        counting(qcore, "random_unitary")
+        matrix = acceptance_matrix(_config(bc_policy=BCPolicy.RANDOM_LOCAL, n_pairs=3, trials=11))
+        assert matrix.passed()
+        assert calls == {"_trial_generator": 11, "random_unitary": 33}
+
+    def test_matrix_derives_each_trial_uniforms_once(self, monkeypatch):
+        seen = []
+
+        def recording(master_seed, indices, n):
+            seen.extend(indices.tolist())
+            return pcg64_uniforms(master_seed, indices, n)
+
+        monkeypatch.setattr(harness, "pcg64_uniforms", recording)
+        # more trials than one block of generator-free uniforms
+        trials = 2 * harness._SEED_BLOCK + 5
+        assert acceptance_matrix(_config(n_pairs=3, trials=trials)).passed()
+        assert seen == list(range(trials))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(master_seed=8), dict(trials=26), dict(n_pairs=3),
+         dict(bc_policy=BCPolicy.RANDOM_LOCAL), dict(m_ancillas=1), dict(tolerance=1e-6)],
+    )
+    def test_one_pass_needs_configs_that_share_their_draws(self, overrides):
+        with pytest.raises(ValueError, match="agree"):
+            harness._run_many(_config(), _config(**overrides))
 
     @pytest.mark.parametrize(
         "n_pairs,policy",
@@ -219,6 +271,20 @@ class TestBatchedEngine:
             tracemalloc.start()
             try:
                 run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) <= 1.1 * peak(1000)
+
+    @pytest.mark.parametrize("n_pairs,policy", [(8, BCPolicy.NONE), (2, BCPolicy.RANDOM_LOCAL)])
+    def test_matrix_memory_does_not_grow_with_trials(self, n_pairs, policy):
+        def peak(trials):
+            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy)
+            acceptance_matrix(cfg)  # caches filled outside the measurement
+            tracemalloc.start()
+            try:
+                acceptance_matrix(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

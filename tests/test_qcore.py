@@ -377,6 +377,31 @@ class TestRandomUnitaries:
         assert "unitary" in captured.err
 
 
+HAAR_DRAWS = 10000
+
+
+class TestHaarMeasure:
+    """The draws against Haar measure itself, not against their own bits.
+
+    For Haar-distributed U on U(d), E[tr U] = 0 and E|tr U|**(2j) = j! for
+    j <= d (Diaconis and Shahshahani, J. Appl. Probab. 31A, 1994). A QR
+    without the phase fix, or with a fix that is not unit-modulus, misses
+    these by many standard errors. The trace moments cannot see a phase fix
+    applied to rows (D @ Q) instead of columns (Q @ D): such draws pass too.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trace_moments(self, k):
+        traces = np.trace(random_unitaries(k, HAAR_DRAWS, np.random.default_rng(1994)), axis1=1, axis2=2)
+        squares = np.abs(traces) ** 2
+        # five standard errors of each mean: tr U and |tr U|**2 have
+        # variance 1, and |tr U|**4 at most 4! - 2**2 = 20
+        error = 5 / np.sqrt(HAAR_DRAWS)
+        assert abs(traces.mean()) <= error
+        assert abs(squares.mean() - 1) <= error
+        assert abs((squares**2).mean() - 2) <= np.sqrt(20) * error
+
+
 # ---------------------------------------------------------------------------
 # inner products
 
