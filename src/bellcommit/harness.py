@@ -16,7 +16,9 @@ trial against NumPy's own generator, so a change to NumPy's seeding fails
 loudly instead of changing a report. With Haar draws each trial draws from
 its own NumPy generator, as the reference does. Experiments that share their
 draws share the pass: the acceptance matrix draws each trial once, and all
-its cells run on the same receiver operations and measurement draws.
+its cells run on the same receiver operations and measurement draws. Cells
+that hold the same register, set by the commit value and the cheat's flip,
+share its measurement, so the matrix's 20 cells measure 8 registers.
 """
 
 from __future__ import annotations
@@ -165,9 +167,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 
 
 # A chunk of trials holds at most this many complex entries of state rows
-# plus receiver unitaries (at least one trial), so memory stays flat in trials.
-# Without receiver operations the uniforms of a block of whole chunks are
-# derived in one pass, at most this many too unless one chunk needs more.
+# plus receiver unitaries (at least one trial), so memory stays flat in trials;
+# each distinct register of a pass holds one chunk's rows and is measured once
+# per chunk. Without receiver operations the uniforms of a block of whole
+# chunks are derived in one pass, at most this many too unless one chunk needs
+# more, and every register is measured against the same uniforms.
 _CHUNK_ENTRIES = 2**11
 # Trials per block of generator-free uniforms.
 _SEED_BLOCK = 256
@@ -211,8 +215,13 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     """All trials of every config, in one pass over the draws they share.
 
     One ``DetectionStats`` per config; the same results as ``_execute_trial``,
-    bit for bit. Each chunk's draws and undo matrices are made once, then
-    every config runs its own apply, flip, undo and measurement on them.
+    bit for bit. Each chunk's draws and undo matrices are made once. A
+    register before measurement is set by the commit value and the cheat's
+    flip alone, so configs that agree on both share one register: it runs
+    apply, flip, undo and measurement once per chunk, and every config reads
+    its own announced label from that measurement. Without receiver
+    operations each register is the same in every chunk, so it is built
+    once per run.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -222,21 +231,36 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
     per_trial = n * (rows[config.commit_value].shape[1] + (4**width if width else 0))
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
-    # one initial tile per commit value, shared by the configs that commit it
-    initial = {value: np.tile(row, (chunk * n, 1)) for value, row in rows.items()}
+
+    # one register per (commit value, flip); an honest commit has no flip,
+    # which keeps it apart from the cheat's identity flip
+    registers: dict[tuple[CommitValue, PauliOp | None], int] = {}
     cells = []
     for c in configs:
         flip = None
         if c.strategy is Strategy.CHEAT:
-            flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value)).matrix()
-        cells.append((initial[c.commit_value], flip, BELL_LABELS.index(commit_label(c.reveal_value))))
+            flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
+        group = registers.setdefault((c.commit_value, flip), len(registers))
+        cells.append((group, BELL_LABELS.index(commit_label(c.reveal_value))))
+    # one initial tile per commit value, shared by the registers that commit it
+    initial = {value: np.tile(row, (chunk * n, 1)) for value, row in rows.items()}
+    prepared = []
+    for value, flip in registers:
+        tile, matrix = initial[value], None if flip is None else flip.matrix()
+        if matrix is not None and not width:
+            # with no receiver operations to come first, the flipped register
+            # is the same in every chunk
+            tile, matrix = apply_rows(tile, matrix, 0), None
+        prepared.append((tile, matrix))
 
-    accepts, min_probability = [0] * len(configs), [math.inf] * len(configs)
+    # per register and Bell label: accepted trials, smallest probability
+    accepts = np.zeros((len(prepared), len(BELL_LABELS)), dtype=np.int64)
+    low = np.full((len(prepared), len(BELL_LABELS)), math.inf)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
         undo = None if ops is None else np.ascontiguousarray(ops.conj().swapaxes(1, 2))
         uniforms = draws.reshape(-1)
-        for k, (tile, flip, announced) in enumerate(cells):
+        for group, (tile, flip) in enumerate(prepared):
             states = tile[: count * n]
             if ops is not None:
                 states = apply_rows(states, ops, 1)
@@ -245,11 +269,15 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             if undo is not None:
                 states = apply_rows(states, undo, 1)
             outcomes, probs = measure_bell_pairs(states, uniforms)
-            accepts[k] += int((outcomes.reshape(count, n) == announced).all(axis=1).sum())
-            min_probability[k] = min(min_probability[k], float(probs[:, announced].min()))
+            outcomes = outcomes.reshape(count, n)
+            # a trial accepts only the label that every one of its pairs measured
+            unanimous = (outcomes == outcomes[:, :1]).all(axis=1)
+            accepts[group] += np.bincount(outcomes[unanimous, 0], minlength=len(BELL_LABELS))
+            np.minimum(low[group], probs.min(axis=0), out=low[group])
+    accepts, low = accepts.tolist(), low.tolist()
     return [
-        DetectionStats(config.trials, accepted, accepted / config.trials, low)
-        for accepted, low in zip(accepts, min_probability)
+        DetectionStats(config.trials, accepts[g][a], accepts[g][a] / config.trials, low[g][a])
+        for g, a in cells
     ]
 
 
@@ -333,6 +361,8 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     commitments announced as another value, with no flip. All cells share
     each trial's receiver operations and draws, drawn once: one receiver
     history, four cheat reveals that all accept, and controls that reject.
+    The 20 cells hold 8 distinct registers (four cheat flips, four honest
+    values), and each is measured once for all the cells that hold it.
     """
     base.validate()
     honest = replace(base, strategy=Strategy.HONEST)
@@ -356,8 +386,8 @@ class HidingReport:
 
     ``distances[a][b]`` is the maximum over pair indices of the trace
     distance between the receiving side's reduced states after committing
-    ``values[a]`` versus ``values[b]`` (same seed, hence identical
-    receiver-side operations).
+    ``values[a]`` versus ``values[b]`` (the same receiver-side operations
+    applied to both).
     """
 
     values: tuple[CommitValue, ...]
@@ -376,16 +406,19 @@ class HidingReport:
 def hiding_report(base: ExperimentConfig) -> HidingReport:
     """Trace-distance table of the receiving side's post-commit states.
 
-    All four commit values are prepared with the same seed so the recorded
-    receiver-side operations coincide; any distance above the threshold
-    would mean the commitment leaks before the reveal.
+    The receiver-side operations are drawn once, as trial 0 of the seed
+    draws them, and applied to all four commit values; any distance above
+    the threshold would mean the commitment leaks before the reveal.
     """
     base.validate()
+    width = op_width(base.bc_policy, base.m_ancillas)
+    ops = random_unitaries(width, base.n_pairs, _trial_generator(base.master_seed, 0)) if width else None
     reduced = []
     for value in COMMIT_VALUES:
-        session = alice_commit(value, base.n_pairs, base.m_ancillas)
-        bc_apply_operations(session, base.bc_policy, _trial_generator(base.master_seed, 0))
-        reduced.append(receiver_states(session.states))
+        states = alice_commit(value, base.n_pairs, base.m_ancillas).states
+        if ops is not None:
+            states = apply_rows(states, ops, 1)
+        reduced.append(receiver_states(states))
     rows = tuple(tuple(float(trace_distances(a, b).max()) for b in reduced) for a in reduced)
     return HidingReport(COMMIT_VALUES, rows)
 

@@ -5,10 +5,13 @@ NumPy's documented ``SeedSequence`` (``numpy/random/bit_generator.pyx``,
 after O'Neill's ``seed_seq_fe``) and seeds PCG64 with two steps of its
 128-bit LCG (O'Neill, "PCG", HMC-CS-2014-0905, 2014). Here the hash runs for
 many indices at once in uint32 array arithmetic, which wraps modulo 2**32
-as the reference does, and the 128-bit LCG runs on ``(hi, lo)`` pairs of
-uint64 arrays. :func:`pcg64_uniforms` computes ``Generator.random(n)`` of
-every index straight from the seeded words, the LCG and its XSL-RR output,
-with no generator at all.
+as the reference does: the pools of all indices are one ``(4, count)``
+array, and each step of the hash (the fill, each of the four mixing rounds
+and the output) is one array operation with a precomputed column of hash
+constants. The 128-bit LCG runs on ``(hi, lo)`` pairs of uint64 arrays.
+:func:`pcg64_uniforms` computes ``Generator.random(n)`` of every index
+straight from the seeded words, the LCG and its XSL-RR output, with no
+generator at all.
 """
 
 from __future__ import annotations
@@ -58,6 +61,33 @@ def _add(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
 _MULT = _split([_PCG_MULT])
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` successive hash constants from ``init``, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of row ``k`` of ``values``, which XORs with
+    ``consts[k]`` and multiplies by the next constant, ``consts[k + 1]``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+# SeedSequence's hash constant advances once per hash: four hashes fill the
+# pool, each mixing round hashes word ``src`` once for each of the other three
+# words, and eight hashes give the output words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16)
+_FILL = _HASH_A[:5]
+_MIXES = tuple(
+    ([dst for dst in range(4) if dst != src], _HASH_A[4 + 3 * src : 8 + 3 * src])
+    for src in range(4)
+)
+_OUTPUT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
 def pcg64_words(master_seed: int, indices: np.ndarray) -> Words:
     """Seeded ``(state_hi, state_lo, inc_hi, inc_lo)`` of ``PCG64(SeedSequence((master_seed, i)))``.
 
@@ -73,31 +103,16 @@ def pcg64_words(master_seed: int, indices: np.ndarray) -> Words:
     entropy[len(words)] = indices & _MASK32
     entropy[len(words) + 1] = indices >> 32
 
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
-                pool[dst] = mixed ^ (mixed >> 16)
+    pool = _hash(entropy, _FILL)
+    for src, (others, consts) in enumerate(_MIXES):
+        # pool[src] is not a destination of its own step, so its three
+        # hashes, one per destination, run as one
+        mixed = pool[others] * _MIX_MULT_L - _hash(pool[src], consts) * _MIX_MULT_R
+        pool[others] = mixed ^ (mixed >> 16)
     # generate_state(4, np.uint64): eight words cycling over the pool, read
     # as little-endian uint64 pairs (state high, state low, inc high, inc low)
-    const = _INIT_B
-    out = []
-    for k in range(8):
-        value = pool[k % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        out.append((value ^ (value >> 16)).astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    out = _hash(np.concatenate((pool, pool)), _OUTPUT).astype(np.uint64)
+    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
     # PCG64 seeding, two LCG steps from zero: inc = 2 * seq + 1, then
     # state = (inc + initstate) * multiplier + inc
     inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)

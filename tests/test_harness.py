@@ -152,6 +152,26 @@ def _recording(measured, measure):
     return wrapper
 
 
+def _counting(monkeypatch, *functions):
+    """Wrap each ``(module, name)`` to count its calls, by name, in the returned dict."""
+    calls = {}
+    for module, name in functions:
+        calls[name] = 0
+
+        def wrapper(*args, name=name, function=getattr(module, name)):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _register(cell):
+    """What sets a matrix cell's register: its commit value and, for a cheat, its target."""
+    config = cell.config
+    return config.commit_value, config.reveal_value if config.strategy is Strategy.CHEAT else None
+
+
 ENGINE_KINDS = {
     **{f"cheat-{value.value}": (Strategy.CHEAT, CommitValue.BIT0, value) for value in COMMIT_VALUES},
     "honest": (Strategy.HONEST, CommitValue.PLUS, CommitValue.PLUS),
@@ -209,31 +229,38 @@ class TestBatchedEngine:
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
         cells = acceptance_matrix(cfg).cells
-        for k, cell in enumerate(cells):
+        # the engine measures chunk by chunk, every distinct register in
+        # turn, in the order the cells first prepare it
+        registers = list(dict.fromkeys(map(_register, cells)))
+        assert len(registers) == 8
+        for cell in cells:
             reference.clear()
             assert cell.stats == _reference_stats(cell.config)
-            # the engine measures chunk by chunk, every cell in turn; each
-            # cell's states and draws must be its own reference's, bit for bit
+            # each cell's states and draws must be its own reference's, bit for bit
+            measured = engine[registers.index(_register(cell)) :: len(registers)]
             for position in (0, 1):
-                got = np.concatenate([record[position] for record in engine[k :: len(cells)]])
+                got = np.concatenate([record[position] for record in measured])
                 want = np.concatenate([record[position] for record in reference])
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0),
+                                          (BCPolicy.RANDOM_ENTANGLED, 1)])
+    def test_matrix_measures_each_distinct_register_once(self, policy, m, monkeypatch):
+        cfg = _config(bc_policy=policy, m_ancillas=m, trials=9)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"))
+        assert acceptance_matrix(cfg).passed()
+        chunks = 2  # 9 trials, 7 to a chunk
+        if policy is BCPolicy.NONE:
+            # the four flipped registers are built once per run
+            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4}
+        else:
+            # per chunk: eight applies, four flips, eight undos
+            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks}
+
     def test_matrix_draws_each_trial_once(self, monkeypatch):
         # all cells share each trial's generator and Haar draws
-        calls = {"_trial_generator": 0, "random_unitary": 0}
-
-        def counting(module, name):
-            function = getattr(module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(harness, "_trial_generator")
-        counting(qcore, "random_unitary")
+        calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
         matrix = acceptance_matrix(_config(bc_policy=BCPolicy.RANDOM_LOCAL, n_pairs=3, trials=11))
         assert matrix.passed()
         assert calls == {"_trial_generator": 11, "random_unitary": 33}
@@ -306,14 +333,14 @@ class TestBatchedEngine:
 
 
 class TestSeeding:
+    # carries out of the low word happen in the seeding and in every step
+    INDICES = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7, 2**63, 2**64 - 1]
+
     # the last n spans more than one jump of _JUMP_SPAN steps
     @pytest.mark.parametrize("n", [1, 3, 8, 2 * seeding._JUMP_SPAN + 3])
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_uniforms_match_numpy_generator_draws(self, seed, n):
-        # carries out of the low word happen in the seeding and in every step
-        indices = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7,
-                   2**63, 2**64 - 1]
-        indices += np.random.default_rng(seed % 97).integers(
+        indices = self.INDICES + np.random.default_rng(seed % 97).integers(
             0, 2**64, 40, dtype=np.uint64, endpoint=False
         ).tolist()
         got = pcg64_uniforms(seed, np.array(indices, dtype=np.uint64), n)
@@ -322,6 +349,16 @@ class TestSeeding:
             for i in indices
         ])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_words_match_numpy_seeded_state(self, seed):
+        # a broken hash step fails here, at the words, not only at the uniforms
+        words = seeding.pcg64_words(seed, np.array(self.INDICES, dtype=np.uint64))
+        for k, i in enumerate(self.INDICES):
+            state = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+            halves = [state[key] >> shift & 0xFFFFFFFFFFFFFFFF
+                      for key in ("state", "inc") for shift in (64, 0)]
+            assert [int(word[k]) for word in words] == halves
 
 
 class TestControlExperiment:
@@ -420,6 +457,12 @@ class TestHidingReport:
         )
         config = _config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed)
         assert hiding_report(config).distances == distances
+
+    def test_draws_the_receiver_unitaries_once(self, monkeypatch):
+        # all four commit values share one draw of trial 0's unitaries
+        calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
+        assert hiding_report(_config(n_pairs=5, bc_policy=BCPolicy.RANDOM_LOCAL, master_seed=0)).passed
+        assert calls == {"_trial_generator": 1, "random_unitary": 5}
 
     def test_no_register_outlives_the_report(self):
         # sessions share one cached row per value, not a cached register
