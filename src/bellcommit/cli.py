@@ -8,7 +8,8 @@ Subcommands:
 * ``selftest`` built-in invariant checks
 
 Exit codes: 0 all assertions hold, 1 an expected property failed,
-2 invalid configuration, one too large to allocate, or an unwritable ``--out``.
+2 invalid configuration, one too large to allocate or to index, or an
+unwritable ``--out``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .protocol import BCPolicy, CommitValue, ProtocolError
 
 _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
+_TOLERANCE = ExperimentConfig.tolerance  # the field's default
 
 
 def _add_register_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--strategy", choices=["honest", "cheat"], default="honest")
     run_p.add_argument("--commit", choices=_VALUE_NAMES, default="bit0", help="committed value")
     run_p.add_argument("--reveal", choices=_VALUE_NAMES, default="bit0", help="revealed value")
-    run_p.add_argument("--tolerance", type=float, default=1e-9, help="outcome probability slack")
+    run_p.add_argument("--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack")
     _add_output_flags(run_p)
 
     matrix_p = sub.add_parser(
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_register_flags(matrix_p)
     matrix_p.add_argument("--trials", type=int, default=1000, help="independent trials per cell")
-    matrix_p.add_argument("--tolerance", type=float, default=1e-9, help="outcome probability slack")
+    matrix_p.add_argument("--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack")
     _add_output_flags(matrix_p)
 
     hiding_p = sub.add_parser(
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest_p = sub.add_parser("selftest", help="run the built-in invariant checks")
     selftest_p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     selftest_p.add_argument(
-        "--tolerance", type=float, default=1e-9, help="outcome probability slack"
+        "--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack"
     )
     _add_output_flags(selftest_p)
 
@@ -99,7 +101,7 @@ def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> 
         bc_policy=BCPolicy(args.bc_ops),
         m_ancillas=args.ancillas,
         master_seed=args.seed,
-        tolerance=getattr(args, "tolerance", 1e-9),
+        tolerance=getattr(args, "tolerance", _TOLERANCE),
     )
 
 
@@ -129,6 +131,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         # a register too large to allocate is a configuration this host cannot run
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a register too large even to index, such as --pairs 2**63
+        print(f"error: too large to run: {exc}", file=sys.stderr)
         return 2
     rendered = report.render(args.format)
     if args.out:

@@ -39,7 +39,6 @@ from .harness import (
     DetectionStats,
     ExperimentConfig,
     HidingReport,
-    passes,
 )
 
 FORMATS = ("text", "json", "csv")
@@ -110,7 +109,8 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
 
 
 def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
-    ok = passes(stats, config.tolerance)
+    cell = Cell(config, stats)
+    ok = cell.passed()
     items = [
         ("strategy", config.strategy.value),
         ("commit", config.commit_value.value),
@@ -130,13 +130,13 @@ def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
         ok=ok,
         body=_body(config_dict(config), asdict(stats)),
         csv_header=_CELL_FIELDS,
-        csv_rows=cell_rows((Cell(config, stats),)),
+        csv_rows=cell_rows((cell,)),
         text="".join(f"{key.ljust(width)}  {value}\n" for key, value in items),
     )
 
 
 def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
-    ok = matrix.passed(config.tolerance)
+    ok = matrix.passed()
     rows = cell_rows(matrix.cells)
     summary = {
         "cheat_min_rate": min(matrix.rates("cheat")),

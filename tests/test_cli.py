@@ -141,6 +141,11 @@ class TestInvalidConfigurations:
         _assert_one_line_error(result.returncode, result.stdout, result.stderr)
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    def test_pairs_beyond_int64_exits_two(self, command, capsys):
+        code, out, err = _run([command, "--pairs", str(2**63), "--trials", "1"], capsys)
+        _assert_one_line_error(code, out, err)
+
     def test_unknown_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--strategy", "sneaky"])
