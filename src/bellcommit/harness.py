@@ -11,14 +11,18 @@ Experiments run on a batched engine with the same results bit for bit. It
 makes the reference's draws in the reference's order and runs each protocol
 step once over a bounded chunk of trials. Without receiver operations a
 trial's draws are its first uniforms, which :mod:`.seeding` computes for a
-block of trials at once with no generator; each such run checks its first
-trial against NumPy's own generator, so a change to NumPy's seeding fails
-loudly instead of changing a report. With Haar draws each trial draws from
-its own NumPy generator, as the reference does. Experiments that share their
-draws share the pass: the acceptance matrix draws each trial once, and all
-its cells run on the same receiver operations and measurement draws. Cells
-that hold the same register, set by the commit value and the cheat's flip,
-share its measurement, so the matrix's 20 cells measure 8 registers.
+whole chunk at once with no generator; each such run checks its first trial
+against NumPy's own generator, so a change to NumPy's seeding fails loudly
+instead of changing a report. A register before the receiver acts is one
+row: the receiver's apply broadcasts it to every pair, and without receiver
+operations it is measured as that one row against all of a chunk's draws,
+so such a chunk is sized by its draws alone. With Haar draws each trial
+draws from its own NumPy generator, as the reference does. Experiments that
+share their draws share the pass: the acceptance matrix draws each trial
+once, and all its cells run on the same receiver operations and measurement
+draws. Cells that hold the same register, set by the commit value and the
+cheat's flip, share its measurement, so the matrix's 20 cells measure 8
+registers.
 
 One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
 at the cell's own ``config.tolerance``. ``run``, ``matrix`` and selftest's
@@ -163,14 +167,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 
 
 # A chunk of trials holds at most this many complex entries of state rows
-# plus receiver unitaries (at least one trial), so memory stays flat in trials;
-# each distinct register of a pass holds one chunk's rows and is measured once
-# per chunk. Without receiver operations the uniforms of a block of whole
-# chunks are derived in one pass, at most this many too unless one chunk needs
-# more, and every register is measured against the same uniforms.
+# plus receiver unitaries (at least one trial), so memory stays flat in trials.
+# Without receiver operations each register is one row, built once per run,
+# and a chunk holds only its draws: two entries per pair, its uniform and its
+# outcome. One such chunk is one call of pcg64_uniforms.
 _CHUNK_ENTRIES = 2**11
-# Trials per block of generator-free uniforms.
-_SEED_BLOCK = 256
 _SEEDING_CHANGED = "NumPy's SeedSequence or PCG64 seeding has changed"
 
 
@@ -178,22 +179,18 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
     """Per chunk of trials: the receiver unitaries (``None`` if there are none)
     and the ``(count, n_pairs)`` measurement draws, in the reference's order."""
     seed, n, trials = config.master_seed, config.n_pairs, config.trials
-    if not width:
-        # the draws are each trial's first n uniforms, so they come straight
-        # from the PCG64 arithmetic
-        block = chunk * max(1, min(_SEED_BLOCK, _CHUNK_ENTRIES // n) // chunk)
-        for start in range(0, trials, block):
-            indices = np.arange(start, min(start + block, trials), dtype=np.uint64)
-            draws = pcg64_uniforms(seed, indices, n)
-            if start == 0 and draws[0].tobytes() != _trial_generator(seed, 0).random(n).tobytes():
-                raise RuntimeError(_SEEDING_CHANGED)
-            for first in range(0, draws.shape[0], chunk):
-                yield None, draws[first : first + chunk]
-        return
-    # the uniforms follow the Haar draws' normals, whose count varies, so
-    # each trial draws from its own generator
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
+        if not width:
+            # the draws are each trial's first n uniforms, so they come
+            # straight from the PCG64 arithmetic
+            draws = pcg64_uniforms(seed, np.arange(first, first + count, dtype=np.uint64), n)
+            if first == 0 and draws[0].tobytes() != _trial_generator(seed, 0).random(n).tobytes():
+                raise RuntimeError(_SEEDING_CHANGED)
+            yield None, draws
+            continue
+        # the uniforms follow the Haar draws' normals, whose count varies, so
+        # each trial draws from its own generator
         draws = np.empty((count, n))
         matrices = []
         for t in range(count):
@@ -215,9 +212,10 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     register before measurement is set by the commit value and the cheat's
     flip alone, so configs that agree on both share one register: it runs
     apply, flip, undo and measurement once per chunk, and every config reads
-    its own announced label from that measurement. Without receiver
-    operations each register is the same in every chunk, so it is built
-    once per run.
+    its own announced label from that measurement. A register starts as
+    one row, which the receiver's apply broadcasts to every pair of the
+    chunk; without receiver operations it stays one row, built once per run
+    and measured against every draw of the chunk.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -225,7 +223,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
     rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
-    per_trial = n * (rows[config.commit_value].shape[1] + (4**width if width else 0))
+    per_trial = n * (rows[config.commit_value].shape[1] + 4**width) if width else 2 * n
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
 
     # one register per (commit value, flip); an honest commit has no flip,
@@ -238,16 +236,14 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
         group = registers.setdefault((c.commit_value, flip), len(registers))
         cells.append((group, BELL_LABELS.index(commit_label(c.reveal_value))))
-    # one initial tile per commit value, shared by the registers that commit it
-    initial = {value: np.tile(row, (chunk * n, 1)) for value, row in rows.items()}
     prepared = []
     for value, flip in registers:
-        tile, matrix = initial[value], None if flip is None else flip.matrix()
+        row, matrix = rows[value], None if flip is None else flip.matrix()
         if matrix is not None and not width:
             # with no receiver operations to come first, the flipped register
             # is the same in every chunk
-            tile, matrix = apply_rows(tile, matrix, 0), None
-        prepared.append((tile, matrix))
+            row, matrix = apply_rows(row, matrix, 0), None
+        prepared.append((row, matrix))
 
     # per register and Bell label: accepted trials, smallest probability
     accepts = np.zeros((len(prepared), len(BELL_LABELS)), dtype=np.int64)
@@ -256,8 +252,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
         count = draws.shape[0]
         undo = None if ops is None else np.ascontiguousarray(ops.conj().swapaxes(1, 2))
         uniforms = draws.reshape(-1)
-        for group, (tile, flip) in enumerate(prepared):
-            states = tile[: count * n]
+        for group, (states, flip) in enumerate(prepared):
             if ops is not None:
                 states = apply_rows(states, ops, 1)
             if flip is not None:
@@ -270,6 +265,8 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             unanimous = (outcomes == outcomes[:, :1]).all(axis=1)
             accepts[group] += np.bincount(outcomes[unanimous, 0], minlength=len(BELL_LABELS))
             np.minimum(low[group], probs.min(axis=0), out=low[group])
+        # so that the next chunk's draws are made without this chunk's arrays
+        del draws, uniforms, outcomes, unanimous
     accepts, low = accepts.tolist(), low.tolist()
     return [
         DetectionStats(config.trials, accepts[g][a], accepts[g][a] / config.trials, low[g][a])

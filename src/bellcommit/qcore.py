@@ -122,12 +122,14 @@ _BELL_BASIS_CONJ.setflags(write=False)
 def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
     """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
 
-    Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
+    One row against a ``(k, d, d)`` stack is broadcast: the result holds that
+    row with each matrix applied, ``k`` rows. Raises ValueError if any row's
+    norm leaves 1 by more than ATOL_EXACT.
     """
     if matrices.ndim == 3:
         matrices = matrices[:, None]
-    n = states.shape[0]
-    out = (matrices @ states.reshape(n, 2**first, matrices.shape[-1], -1)).reshape(n, -1)
+    out = matrices @ states.reshape(states.shape[0], 2**first, matrices.shape[-1], -1)
+    out = out.reshape(out.shape[0], -1)
     norms = np.einsum("ij,ij->i", out.conj(), out).real
     # written so that NaN fails too
     if not np.abs(norms - 1.0).max() <= ATOL_EXACT:
@@ -136,17 +138,18 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
 
 
 def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projective Bell-basis measurement of qubits (0, 1) in every row of ``states``.
+    """Projective Bell-basis measurement of qubits (0, 1) of ``states``, once per draw.
 
-    ``states`` holds one register's amplitudes per row and ``draws`` one
-    uniform draw in [0, 1) per row. Each row is sampled by inverse CDF in
-    BELL_LABELS order from its draw. Returns the outcome indices into
-    BELL_LABELS and the ``(rows, 4)`` outcome probabilities they were
+    ``states`` holds one register's amplitudes per row, and ``draws`` one
+    uniform draw in [0, 1) per row; a single row is measured against every
+    draw, its probabilities computed once. Each draw is sampled by inverse
+    CDF in BELL_LABELS order. Returns the outcome indices into BELL_LABELS,
+    one per draw, and the ``(rows, 4)`` outcome probabilities they were
     sampled from, each row as :func:`bell_probabilities` would give it.
     """
     rows = states.shape[0]
-    if draws.shape != (rows,):
-        raise ValueError(f"expected {rows} draws, got shape {draws.shape}")
+    if draws.ndim != 1 or not draws.size or rows not in (1, draws.size):
+        raise ValueError(f"expected a draw for each of {rows} rows, or draws for one row; got {draws.shape}")
     probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
     cdf = probs.cumsum(axis=1)
     deviation = np.abs(cdf[:, -1] - 1.0)
@@ -158,8 +161,7 @@ def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarra
     outcomes = (cdf <= draws[:, None]).sum(axis=1)
     if outcomes.max() == 4:
         # a draw landed in the rounding slack above the last cumulative step
-        slack = outcomes == 4
-        outcomes[slack] = probs[slack].argmax(axis=1)
+        outcomes = np.where(outcomes == 4, probs.argmax(axis=1), outcomes)
     return outcomes, probs
 
 

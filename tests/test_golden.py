@@ -28,6 +28,11 @@ COMMANDS = {
     "run-seed-max": ["run", "--strategy", "cheat", "--reveal", "plus", "--pairs", "3",
                      "--trials", "300", "--bc-ops", "random-local", "--ancillas", "1",
                      "--seed", "18446744073709551615"],
+    # no receiver operations: the generator-free uniforms, over several chunks
+    "run-none-seed-max": ["run", "--strategy", "cheat", "--reveal", "plus", "--pairs", "3",
+                          "--trials", "3000", "--bc-ops", "none",
+                          "--seed", "18446744073709551615"],
+    "matrix-none": ["matrix", "--pairs", "8", "--trials", "1000", "--bc-ops", "none"],
     "hiding": ["hiding", "--pairs", "2", *HAAR],
     "selftest": ["selftest"],
     "selftest-20260819": ["selftest", "--seed", "20260819"],

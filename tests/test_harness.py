@@ -138,15 +138,21 @@ def _reference_stats(config):
 
 def _chunk_budget(config, per_chunk):
     """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all)."""
+    n = config.n_pairs
     width = protocol.op_width(config.bc_policy, config.m_ancillas)
-    per_trial = config.n_pairs * (2 ** (2 + config.m_ancillas) + (4**width if width else 0))
+    # without receiver operations a chunk holds only its draws and outcomes
+    per_trial = n * (2 ** (2 + config.m_ancillas) + 4**width) if width else 2 * n
     return {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
 
 
 def _recording(measured, measure):
-    """``measure`` that also appends a copy of its states and draws to ``measured``."""
+    """``measure`` that also appends a copy of its states and draws to ``measured``.
+
+    A one-row register measured against many draws is recorded once per
+    draw, as the reference measures it.
+    """
     def wrapper(states, draws):
-        measured.append((states.copy(), draws.copy()))
+        measured.append((np.broadcast_to(states, (draws.size, states.shape[1])).copy(), draws.copy()))
         return measure(states, draws)
     return wrapper
 
@@ -266,14 +272,16 @@ class TestBatchedEngine:
         seen = []
 
         def recording(master_seed, indices, n):
-            seen.extend(indices.tolist())
+            seen.append(indices.tolist())
             return pcg64_uniforms(master_seed, indices, n)
 
         monkeypatch.setattr(harness, "pcg64_uniforms", recording)
-        # more trials than one block of generator-free uniforms
-        trials = 2 * harness._SEED_BLOCK + 5
+        # more trials than two receiver-free chunks of three pairs each
+        trials = 2 * (harness._CHUNK_ENTRIES // (2 * 3)) + 5
         assert acceptance_matrix(_config(n_pairs=3, trials=trials)).passed()
-        assert seen == list(range(trials))
+        # one call per chunk
+        assert len(seen) == 3
+        assert sum(seen, []) == list(range(trials))
 
     @pytest.mark.parametrize(
         "overrides",

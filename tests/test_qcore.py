@@ -15,6 +15,7 @@ from bellcommit.qcore import (
     PauliOp,
     StateVector,
     Unitary,
+    apply_rows,
     apply_unitary,
     bell_probabilities,
     measure_bell_pairs,
@@ -402,6 +403,19 @@ class TestHaarMeasure:
         assert abs((squares**2).mean() - 2) <= np.sqrt(20) * error
 
 
+class TestApplyRows:
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_one_row_against_a_stack_equals_the_tiled_row(self, width, first):
+        rng = np.random.default_rng(width)
+        row = random_state(first + width + 1, rng).amplitudes[None]
+        stack = random_unitaries(width, 5, rng)
+        got = apply_rows(row, stack, first)
+        want = apply_rows(np.tile(row, (5, 1)), stack, first)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inner products
 
@@ -468,6 +482,29 @@ class TestBellMeasurement:
         outcomes, probs = measure_bell_pairs(amps[None], np.array([0.9999999999999999]))
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
         assert outcomes.tolist() == [2]
+
+    @pytest.mark.parametrize("qubits", [2, 4])
+    def test_one_row_against_many_draws_equals_the_tiled_row(self, qubits):
+        if qubits == 2:
+            # the slack state above, so that one draw lands in its slack
+            amps = np.sqrt(0.3) * make_bell(BellLabel(0, 1)).amplitudes
+            amps += np.sqrt(0.7) * make_bell(BellLabel(1, 0)).amplitudes
+            amps *= np.sqrt(1 - 2e-14)
+        else:
+            amps = random_state(qubits, np.random.default_rng(5)).amplitudes
+        draws = np.append(np.random.default_rng(qubits).random(40), [0.0, 0.9999999999999999])
+        outcomes, probs = measure_bell_pairs(amps[None], draws)
+        tiled_outcomes, tiled_probs = measure_bell_pairs(np.tile(amps, (draws.size, 1)), draws)
+        assert (outcomes.dtype, outcomes.shape) == (tiled_outcomes.dtype, tiled_outcomes.shape)
+        assert outcomes.tobytes() == tiled_outcomes.tobytes()
+        assert np.broadcast_to(probs, tiled_probs.shape).tobytes() == tiled_probs.tobytes()
+        if qubits == 2:
+            assert outcomes[-1] == 2 and len(set(outcomes.tolist())) == 2
+
+    def test_one_row_needs_at_least_one_draw(self):
+        # several rows need exactly one draw each: test_one_draw_per_row_is_required
+        with pytest.raises(ValueError):
+            measure_bell_pairs(basis_state(2, 0).amplitudes[None], np.empty(0))
 
     def test_embedded_pair_with_offset(self):
         state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
