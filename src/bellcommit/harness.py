@@ -9,9 +9,13 @@ trials run, and reports are byte-reproducible.
 ``_execute_trial`` runs one trial step by step; it is the reference.
 Experiments run on a batched engine with the same results bit for bit. It
 makes the reference's draws in the reference's order and runs each protocol
-step once over a bounded chunk of trials. Without receiver operations a
-trial's draws are its first uniforms, which :mod:`.seeding` computes for a
-whole chunk at once with no generator; each such run checks its first trial
+step once over a bounded chunk of trials. Without receiver operations the
+outcome of each register is often certain: without ancillas every
+register's Bell probabilities have exactly one nonzero entry, even in
+floating point. Every draw then measures that label, so such a run makes no
+draws at all and needs no generator. Otherwise a receiver-free trial's draws
+are its first uniforms, which :mod:`.seeding` computes for a whole chunk at
+once with no generator; each run that draws them checks its first trial
 against NumPy's own generator, so a change to NumPy's seeding fails loudly
 instead of changing a report. A register before the receiver acts is one
 row: the receiver's apply broadcasts it to every pair, and without receiver
@@ -63,6 +67,7 @@ from .qcore import (
     BellLabel,
     PauliOp,
     apply_rows,
+    bell_pair_probabilities,
     measure_bell_pairs,
     random_unitaries,
     receiver_states,
@@ -215,11 +220,19 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     its own announced label from that measurement. A register starts as
     one row, which the receiver's apply broadcasts to every pair of the
     chunk; without receiver operations it stays one row, built once per run
-    and measured against every draw of the chunk.
+    and measured against every draw of the chunk. If, without receiver
+    operations, every register has exactly one nonzero outcome probability,
+    the run makes no draws and no chunks: each register's probabilities,
+    computed once, are its smallest ones, and its one label accepts every
+    trial.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
         raise ValueError("configs run in one pass must agree on " + ", ".join(_SHARED_FIELDS))
+    # accept counts are int64, and so is every index of pairs and trials on a
+    # path that draws; a path that makes no draws refuses what they cannot hold too
+    if max(config.n_pairs, config.trials) >= 2**63:
+        raise OverflowError("pairs and trials must each be below 2**63")
     n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
     rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
@@ -247,6 +260,17 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
 
     # per register and Bell label: accepted trials, smallest probability
     accepts = np.zeros((len(prepared), len(BELL_LABELS)), dtype=np.int64)
+    if not width:
+        probs = bell_pair_probabilities(np.concatenate([row for row, _ in prepared]))
+        certain = probs != 0
+        if (certain.sum(axis=1) == 1).all():
+            # Every draw measures the one label k with nonzero p, so no draw
+            # is made. The cumulative walk is 0 before k and p from k on, so
+            # a draw u in [0, 1) passes the k zeros and stops at k, or, if
+            # u >= p, passes all four and the slack rule takes argmax = k.
+            # The reference gets these stats under any seed and any seeding.
+            accepts[certain] = config.trials
+            return _cell_stats(config, cells, accepts, probs)
     low = np.full((len(prepared), len(BELL_LABELS)), math.inf)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
@@ -267,6 +291,11 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             np.minimum(low[group], probs.min(axis=0), out=low[group])
         # so that the next chunk's draws are made without this chunk's arrays
         del draws, uniforms, outcomes, unanimous
+    return _cell_stats(config, cells, accepts, low)
+
+
+def _cell_stats(config: ExperimentConfig, cells, accepts: np.ndarray, low: np.ndarray) -> list[DetectionStats]:
+    """One ``DetectionStats`` per ``(register, label)`` cell, from the per-register tables."""
     accepts, low = accepts.tolist(), low.tolist()
     return [
         DetectionStats(config.trials, accepts[g][a], accepts[g][a] / config.trials, low[g][a])

@@ -6,10 +6,14 @@ protocol relies on holds exactly up to rounding.
 
 The kernel works on plain arrays: ``(rows, dim)`` registers, one per row,
 and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
-``BELL`` table, :func:`apply_rows`, :func:`measure_bell_pairs`,
-:func:`receiver_states`, :func:`trace_distances`, :func:`random_unitary`,
-:func:`random_unitaries` and :meth:`PauliOp.matrix`. Every production path
-runs through it, and none constructs an oracle object.
+``BELL`` table, :func:`apply_rows`, :func:`bell_pair_probabilities`,
+:func:`measure_bell_pairs`, :func:`receiver_states`, :func:`trace_distances`,
+:func:`random_unitary`, :func:`random_unitaries` and :meth:`PauliOp.matrix`.
+:func:`measure_bell_pairs` samples the probabilities that
+:func:`bell_pair_probabilities` computes and checks, so a caller that needs
+no samples, such as a register whose outcome is certain, gets the same
+probabilities and the same check without draws. Every production path runs
+through it, and none constructs an oracle object.
 
 The reference oracle is the one-register object layer: :class:`StateVector`,
 :class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
@@ -137,6 +141,25 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
     return out
 
 
+def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
+    """The ``(rows, 4)`` Bell outcome probabilities of qubits (0, 1) of every row.
+
+    Each row is as :func:`bell_probabilities` would give it. Raises
+    ValueError if any row's probabilities leave a sum of 1 by more than
+    ATOL_ACCUM.
+    """
+    rows = states.shape[0]
+    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
+    # summed in label order, as the inverse-CDF walk sums them
+    totals = probs.cumsum(axis=1)[:, -1]
+    deviation = np.abs(totals - 1.0)
+    # written so that NaN fails too
+    if not deviation.max() <= ATOL_ACCUM:
+        total = float(totals[deviation.argmax()])
+        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
+    return probs
+
+
 def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective Bell-basis measurement of qubits (0, 1) of ``states``, once per draw.
 
@@ -150,13 +173,8 @@ def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarra
     rows = states.shape[0]
     if draws.ndim != 1 or not draws.size or rows not in (1, draws.size):
         raise ValueError(f"expected a draw for each of {rows} rows, or draws for one row; got {draws.shape}")
-    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
+    probs = bell_pair_probabilities(states)
     cdf = probs.cumsum(axis=1)
-    deviation = np.abs(cdf[:, -1] - 1.0)
-    # written so that NaN fails too
-    if not deviation.max() <= ATOL_ACCUM:
-        total = float(cdf[deviation.argmax(), -1])
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     # the first label whose cumulative probability exceeds the draw
     outcomes = (cdf <= draws[:, None]).sum(axis=1)
     if outcomes.max() == 4:

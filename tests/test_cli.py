@@ -141,15 +141,45 @@ class TestInvalidConfigurations:
         _assert_one_line_error(result.returncode, result.stdout, result.stderr)
         assert "Traceback" not in result.stderr
 
+    # certain outcomes need no draw, so a --bc-ops none run makes no array
+    # of its pairs or trials; only the int64 counts can refuse them
+    @pytest.mark.parametrize("counts", [["--pairs", str(2**63), "--trials", "1"],
+                                        ["--trials", str(2**63)]], ids=["pairs", "trials"])
     @pytest.mark.parametrize("command", ["run", "matrix"])
-    def test_pairs_beyond_int64_exits_two(self, command, capsys):
-        code, out, err = _run([command, "--pairs", str(2**63), "--trials", "1"], capsys)
+    def test_counts_beyond_int64_exit_two(self, command, counts, capsys):
+        code, out, err = _run([command, "--bc-ops", "none", *counts], capsys)
         _assert_one_line_error(code, out, err)
+        assert err == "error: too large to run: pairs and trials must each be below 2**63\n"
 
     def test_unknown_flag_value_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run", "--strategy", "sneaky"])
         assert excinfo.value.code == 2
+
+
+class TestCertainOutcomes:
+    def test_default_matrix_never_imports_numpy_random(self):
+        # every receiver-free outcome without ancillas is certain, so the run
+        # makes no draw and needs no generator, not even for a seeding check
+        script = (
+            "import sys\n"
+            "from bellcommit import cli\n"
+            "code = cli.main(['matrix'])\n"
+            "sys.stderr.write(f\"{code} {'numpy.random' in sys.modules}\\n\")\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=120)
+        assert result.stderr == "0 False\n"
+        assert "result  PASS" in result.stdout
+
+    def test_the_largest_int64_trial_count_runs(self, capsys):
+        trials = 2**63 - 1
+        code, out, _ = _run(["run", "--bc-ops", "none", "--trials", str(trials), "--format", "json"],
+                            capsys)
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["trials"] == stats["accepts"] == trials
+        assert stats["acceptance_rate"] == 1.0
 
 
 class TestMatrixCommand:

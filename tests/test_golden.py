@@ -28,11 +28,16 @@ COMMANDS = {
     "run-seed-max": ["run", "--strategy", "cheat", "--reveal", "plus", "--pairs", "3",
                      "--trials", "300", "--bc-ops", "random-local", "--ancillas", "1",
                      "--seed", "18446744073709551615"],
-    # no receiver operations: the generator-free uniforms, over several chunks
+    # no receiver operations and no ancilla: every outcome is certain, and
+    # the run makes no draws
     "run-none-seed-max": ["run", "--strategy", "cheat", "--reveal", "plus", "--pairs", "3",
                           "--trials", "3000", "--bc-ops", "none",
                           "--seed", "18446744073709551615"],
     "matrix-none": ["matrix", "--pairs", "8", "--trials", "1000", "--bc-ops", "none"],
+    # an ancilla leaves the receiver-free outcomes uncertain, so this run
+    # draws its generator-free uniforms, over three chunks
+    "matrix-none-ancilla-seed-max": ["matrix", "--pairs", "3", "--trials", "700", "--bc-ops", "none",
+                                     "--ancillas", "1", "--seed", "18446744073709551615"],
     "hiding": ["hiding", "--pairs", "2", *HAAR],
     "selftest": ["selftest"],
     "selftest-20260819": ["selftest", "--seed", "20260819"],

@@ -146,15 +146,47 @@ def _chunk_budget(config, per_chunk):
 
 
 def _recording(measured, measure):
-    """``measure`` that also appends a copy of its states and draws to ``measured``.
+    """``measure`` that also appends a copy of its states, draws and outcomes to ``measured``.
 
     A one-row register measured against many draws is recorded once per
     draw, as the reference measures it.
     """
     def wrapper(states, draws):
-        measured.append((np.broadcast_to(states, (draws.size, states.shape[1])).copy(), draws.copy()))
-        return measure(states, draws)
+        outcomes, probs = measure(states, draws)
+        measured.append((np.broadcast_to(states, (draws.size, states.shape[1])).copy(), draws.copy(),
+                         outcomes.copy()))
+        return outcomes, probs
     return wrapper
+
+
+def _is_certain(policy, m):
+    """Whether a run's every Bell outcome is certain, so that the engine makes no draws.
+
+    Without receiver operations an ancilla-free register's probabilities have
+    one nonzero entry; with ancillas a residue of about 5e-34 is left, and the
+    run draws.
+    """
+    return policy is BCPolicy.NONE and m == 0
+
+
+def _assert_certain(measured):
+    """Every recorded state has one nonzero outcome probability, at the label it measured."""
+    assert measured
+    for states, _, outcomes in measured:
+        probs = qcore.bell_pair_probabilities(states)
+        assert ((probs != 0).sum(axis=1) == 1).all()
+        assert probs.argmax(axis=1).tolist() == outcomes.tolist()
+
+
+def _off_by_one_words(monkeypatch):
+    """Break ``seeding.pcg64_words``, which the generator-free uniforms are built from."""
+    words = seeding.pcg64_words
+
+    def off_by_one(master_seed, indices):
+        state_hi, state_lo, inc_hi, inc_lo = words(master_seed, indices)
+        return state_hi, state_lo + np.uint64(1), inc_hi, inc_lo
+
+    monkeypatch.setattr(seeding, "pcg64_words", off_by_one)
 
 
 def _counting(monkeypatch, *functions):
@@ -205,11 +237,19 @@ class TestBatchedEngine:
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(measured["reference"], protocol.measure_bell_pairs))
         want = _reference_stats(cfg)
+        # the engine's draws alone: the reference has made its own
+        draws = _counting(monkeypatch, (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
         # run_experiment refuses a control's config, so it goes to the engine
         got = harness._run_many(cfg)[0] if kind == "control" else run_experiment(cfg)
         assert got == want  # accepts and min_outcome_probability compared with ==
 
-        rows = [states.shape[0] for states, _ in measured["engine"]]
+        if _is_certain(policy, m):
+            # the reference's outcomes could not have been others
+            assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
+            assert measured["engine"] == []
+            _assert_certain(measured["reference"])
+            return
+        rows = [states.shape[0] for states, *_ in measured["engine"]]
         chunk = cfg.trials if per_chunk == "all" else per_chunk
         assert rows == [n_pairs * min(chunk, cfg.trials - first)
                         for first in range(0, cfg.trials, chunk)]
@@ -231,7 +271,12 @@ class TestBatchedEngine:
                             _recording(engine, harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
+        draws = _counting(monkeypatch, (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
         cells = acceptance_matrix(cfg).cells
+        certain = _is_certain(policy, m)
+        if certain:
+            assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
+            assert engine == []
         # the engine measures chunk by chunk, every distinct register in
         # turn, in the order the cells first prepare it
         registers = list(dict.fromkeys(map(_register, cells)))
@@ -239,6 +284,9 @@ class TestBatchedEngine:
         for cell in cells:
             reference.clear()
             assert cell.stats == _reference_stats(cell.config)
+            if certain:
+                _assert_certain(reference)
+                continue
             # each cell's states and draws must be its own reference's, bit for bit
             measured = engine[registers.index(_register(cell)) :: len(registers)]
             for position in (0, 1):
@@ -246,20 +294,28 @@ class TestBatchedEngine:
                 want = np.concatenate([record[position] for record in reference])
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0),
-                                          (BCPolicy.RANDOM_ENTANGLED, 1)])
+    @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.NONE, 1),
+                                          (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1)])
     def test_matrix_measures_each_distinct_register_once(self, policy, m, monkeypatch):
         cfg = _config(bc_policy=policy, m_ancillas=m, trials=9)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"))
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
+                          (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
         assert acceptance_matrix(cfg).passed()
         chunks = 2  # 9 trials, 7 to a chunk
-        if policy is BCPolicy.NONE:
-            # the four flipped registers are built once per run
-            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4}
+        if _is_certain(policy, m):
+            # the four flipped registers are built once per run, and their
+            # certain outcomes need no draw and no measurement
+            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4,
+                             "pcg64_uniforms": 0, "_trial_generator": 0}
+        elif policy is BCPolicy.NONE:
+            # one seeding check, against trial 0
+            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4,
+                             "pcg64_uniforms": chunks, "_trial_generator": 1}
         else:
             # per chunk: eight applies, four flips, eight undos
-            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks}
+            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks,
+                             "pcg64_uniforms": 0, "_trial_generator": cfg.trials}
 
     def test_matrix_draws_each_trial_once(self, monkeypatch):
         # all cells share each trial's generator and Haar draws
@@ -276,9 +332,10 @@ class TestBatchedEngine:
             return pcg64_uniforms(master_seed, indices, n)
 
         monkeypatch.setattr(harness, "pcg64_uniforms", recording)
-        # more trials than two receiver-free chunks of three pairs each
+        # more trials than two receiver-free chunks of three pairs each; one
+        # ancilla leaves the outcomes uncertain, so the run draws
         trials = 2 * (harness._CHUNK_ENTRIES // (2 * 3)) + 5
-        assert acceptance_matrix(_config(n_pairs=3, trials=trials)).passed()
+        assert acceptance_matrix(_config(n_pairs=3, trials=trials, m_ancillas=1)).passed()
         # one call per chunk
         assert len(seen) == 3
         assert sum(seen, []) == list(range(trials))
@@ -293,12 +350,13 @@ class TestBatchedEngine:
             harness._run_many(_config(), _config(**overrides))
 
     @pytest.mark.parametrize(
-        "n_pairs,policy",
-        [(1, BCPolicy.NONE), (8, BCPolicy.NONE), (2, BCPolicy.RANDOM_LOCAL)],
+        "n_pairs,policy,m",
+        [(1, BCPolicy.NONE, 0), (8, BCPolicy.NONE, 0), (1, BCPolicy.NONE, 1), (8, BCPolicy.NONE, 1),
+         (2, BCPolicy.RANDOM_LOCAL, 0)],
     )
-    def test_memory_does_not_grow_with_trials(self, n_pairs, policy):
+    def test_memory_does_not_grow_with_trials(self, n_pairs, policy, m):
         def peak(trials):
-            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy)
+            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy, m_ancillas=m)
             run_experiment(cfg)  # caches filled outside the measurement
             tracemalloc.start()
             try:
@@ -309,10 +367,13 @@ class TestBatchedEngine:
 
         assert peak(8000) <= 1.1 * peak(1000)
 
-    @pytest.mark.parametrize("n_pairs,policy", [(8, BCPolicy.NONE), (2, BCPolicy.RANDOM_LOCAL)])
-    def test_matrix_memory_does_not_grow_with_trials(self, n_pairs, policy):
+    @pytest.mark.parametrize(
+        "n_pairs,policy,m",
+        [(8, BCPolicy.NONE, 0), (8, BCPolicy.NONE, 1), (2, BCPolicy.RANDOM_LOCAL, 0)],
+    )
+    def test_matrix_memory_does_not_grow_with_trials(self, n_pairs, policy, m):
         def peak(trials):
-            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy)
+            cfg = _config(n_pairs=n_pairs, trials=trials, bc_policy=policy, m_ancillas=m)
             acceptance_matrix(cfg)  # caches filled outside the measurement
             tracemalloc.start()
             try:
@@ -324,17 +385,20 @@ class TestBatchedEngine:
         assert peak(8000) <= 1.1 * peak(1000)
 
     def test_a_changed_numpy_seeding_stops_the_run(self, monkeypatch):
-        # the generator-free uniforms are built from these words; the Haar
-        # policies draw from NumPy's own generator and need no such check
-        words = seeding.pcg64_words
-
-        def off_by_one(master_seed, indices):
-            state_hi, state_lo, inc_hi, inc_lo = words(master_seed, indices)
-            return state_hi, state_lo + np.uint64(1), inc_hi, inc_lo
-
-        monkeypatch.setattr(seeding, "pcg64_words", off_by_one)
+        # the Haar policies draw from NumPy's own generator and need no such
+        # check; one ancilla leaves the outcomes uncertain, so the run draws
+        _off_by_one_words(monkeypatch)
         with pytest.raises(RuntimeError, match="seeding"):
-            run_experiment(_config(bc_policy=BCPolicy.NONE))
+            run_experiment(_config(bc_policy=BCPolicy.NONE, m_ancillas=1))
+
+    def test_a_changed_numpy_seeding_leaves_a_certain_run_exact(self, monkeypatch):
+        # certain outcomes do not depend on the draws, so a run that makes
+        # none gives the reference's stats under any seeding
+        _off_by_one_words(monkeypatch)
+        for kind in sorted(ENGINE_KINDS):
+            strategy, commit, reveal = ENGINE_KINDS[kind]
+            cfg = _config(strategy=strategy, commit_value=commit, reveal_value=reveal)
+            assert harness._run_many(cfg)[0] == _reference_stats(cfg)
 
 
 class TestSeeding:
@@ -512,9 +576,11 @@ class TestNoOracleObjects:
                     m_ancillas=1,
                 )
             ),
+            lambda: acceptance_matrix(_config()),
+            lambda: acceptance_matrix(_config(m_ancillas=1)),
             selftest,
         ],
-        ids=["cheat-random-entangled", "selftest"],
+        ids=["cheat-random-entangled", "matrix-certain", "matrix-none-ancilla", "selftest"],
     )
     def test_production_paths_build_no_oracle_object(self, work, monkeypatch):
         built = []

@@ -17,6 +17,7 @@ from bellcommit.qcore import (
     Unitary,
     apply_rows,
     apply_unitary,
+    bell_pair_probabilities,
     bell_probabilities,
     measure_bell_pairs,
     random_unitaries,
@@ -483,6 +484,30 @@ class TestBellMeasurement:
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
         assert outcomes.tolist() == [2]
 
+    @pytest.mark.parametrize("index", range(len(BELL_LABELS)))
+    def test_a_bell_row_yields_its_label_for_every_draw(self, index):
+        # the premise of the receiver-free engine: one nonzero probability p,
+        # and every uniform in [0, 1), from 0 up to the largest, measures its
+        # label; draws from p on take the rounding slack to argmax
+        probs = bell_pair_probabilities(BELL[index : index + 1])
+        p = probs[0, index]
+        assert np.flatnonzero(probs[0]).tolist() == [index]
+        draws = [0.0, 2**-53, np.nextafter(p, 0), *([p] if p < 1 else []), 1 - 2**-53]
+        outcomes, measured = measure_bell_pairs(BELL[index : index + 1], np.array(draws))
+        assert outcomes.tolist() == [index] * len(draws)
+        assert measured.tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("qubits", [2, 3, 4])
+    def test_probabilities_equal_the_measured_ones_bytewise(self, qubits):
+        rng = np.random.default_rng(qubits)
+        states = np.stack([random_state(qubits, rng).amplitudes for _ in range(9)])
+        probs = bell_pair_probabilities(states)
+        assert probs.shape == (9, 4)
+        _, measured = measure_bell_pairs(states, rng.random(9))
+        assert probs.tobytes() == measured.tobytes()
+        for row, state in zip(probs, states):
+            assert np.abs(row - bell_probabilities(StateVector(qubits, state), (0, 1))).max() <= ATOL_EXACT
+
     @pytest.mark.parametrize("qubits", [2, 4])
     def test_one_row_against_many_draws_equals_the_tiled_row(self, qubits):
         if qubits == 2:
@@ -535,6 +560,8 @@ class TestBellMeasurement:
         states[1] *= scale
         with pytest.raises(ValueError):
             measure_bell_pairs(states, np.random.default_rng(0).random(2))
+        with pytest.raises(ValueError, match="sum to"):
+            bell_pair_probabilities(states)
 
 
 # ---------------------------------------------------------------------------
