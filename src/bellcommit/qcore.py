@@ -13,7 +13,12 @@ and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
 :func:`bell_pair_probabilities` computes and checks, so a caller that needs
 no samples, such as a register whose outcome is certain, gets the same
 probabilities and the same check without draws. Every production path runs
-through it, and none constructs an oracle object.
+through it, and none constructs an oracle object. :func:`random_unitary`
+calls the two LAPACK steps of ``np.linalg.qr`` (zgeqrf, then zungqr) through
+NumPy's own gufuncs and reads R's diagonal from zgeqrf's output; it skips
+only the wrapper's copies and checks, so its draws are byte-equal to
+``np.linalg.qr``'s, and :func:`random_unitaries` checks every stack for
+unitarity.
 
 The reference oracle is the one-register object layer: :class:`StateVector`,
 :class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Identities that are exact up to rounding check against ATOL_EXACT; anything
 # that accumulates floating-point arithmetic gets the looser ATOL_ACCUM.
@@ -201,18 +207,34 @@ def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarr
     """Haar-distributed ``(d, d)`` unitary matrix on ``num_target_qubits`` qubits.
 
     Complex Ginibre matrix, QR factorization, then a diagonal phase
-    correction so the distribution is exactly Haar. Intended for small
-    blocks (a few qubits). Unchecked: :func:`random_unitaries` checks its
-    stacks.
+    correction so the distribution is exactly Haar (Mezzadri, Notices AMS
+    54, 592, 2007). Intended for small blocks (a few qubits). Unchecked:
+    :func:`random_unitaries` checks its stacks.
+
+    The QR runs as the two LAPACK steps that ``np.linalg.qr`` itself calls,
+    without its wrapper: zgeqrf (``qr_r_raw``) overwrites the Ginibre matrix
+    with R above its diagonal and the Householder reflectors below it, and
+    zungqr (``qr_reduced``) builds Q from them. Only R's diagonal is read,
+    straight from zgeqrf's output. The wrapper's copy, type checks and
+    ``triu`` change no value, so every draw is byte-equal to
+    ``np.linalg.qr`` on the same matrix; the tests check this.
     """
     if num_target_qubits < 1:
         raise ValueError("need at least one target qubit")
     dim = 2**num_target_qubits
-    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    # the same normals as two (dim, dim) draws, real parts first
+    normals = rng.standard_normal((2, dim, dim))
+    # the same bytes as (real + 1j * imag) / sqrt(2), which adds a signed
+    # zero to each part: it differs only for a normal of exactly -0.0
+    ginibre = np.empty((dim, dim), complex)
+    ginibre.real = normals[0]
+    ginibre.imag = normals[1]
+    ginibre /= np.sqrt(2.0)
+    tau = _umath_linalg.qr_r_raw(ginibre, signature="D->D")
+    q = _umath_linalg.qr_reduced(ginibre, tau, signature="DD->D")
+    diagonal = ginibre.diagonal()
+    q *= diagonal / np.abs(diagonal)
+    return q
 
 
 def random_unitaries(num_target_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,3 +64,17 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimensions differ: {a.shape} vs {b.shape}")
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def haar_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary through the public ``np.linalg.qr``, with the phase fix on R's diagonal.
+
+    The same normals from ``rng`` as :func:`bellcommit.qcore.random_unitary`,
+    which calls NumPy's LAPACK steps directly and must give the same bytes.
+    """
+    dim = 2**num_target_qubits
+    ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bellcommit import cli, harness, protocol, qcore, seeding
+from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.harness import (
     AcceptanceMatrix,
     ConfigError,
@@ -159,14 +160,26 @@ def _recording(measured, measure):
     return wrapper
 
 
-def _is_certain(policy, m):
-    """Whether a run's every Bell outcome is certain, so that the engine makes no draws.
+def _is_certain(*configs):
+    """Whether the engine runs ``configs`` without draws, by the engine's own rule.
 
-    Without receiver operations an ancilla-free register's probabilities have
-    one nonzero entry; with ancillas a residue of about 5e-34 is left, and the
-    run draws.
+    Without receiver operations, each register the configs prepare must have
+    exactly one nonzero Bell outcome probability. The registers are built here
+    through the protocol's own steps. On OpenBLAS's AVX-512 kernel that holds
+    without ancillas; with ancillas its complex gemm leaves a residue of about
+    5e-34 at one label, and the run draws.
     """
-    return policy is BCPolicy.NONE and m == 0
+    if any(config.bc_policy is not BCPolicy.NONE for config in configs):
+        return False
+    for config in configs:
+        if config.strategy is Strategy.CHEAT:
+            session = alice_commit_cheating(1, config.m_ancillas)
+            alice_reveal_cheat(session, config.reveal_value)
+        else:
+            session = alice_commit(config.commit_value, 1, config.m_ancillas)
+        if (qcore.bell_pair_probabilities(session.states) != 0).sum() != 1:
+            return False
+    return True
 
 
 def _assert_certain(measured):
@@ -243,7 +256,7 @@ class TestBatchedEngine:
         got = harness._run_many(cfg)[0] if kind == "control" else run_experiment(cfg)
         assert got == want  # accepts and min_outcome_probability compared with ==
 
-        if _is_certain(policy, m):
+        if _is_certain(cfg):
             # the reference's outcomes could not have been others
             assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
             assert measured["engine"] == []
@@ -273,7 +286,7 @@ class TestBatchedEngine:
                             _recording(reference, protocol.measure_bell_pairs))
         draws = _counting(monkeypatch, (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
         cells = acceptance_matrix(cfg).cells
-        certain = _is_certain(policy, m)
+        certain = _is_certain(*(cell.config for cell in cells))
         if certain:
             assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
             assert engine == []
@@ -301,9 +314,10 @@ class TestBatchedEngine:
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
         calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
                           (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
-        assert acceptance_matrix(cfg).passed()
+        matrix = acceptance_matrix(cfg)
+        assert matrix.passed()
         chunks = 2  # 9 trials, 7 to a chunk
-        if _is_certain(policy, m):
+        if _is_certain(*(cell.config for cell in matrix.cells)):
             # the four flipped registers are built once per run, and their
             # certain outcomes need no draw and no measurement
             assert calls == {"measure_bell_pairs": 0, "apply_rows": 4,

@@ -28,6 +28,7 @@ from bellcommit.qcore import (
 from reference import (
     basis_state,
     fidelity,
+    haar_unitary,
     inner_product,
     make_bell,
     random_state,
@@ -311,6 +312,15 @@ class TestRandomUnitary:
         with pytest.raises(ValueError):
             random_unitary(0, np.random.default_rng(0))
 
+    # random_unitary calls NumPy's private QR gufuncs; if NumPy renames or
+    # changes them, this fails instead of a report changing
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_public_qr_bytes(self, k):
+        for seed in [*range(100), 2**64 - 1]:
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_unitary(k, rng).tobytes() == haar_unitary(k, oracle_rng).tobytes(), seed
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
 
 def _off_unitarity(defect):
     """A stand-in for ``qcore.random_unitary`` whose draws are not unitary."""
@@ -360,6 +370,22 @@ class TestRandomUnitaries:
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_public_qr_draws(self, k):
+        rng, oracle_rng = np.random.default_rng(2**64 - 1), np.random.default_rng(2**64 - 1)
+        want = np.stack([haar_unitary(k, oracle_rng) for _ in range(8)])
+        assert random_unitaries(k, 8, rng).tobytes() == want.tobytes()
+
+    def test_nan_normals_are_refused_with_warnings_off(self):
+        # np.linalg.qr's errstate is gone from the draw: with every
+        # floating-point warning off, the stack's own check still refuses NaN
+        class NanNormals:
+            def standard_normal(self, shape):
+                return np.full(shape, np.nan)
+
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^a Haar draw is not unitary$"):
+            random_unitaries(2, 3, NanNormals())
 
     # the match keeps apply_rows' norm check from standing in for this one
     @pytest.mark.parametrize("defect", ["nan", "scaled-column"])
