@@ -9,24 +9,21 @@ trials run, and reports are byte-reproducible.
 ``_execute_trial`` runs one trial step by step; it is the reference.
 Experiments run on a batched engine with the same results bit for bit. It
 makes the reference's draws in the reference's order and runs each protocol
-step once over a bounded chunk of trials. Without receiver operations the
-outcome of each register is often certain: without ancillas every
-register's Bell probabilities have exactly one nonzero entry, even in
-floating point. Every draw then measures that label, so such a run makes no
-draws at all and needs no generator. Otherwise a receiver-free trial's draws
-are its first uniforms, which :mod:`.seeding` computes for a whole chunk at
-once with no generator; each run that draws them checks its first trial
-against NumPy's own generator, so a change to NumPy's seeding fails loudly
-instead of changing a report. A register before the receiver acts is one
-row: the receiver's apply broadcasts it to every pair, and without receiver
-operations it is measured as that one row against all of a chunk's draws,
-so such a chunk is sized by its draws alone. With Haar draws each trial
-draws from its own NumPy generator, as the reference does. Experiments that
-share their draws share the pass: the acceptance matrix draws each trial
-once, and all its cells run on the same receiver operations and measurement
-draws. Cells that hold the same register, set by the commit value and the
-cheat's flip, share its measurement, so the matrix's 20 cells measure 8
-registers.
+step once over a bounded chunk of trials, each trial drawing from its own
+NumPy generator, as the reference does. Without receiver operations the
+outcome of each register is certain: its Bell probabilities have exactly one
+nonzero entry, even in floating point, because
+:func:`.qcore.bell_pair_probabilities` calls no BLAS. Every draw then
+measures that label, so such a run makes no draws at all and needs no
+generator. Were a receiver-free register ever not certain, the run would
+draw as the reference does and measure the register as one row against all
+of a chunk's draws, so such a chunk is sized by its draws alone. With
+receiver operations a register is one row until the receiver's apply
+broadcasts it to every pair. Experiments that share their draws share the
+pass: the acceptance matrix draws each trial once, and all its cells run on
+the same receiver operations and measurement draws. Cells that hold the same
+register, set by the commit value and the cheat's flip, share its
+measurement, so the matrix's 20 cells measure 8 registers.
 
 One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
 at the cell's own ``config.tolerance``. ``run``, ``matrix`` and selftest's
@@ -73,7 +70,6 @@ from .qcore import (
     receiver_states,
     trace_distances,
 )
-from .seeding import pcg64_uniforms
 
 # Two states of the receiving side's view are "identical" below this.
 HIDING_THRESHOLD = 1e-12
@@ -175,34 +171,28 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 # plus receiver unitaries (at least one trial), so memory stays flat in trials.
 # Without receiver operations each register is one row, built once per run,
 # and a chunk holds only its draws: two entries per pair, its uniform and its
-# outcome. One such chunk is one call of pcg64_uniforms.
+# outcome.
 _CHUNK_ENTRIES = 2**11
-_SEEDING_CHANGED = "NumPy's SeedSequence or PCG64 seeding has changed"
 
 
 def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
     """Per chunk of trials: the receiver unitaries (``None`` if there are none)
-    and the ``(count, n_pairs)`` measurement draws, in the reference's order."""
+    and the ``(count, n_pairs)`` measurement draws, in the reference's order.
+
+    Each trial draws from its own generator: its Haar unitaries, if any, then
+    one uniform per pair.
+    """
     seed, n, trials = config.master_seed, config.n_pairs, config.trials
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
-        if not width:
-            # the draws are each trial's first n uniforms, so they come
-            # straight from the PCG64 arithmetic
-            draws = pcg64_uniforms(seed, np.arange(first, first + count, dtype=np.uint64), n)
-            if first == 0 and draws[0].tobytes() != _trial_generator(seed, 0).random(n).tobytes():
-                raise RuntimeError(_SEEDING_CHANGED)
-            yield None, draws
-            continue
-        # the uniforms follow the Haar draws' normals, whose count varies, so
-        # each trial draws from its own generator
         draws = np.empty((count, n))
         matrices = []
         for t in range(count):
             rng = _trial_generator(seed, first + t)
-            matrices.append(random_unitaries(width, n, rng))
+            if width:
+                matrices.append(random_unitaries(width, n, rng))
             draws[t] = rng.random(n)
-        yield np.concatenate(matrices), draws
+        yield np.concatenate(matrices) if width else None, draws
 
 
 # configs run in one pass agree on what their draws depend on, and on tolerance
@@ -268,7 +258,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             # is made. The cumulative walk is 0 before k and p from k on, so
             # a draw u in [0, 1) passes the k zeros and stops at k, or, if
             # u >= p, passes all four and the slack rule takes argmax = k.
-            # The reference gets these stats under any seed and any seeding.
+            # The reference gets these stats under any seed.
             accepts[certain] = config.trials
             return _cell_stats(config, cells, accepts, probs)
     low = np.full((len(prepared), len(BELL_LABELS)), math.inf)
@@ -495,7 +485,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     record("flip-commutation", worst <= 1e-12, f"max amplitude delta {worst:.3e}")
 
     # Measuring a prepared Bell state returns its label with certainty.
-    probs = (np.abs(BELL.conj() @ BELL[:, :, None]) ** 2).sum(axis=2)
+    probs = bell_pair_probabilities(BELL)
     worst = float(probs.diagonal().min())
     record("measurement-certainty", worst >= 1 - tolerance, f"min outcome probability {worst!r}")
 

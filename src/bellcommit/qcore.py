@@ -20,6 +20,14 @@ only the wrapper's copies and checks, so its draws are byte-equal to
 ``np.linalg.qr``'s, and :func:`random_unitaries` checks every stack for
 unitarity.
 
+The Bell amplitudes are contracted with ``np.einsum``, which calls no BLAS.
+A BLAS complex gemm may round a label that should have probability 0 to a
+residue such as 5e-34, and whether it does depends on which kernel the BLAS
+picks at run time. ``np.einsum`` gives exact zeros there, so a register that
+can have only one outcome, such as every receiver-free register of the
+protocol, has exactly one nonzero probability on every kernel, and the
+reference oracle's :func:`bell_probabilities` uses the same contraction.
+
 The reference oracle is the one-register object layer: :class:`StateVector`,
 :class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
 steps through one register at a time with validated values and any target
@@ -155,7 +163,8 @@ def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
     ATOL_ACCUM.
     """
     rows = states.shape[0]
-    probs = (np.abs(_BELL_BASIS_CONJ @ states.reshape(rows, 4, -1)) ** 2).sum(axis=2)
+    amplitudes = np.einsum("lk,rka->rla", _BELL_BASIS_CONJ, states.reshape(rows, 4, -1))
+    probs = (np.abs(amplitudes) ** 2).sum(axis=2)
     # summed in label order, as the inverse-CDF walk sums them
     totals = probs.cumsum(axis=1)[:, -1]
     deviation = np.abs(totals - 1.0)
@@ -365,5 +374,5 @@ def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     else:
         psi = state.amplitudes.reshape((2,) * n)
         psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
-    coeffs = _BELL_BASIS_CONJ @ psi
+    coeffs = np.einsum("lk,ka->la", _BELL_BASIS_CONJ, psi)
     return (np.abs(coeffs) ** 2).sum(axis=1)

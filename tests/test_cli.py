@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -158,17 +159,24 @@ class TestInvalidConfigurations:
 
 
 class TestCertainOutcomes:
-    def test_default_matrix_never_imports_numpy_random(self):
-        # every receiver-free outcome without ancillas is certain, so the run
-        # makes no draw and needs no generator, not even for a seeding check
+    # OpenBLAS picks a kernel for the host at run time unless
+    # OPENBLAS_CORETYPE names one: Haswell is an AVX2 kernel, Prescott SSE3
+    @pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+    @pytest.mark.parametrize("ancillas", [0, 1, 2])
+    def test_default_matrix_never_imports_numpy_random(self, ancillas, coretype):
+        # every receiver-free outcome is certain on every BLAS kernel, so the
+        # run makes no draw and needs no generator
         script = (
             "import sys\n"
             "from bellcommit import cli\n"
-            "code = cli.main(['matrix'])\n"
+            f"code = cli.main(['matrix', '--ancillas', '{ancillas}'])\n"
             "sys.stderr.write(f\"{code} {'numpy.random' in sys.modules}\\n\")\n"
         )
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                timeout=120)
+                                env=env, timeout=120)
         assert result.stderr == "0 False\n"
         assert "result  PASS" in result.stdout
 

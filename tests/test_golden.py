@@ -34,8 +34,8 @@ COMMANDS = {
                           "--trials", "3000", "--bc-ops", "none",
                           "--seed", "18446744073709551615"],
     "matrix-none": ["matrix", "--pairs", "8", "--trials", "1000", "--bc-ops", "none"],
-    # an ancilla leaves the receiver-free outcomes uncertain, so this run
-    # draws its generator-free uniforms, over three chunks
+    # with an ancilla too, every receiver-free outcome is certain, and the
+    # run makes no draws
     "matrix-none-ancilla-seed-max": ["matrix", "--pairs", "3", "--trials", "700", "--bc-ops", "none",
                                      "--ancillas", "1", "--seed", "18446744073709551615"],
     "hiding": ["hiding", "--pairs", "2", *HAAR],

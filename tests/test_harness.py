@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellcommit import cli, harness, protocol, qcore, seeding
+from bellcommit import cli, harness, protocol, qcore
 from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.harness import (
     AcceptanceMatrix,
@@ -27,7 +27,6 @@ from bellcommit.protocol import (
     bc_apply_operations,
 )
 from bellcommit.qcore import PauliOp, StateVector, Unitary, receiver_states
-from bellcommit.seeding import pcg64_uniforms
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
 
@@ -141,7 +140,8 @@ def _chunk_budget(config, per_chunk):
     """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all)."""
     n = config.n_pairs
     width = protocol.op_width(config.bc_policy, config.m_ancillas)
-    # without receiver operations a chunk holds only its draws and outcomes
+    # without receiver operations (a run whose outcomes are not all certain)
+    # a chunk holds only its draws and outcomes
     per_trial = n * (2 ** (2 + config.m_ancillas) + 4**width) if width else 2 * n
     return {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
 
@@ -165,9 +165,9 @@ def _is_certain(*configs):
 
     Without receiver operations, each register the configs prepare must have
     exactly one nonzero Bell outcome probability. The registers are built here
-    through the protocol's own steps. On OpenBLAS's AVX-512 kernel that holds
-    without ancillas; with ancillas its complex gemm leaves a residue of about
-    5e-34 at one label, and the run draws.
+    through the protocol's own steps. The probability kernel calls no BLAS, so
+    this holds for every receiver-free register, with or without ancillas, on
+    every BLAS kernel.
     """
     if any(config.bc_policy is not BCPolicy.NONE for config in configs):
         return False
@@ -189,17 +189,6 @@ def _assert_certain(measured):
         probs = qcore.bell_pair_probabilities(states)
         assert ((probs != 0).sum(axis=1) == 1).all()
         assert probs.argmax(axis=1).tolist() == outcomes.tolist()
-
-
-def _off_by_one_words(monkeypatch):
-    """Break ``seeding.pcg64_words``, which the generator-free uniforms are built from."""
-    words = seeding.pcg64_words
-
-    def off_by_one(master_seed, indices):
-        state_hi, state_lo, inc_hi, inc_lo = words(master_seed, indices)
-        return state_hi, state_lo + np.uint64(1), inc_hi, inc_lo
-
-    monkeypatch.setattr(seeding, "pcg64_words", off_by_one)
 
 
 def _counting(monkeypatch, *functions):
@@ -251,14 +240,14 @@ class TestBatchedEngine:
                             _recording(measured["reference"], protocol.measure_bell_pairs))
         want = _reference_stats(cfg)
         # the engine's draws alone: the reference has made its own
-        draws = _counting(monkeypatch, (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
+        draws = _counting(monkeypatch, (harness, "_trial_generator"))
         # run_experiment refuses a control's config, so it goes to the engine
         got = harness._run_many(cfg)[0] if kind == "control" else run_experiment(cfg)
         assert got == want  # accepts and min_outcome_probability compared with ==
 
         if _is_certain(cfg):
             # the reference's outcomes could not have been others
-            assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
+            assert draws == {"_trial_generator": 0}
             assert measured["engine"] == []
             _assert_certain(measured["reference"])
             return
@@ -284,11 +273,11 @@ class TestBatchedEngine:
                             _recording(engine, harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
-        draws = _counting(monkeypatch, (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
+        draws = _counting(monkeypatch, (harness, "_trial_generator"))
         cells = acceptance_matrix(cfg).cells
         certain = _is_certain(*(cell.config for cell in cells))
         if certain:
-            assert draws == {"pcg64_uniforms": 0, "_trial_generator": 0}
+            assert draws == {"_trial_generator": 0}
             assert engine == []
         # the engine measures chunk by chunk, every distinct register in
         # turn, in the order the cells first prepare it
@@ -313,23 +302,58 @@ class TestBatchedEngine:
         cfg = _config(bc_policy=policy, m_ancillas=m, trials=9)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
         calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
-                          (harness, "pcg64_uniforms"), (harness, "_trial_generator"))
+                          (harness, "_trial_generator"))
         matrix = acceptance_matrix(cfg)
         assert matrix.passed()
         chunks = 2  # 9 trials, 7 to a chunk
         if _is_certain(*(cell.config for cell in matrix.cells)):
             # the four flipped registers are built once per run, and their
             # certain outcomes need no draw and no measurement
-            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4,
-                             "pcg64_uniforms": 0, "_trial_generator": 0}
-        elif policy is BCPolicy.NONE:
-            # one seeding check, against trial 0
-            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4,
-                             "pcg64_uniforms": chunks, "_trial_generator": 1}
+            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4, "_trial_generator": 0}
         else:
             # per chunk: eight applies, four flips, eight undos
             assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks,
-                             "pcg64_uniforms": 0, "_trial_generator": cfg.trials}
+                             "_trial_generator": cfg.trials}
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_an_uncertain_receiver_free_matrix_draws_as_the_reference(self, m, monkeypatch):
+        # a BLAS gemm can leave a 5e-34 residue at a label that should be 0;
+        # forced on the certainty check, it makes the run draw and measure,
+        # from each trial's own generator, exactly as the reference does
+        probabilities = harness.bell_pair_probabilities
+
+        def with_residue(states):
+            probs = probabilities(states)
+            probs[np.arange(probs.shape[0]), (probs == 0).argmax(axis=1)] += 5e-34
+            return probs
+
+        monkeypatch.setattr(harness, "bell_pair_probabilities", with_residue)
+        cfg = _config(m_ancillas=m, trials=9)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
+        engine, reference = [], []
+        monkeypatch.setattr(harness, "measure_bell_pairs",
+                            _recording(engine, harness.measure_bell_pairs))
+        monkeypatch.setattr(protocol, "measure_bell_pairs",
+                            _recording(reference, protocol.measure_bell_pairs))
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
+                          (harness, "_trial_generator"), (harness, "random_unitaries"))
+        matrix = acceptance_matrix(cfg)
+        chunks = 2  # 9 trials, 7 to a chunk
+        # the four flipped registers are built once per run, and each chunk
+        # measures the eight registers
+        assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4,
+                         "_trial_generator": cfg.trials, "random_unitaries": 0}
+        assert matrix.passed()
+        registers = list(dict.fromkeys(map(_register, matrix.cells)))
+        for cell in matrix.cells:
+            reference.clear()
+            assert cell.stats == _reference_stats(cell.config)
+            # the outcomes are certain whatever the draws, so check the draws too
+            measured = engine[registers.index(_register(cell)) :: len(registers)]
+            for position in (0, 1):
+                got = np.concatenate([record[position] for record in measured])
+                want = np.concatenate([record[position] for record in reference])
+                assert got.tobytes() == want.tobytes()
 
     def test_matrix_draws_each_trial_once(self, monkeypatch):
         # all cells share each trial's generator and Haar draws
@@ -337,22 +361,6 @@ class TestBatchedEngine:
         matrix = acceptance_matrix(_config(bc_policy=BCPolicy.RANDOM_LOCAL, n_pairs=3, trials=11))
         assert matrix.passed()
         assert calls == {"_trial_generator": 11, "random_unitary": 33}
-
-    def test_matrix_derives_each_trial_uniforms_once(self, monkeypatch):
-        seen = []
-
-        def recording(master_seed, indices, n):
-            seen.append(indices.tolist())
-            return pcg64_uniforms(master_seed, indices, n)
-
-        monkeypatch.setattr(harness, "pcg64_uniforms", recording)
-        # more trials than two receiver-free chunks of three pairs each; one
-        # ancilla leaves the outcomes uncertain, so the run draws
-        trials = 2 * (harness._CHUNK_ENTRIES // (2 * 3)) + 5
-        assert acceptance_matrix(_config(n_pairs=3, trials=trials, m_ancillas=1)).passed()
-        # one call per chunk
-        assert len(seen) == 3
-        assert sum(seen, []) == list(range(trials))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -397,51 +405,6 @@ class TestBatchedEngine:
                 tracemalloc.stop()
 
         assert peak(8000) <= 1.1 * peak(1000)
-
-    def test_a_changed_numpy_seeding_stops_the_run(self, monkeypatch):
-        # the Haar policies draw from NumPy's own generator and need no such
-        # check; one ancilla leaves the outcomes uncertain, so the run draws
-        _off_by_one_words(monkeypatch)
-        with pytest.raises(RuntimeError, match="seeding"):
-            run_experiment(_config(bc_policy=BCPolicy.NONE, m_ancillas=1))
-
-    def test_a_changed_numpy_seeding_leaves_a_certain_run_exact(self, monkeypatch):
-        # certain outcomes do not depend on the draws, so a run that makes
-        # none gives the reference's stats under any seeding
-        _off_by_one_words(monkeypatch)
-        for kind in sorted(ENGINE_KINDS):
-            strategy, commit, reveal = ENGINE_KINDS[kind]
-            cfg = _config(strategy=strategy, commit_value=commit, reveal_value=reveal)
-            assert harness._run_many(cfg)[0] == _reference_stats(cfg)
-
-
-class TestSeeding:
-    # carries out of the low word happen in the seeding and in every step
-    INDICES = [0, 1, 2, 255, 256, 12345, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7, 2**63, 2**64 - 1]
-
-    # the last n spans more than one jump of _JUMP_SPAN steps
-    @pytest.mark.parametrize("n", [1, 3, 8, 2 * seeding._JUMP_SPAN + 3])
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_uniforms_match_numpy_generator_draws(self, seed, n):
-        indices = self.INDICES + np.random.default_rng(seed % 97).integers(
-            0, 2**64, 40, dtype=np.uint64, endpoint=False
-        ).tolist()
-        got = pcg64_uniforms(seed, np.array(indices, dtype=np.uint64), n)
-        want = np.stack([
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))).random(n)
-            for i in indices
-        ])
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_words_match_numpy_seeded_state(self, seed):
-        # a broken hash step fails here, at the words, not only at the uniforms
-        words = seeding.pcg64_words(seed, np.array(self.INDICES, dtype=np.uint64))
-        for k, i in enumerate(self.INDICES):
-            state = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
-            halves = [state[key] >> shift & 0xFFFFFFFFFFFFFFFF
-                      for key in ("state", "inc") for shift in (64, 0)]
-            assert [int(word[k]) for word in words] == halves
 
 
 class TestAcceptanceMatrix:

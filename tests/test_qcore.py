@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from bellcommit import cli, qcore
 from bellcommit.harness import ExperimentConfig, Strategy, run_experiment
-from bellcommit.protocol import BCPolicy, CommitValue, alice_commit, bc_apply_operations
+from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
+from bellcommit.protocol import (
+    COMMIT_VALUES,
+    BCPolicy,
+    CommitValue,
+    alice_commit,
+    bc_apply_operations,
+    commit_label,
+)
 from bellcommit.qcore import (
     ATOL_ACCUM,
     ATOL_EXACT,
@@ -522,6 +530,22 @@ class TestBellMeasurement:
         outcomes, measured = measure_bell_pairs(BELL[index : index + 1], np.array(draws))
         assert outcomes.tolist() == [index] * len(draws)
         assert measured.tobytes() == probs.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_every_receiver_free_register_has_one_outcome(self, m):
+        # the premise of the engine's certain path: the four honest registers
+        # and the four cheat flips, built through the protocol's steps, have
+        # exactly one nonzero probability, with no BLAS residue off the label
+        registers = [(value, alice_commit(value, 1, m).states) for value in COMMIT_VALUES]
+        for value in COMMIT_VALUES:
+            session = alice_commit_cheating(1, m)
+            alice_reveal_cheat(session, value)
+            registers.append((value, session.states))
+        for value, states in registers:
+            probs = bell_pair_probabilities(states)
+            assert np.flatnonzero(probs).tolist() == [BELL_LABELS.index(commit_label(value))]
+            oracle = bell_probabilities(StateVector(2 + m, states[0]), (0, 1))
+            assert oracle.tobytes() == probs[0].tobytes()
 
     @pytest.mark.parametrize("qubits", [2, 3, 4])
     def test_probabilities_equal_the_measured_ones_bytewise(self, qubits):
