@@ -355,6 +355,23 @@ class TestBatchedEngine:
                 want = np.concatenate([record[position] for record in reference])
                 assert got.tobytes() == want.tobytes()
 
+    # SeedSequence hashes a seed below 2**32 as one word and a larger one as two
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_draws_equal_the_reference_at_every_seed_width(self, seed, monkeypatch):
+        cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS, trials=9,
+                      bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1, master_seed=seed)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
+        engine, reference = [], []
+        monkeypatch.setattr(harness, "measure_bell_pairs",
+                            _recording(engine, harness.measure_bell_pairs))
+        monkeypatch.setattr(protocol, "measure_bell_pairs",
+                            _recording(reference, protocol.measure_bell_pairs))
+        assert run_experiment(cfg) == _reference_stats(cfg)
+        for position in (0, 1):
+            got = np.concatenate([record[position] for record in engine])
+            want = np.concatenate([record[position] for record in reference])
+            assert got.tobytes() == want.tobytes()
+
     def test_matrix_draws_each_trial_once(self, monkeypatch):
         # all cells share each trial's generator and Haar draws
         calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))

@@ -531,21 +531,23 @@ class TestBellMeasurement:
         assert outcomes.tolist() == [index] * len(draws)
         assert measured.tobytes() == probs.tobytes()
 
+    @pytest.mark.parametrize("committer", ["honest", "cheat"])
+    @pytest.mark.parametrize("value", COMMIT_VALUES, ids=lambda value: value.value)
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_every_receiver_free_register_has_one_outcome(self, m):
-        # the premise of the engine's certain path: the four honest registers
-        # and the four cheat flips, built through the protocol's steps, have
-        # exactly one nonzero probability, with no BLAS residue off the label
-        registers = [(value, alice_commit(value, 1, m).states) for value in COMMIT_VALUES]
-        for value in COMMIT_VALUES:
+    def test_every_receiver_free_register_has_one_outcome(self, m, value, committer):
+        # the premise of the engine's certain path: each honest register and
+        # each cheat flip, built through the protocol's steps, has exactly
+        # one nonzero probability, with no BLAS residue off the label
+        if committer == "honest":
+            states = alice_commit(value, 1, m).states
+        else:
             session = alice_commit_cheating(1, m)
             alice_reveal_cheat(session, value)
-            registers.append((value, session.states))
-        for value, states in registers:
-            probs = bell_pair_probabilities(states)
-            assert np.flatnonzero(probs).tolist() == [BELL_LABELS.index(commit_label(value))]
-            oracle = bell_probabilities(StateVector(2 + m, states[0]), (0, 1))
-            assert oracle.tobytes() == probs[0].tobytes()
+            states = session.states
+        probs = bell_pair_probabilities(states)
+        assert np.flatnonzero(probs).tolist() == [BELL_LABELS.index(commit_label(value))]
+        oracle = bell_probabilities(StateVector(2 + m, states[0]), (0, 1))
+        assert oracle.tobytes() == probs[0].tobytes()
 
     @pytest.mark.parametrize("qubits", [2, 3, 4])
     def test_probabilities_equal_the_measured_ones_bytewise(self, qubits):
