@@ -7,19 +7,18 @@ generator state, so aggregate results do not depend on the order in which
 trials run, and reports are byte-reproducible.
 
 ``_execute_trial`` runs one trial step by step; it is the reference.
-Experiments run on a batched engine with the same results bit for bit. It
-makes the reference's draws in the reference's order and runs each protocol
-step once over a bounded chunk of trials, each trial drawing from its own
-NumPy generator, as the reference does. Without receiver operations the
-outcome of each register is certain: its Bell probabilities have exactly one
-nonzero entry, even in floating point, because
-:func:`.qcore.bell_pair_probabilities` calls no BLAS. Every draw then
-measures that label, so such a run makes no draws at all and needs no
-generator. Were a receiver-free register ever not certain, the run would
-draw as the reference does and measure the register as one row against all
-of a chunk's draws, so such a chunk is sized by its draws alone. With
-receiver operations a register is one row until the receiver's apply
-broadcasts it to every pair. Experiments that share their draws share the
+Experiments run on a batched engine with the same results bit for bit, which
+has two paths. Without receiver operations the outcome of each register is
+certain: its Bell probabilities have exactly one nonzero entry, even in
+floating point, because :func:`.qcore.bell_pair_probabilities` calls no BLAS.
+Every draw then measures that label, so such a run makes no draws at all and
+needs no generator. With receiver operations the engine makes the
+reference's draws in the reference's order and runs each protocol step once
+over a bounded chunk of trials, each trial drawing from its own NumPy
+generator, as the reference does; a register is one row until the receiver's
+apply broadcasts it to every pair. Were a receiver-free register ever not
+certain, the run would take neither path: each experiment would run the
+reference trial by trial. Experiments that share their draws share the
 pass: the acceptance matrix draws each trial once, and all its cells run on
 the same receiver operations and measurement draws. Cells that hold the same
 register, set by the commit value and the cheat's flip, share its
@@ -169,18 +168,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 
 # A chunk of trials holds at most this many complex entries of state rows
 # plus receiver unitaries (at least one trial), so memory stays flat in trials.
-# Without receiver operations each register is one row, built once per run,
-# and a chunk holds only its draws: two entries per pair, its uniform and its
-# outcome.
 _CHUNK_ENTRIES = 2**11
 
 
 def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
-    """Per chunk of trials: the receiver unitaries (``None`` if there are none)
-    and the ``(count, n_pairs)`` measurement draws, in the reference's order.
+    """Per chunk of trials: the receiver unitaries and the ``(count, n_pairs)``
+    measurement draws, in the reference's order.
 
-    Each trial draws from its own generator: its Haar unitaries, if any, then
-    one uniform per pair.
+    Each trial draws from its own generator: its Haar unitaries, then one
+    uniform per pair.
     """
     seed, n, trials = config.master_seed, config.n_pairs, config.trials
     for first in range(0, trials, chunk):
@@ -189,10 +185,19 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         matrices = []
         for t in range(count):
             rng = _trial_generator(seed, first + t)
-            if width:
-                matrices.append(random_unitaries(width, n, rng))
+            matrices.append(random_unitaries(width, n, rng))
             draws[t] = rng.random(n)
-        yield np.concatenate(matrices) if width else None, draws
+        yield np.concatenate(matrices), draws
+
+
+def _stepwise_stats(config: ExperimentConfig) -> DetectionStats:
+    """``config``'s stats from ``_execute_trial``, one trial at a time, in flat memory."""
+    accepts, low = 0, math.inf
+    for trial in range(config.trials):
+        accept, probability = _execute_trial(config, trial)
+        accepts += accept
+        low = min(low, probability)
+    return DetectionStats(config.trials, accepts, accepts / config.trials, low)
 
 
 # configs run in one pass agree on what their draws depend on, and on tolerance
@@ -203,18 +208,18 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     """All trials of every config, in one pass over the draws they share.
 
     One ``DetectionStats`` per config; the same results as ``_execute_trial``,
-    bit for bit. Each chunk's draws and undo matrices are made once. A
-    register before measurement is set by the commit value and the cheat's
-    flip alone, so configs that agree on both share one register: it runs
-    apply, flip, undo and measurement once per chunk, and every config reads
-    its own announced label from that measurement. A register starts as
-    one row, which the receiver's apply broadcasts to every pair of the
-    chunk; without receiver operations it stays one row, built once per run
-    and measured against every draw of the chunk. If, without receiver
-    operations, every register has exactly one nonzero outcome probability,
-    the run makes no draws and no chunks: each register's probabilities,
-    computed once, are its smallest ones, and its one label accepts every
-    trial.
+    bit for bit. A register before measurement is set by the commit value and
+    the cheat's flip alone, so configs that agree on both share one register,
+    and every config reads its own announced label from that register's
+    measurement. Without receiver operations each register is one row,
+    flipped once per run; if every one has exactly one nonzero outcome
+    probability, the run makes no draws and no chunks: each register's
+    probabilities, computed once, are its smallest ones, and its one label
+    accepts every trial. If one has more, each config runs the reference.
+    With receiver operations each chunk's draws and undo matrices are made
+    once, and each register runs apply, flip, undo and measurement once per
+    chunk: it starts as one row, which the receiver's apply broadcasts to
+    every pair of the chunk.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -226,8 +231,6 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
     rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
-    per_trial = n * (rows[config.commit_value].shape[1] + 4**width) if width else 2 * n
-    chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
 
     # one register per (commit value, flip); an honest commit has no flip,
     # which keeps it apart from the cheat's identity flip
@@ -239,40 +242,35 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
         group = registers.setdefault((c.commit_value, flip), len(registers))
         cells.append((group, BELL_LABELS.index(commit_label(c.reveal_value))))
-    prepared = []
-    for value, flip in registers:
-        row, matrix = rows[value], None if flip is None else flip.matrix()
-        if matrix is not None and not width:
-            # with no receiver operations to come first, the flipped register
-            # is the same in every chunk
-            row, matrix = apply_rows(row, matrix, 0), None
-        prepared.append((row, matrix))
 
     # per register and Bell label: accepted trials, smallest probability
-    accepts = np.zeros((len(prepared), len(BELL_LABELS)), dtype=np.int64)
+    accepts = np.zeros((len(registers), len(BELL_LABELS)), dtype=np.int64)
     if not width:
-        probs = bell_pair_probabilities(np.concatenate([row for row, _ in prepared]))
+        states = [rows[value] if flip is None else apply_rows(rows[value], flip.matrix(), 0)
+                  for value, flip in registers]
+        probs = bell_pair_probabilities(np.concatenate(states))
         certain = probs != 0
-        if (certain.sum(axis=1) == 1).all():
-            # Every draw measures the one label k with nonzero p, so no draw
-            # is made. The cumulative walk is 0 before k and p from k on, so
-            # a draw u in [0, 1) passes the k zeros and stops at k, or, if
-            # u >= p, passes all four and the slack rule takes argmax = k.
-            # The reference gets these stats under any seed.
-            accepts[certain] = config.trials
-            return _cell_stats(config, cells, accepts, probs)
-    low = np.full((len(prepared), len(BELL_LABELS)), math.inf)
+        if not (certain.sum(axis=1) == 1).all():
+            return [_stepwise_stats(c) for c in configs]
+        # Every draw measures the one label k with nonzero p, so no draw is
+        # made. The cumulative walk is 0 before k and p from k on, so a draw
+        # u in [0, 1) passes the k zeros and stops at k, or, if u >= p,
+        # passes all four and the slack rule takes argmax = k. The reference
+        # gets these stats under any seed.
+        accepts[certain] = config.trials
+        return _cell_stats(config, cells, accepts, probs)
+    per_trial = n * (rows[config.commit_value].shape[1] + 4**width)
+    chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
+    low = np.full((len(registers), len(BELL_LABELS)), math.inf)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
-        undo = None if ops is None else np.ascontiguousarray(ops.conj().swapaxes(1, 2))
+        undo = np.ascontiguousarray(ops.conj().swapaxes(1, 2))
         uniforms = draws.reshape(-1)
-        for group, (states, flip) in enumerate(prepared):
-            if ops is not None:
-                states = apply_rows(states, ops, 1)
+        for group, (value, flip) in enumerate(registers):
+            states = apply_rows(rows[value], ops, 1)
             if flip is not None:
-                states = apply_rows(states, flip, 0)
-            if undo is not None:
-                states = apply_rows(states, undo, 1)
+                states = apply_rows(states, flip.matrix(), 0)
+            states = apply_rows(states, undo, 1)
             outcomes, probs = measure_bell_pairs(states, uniforms)
             outcomes = outcomes.reshape(count, n)
             # a trial accepts only the label that every one of its pairs measured

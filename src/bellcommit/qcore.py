@@ -10,10 +10,11 @@ and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
 :func:`measure_bell_pairs`, :func:`receiver_states`, :func:`trace_distances`,
 :func:`random_unitary`, :func:`random_unitaries` and :meth:`PauliOp.matrix`.
 :func:`measure_bell_pairs` samples the probabilities that
-:func:`bell_pair_probabilities` computes and checks, so a caller that needs
-no samples, such as a register whose outcome is certain, gets the same
-probabilities and the same check without draws. Every production path runs
-through it, and none constructs an oracle object. :func:`random_unitary`
+:func:`bell_pair_probabilities` computes and checks, one draw per row. The
+engine's certain path needs no samples: it reads each register's
+probabilities, with the same check, and makes no draws. Its Haar path and the
+step-by-step reference measure one draw per pair. Every production path runs
+through the kernel, and none constructs an oracle object. :func:`random_unitary`
 calls the two LAPACK steps of ``np.linalg.qr`` (zgeqrf, then zungqr) through
 NumPy's own gufuncs and reads R's diagonal from zgeqrf's output; it skips
 only the wrapper's copies and checks, so its draws are byte-equal to
@@ -176,18 +177,16 @@ def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
 
 
 def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projective Bell-basis measurement of qubits (0, 1) of ``states``, once per draw.
+    """Projective Bell-basis measurement of qubits (0, 1) of every row of ``states``, one draw each.
 
     ``states`` holds one register's amplitudes per row, and ``draws`` one
-    uniform draw in [0, 1) per row; a single row is measured against every
-    draw, its probabilities computed once. Each draw is sampled by inverse
-    CDF in BELL_LABELS order. Returns the outcome indices into BELL_LABELS,
-    one per draw, and the ``(rows, 4)`` outcome probabilities they were
-    sampled from, each row as :func:`bell_probabilities` would give it.
+    uniform draw in [0, 1) per row. Each draw is sampled by inverse CDF in
+    BELL_LABELS order. Returns the outcome indices into BELL_LABELS, one per
+    row, and the ``(rows, 4)`` outcome probabilities they were sampled from,
+    each row as :func:`bell_probabilities` would give it.
     """
-    rows = states.shape[0]
-    if draws.ndim != 1 or not draws.size or rows not in (1, draws.size):
-        raise ValueError(f"expected a draw for each of {rows} rows, or draws for one row; got {draws.shape}")
+    if draws.shape != states.shape[:1]:
+        raise ValueError(f"expected one draw for each of {states.shape[0]} rows, got {draws.shape}")
     probs = bell_pair_probabilities(states)
     cdf = probs.cumsum(axis=1)
     # the first label whose cumulative probability exceeds the draw

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,18 @@ from bellcommit import cli
 from bellcommit.harness import DetectionStats
 
 FAST = ["--pairs", "2", "--trials", "10"]
+
+
+def _child_env():
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``.
+
+    A child process then imports the ``bellcommit`` under test, not whichever
+    one the inherited environment finds.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _run(argv, capsys):
@@ -137,6 +150,7 @@ class TestInvalidConfigurations:
              "--bc-ops", "random-entangled", "--ancillas", "2"],
             capture_output=True,
             text=True,
+            env=_child_env(),
             timeout=60,
         )
         _assert_one_line_error(result.returncode, result.stdout, result.stderr)
@@ -172,7 +186,8 @@ class TestCertainOutcomes:
             f"code = cli.main(['matrix', '--ancillas', '{ancillas}'])\n"
             "sys.stderr.write(f\"{code} {'numpy.random' in sys.modules}\\n\")\n"
         )
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env = _child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
         if coretype is not None:
             env["OPENBLAS_CORETYPE"] = coretype
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -261,6 +276,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "bellcommit", "run", "--pairs", "1", "--trials", "2"],
             capture_output=True,
             text=True,
+            env=_child_env(),
             timeout=120,
         )
         assert result.returncode == 0

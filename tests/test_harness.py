@@ -137,25 +137,21 @@ def _reference_stats(config):
 
 
 def _chunk_budget(config, per_chunk):
-    """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all)."""
+    """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all).
+
+    Only a run with receiver operations is chunked.
+    """
     n = config.n_pairs
     width = protocol.op_width(config.bc_policy, config.m_ancillas)
-    # without receiver operations (a run whose outcomes are not all certain)
-    # a chunk holds only its draws and outcomes
-    per_trial = n * (2 ** (2 + config.m_ancillas) + 4**width) if width else 2 * n
+    per_trial = n * (2 ** (2 + config.m_ancillas) + 4**width)
     return {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
 
 
 def _recording(measured, measure):
-    """``measure`` that also appends a copy of its states, draws and outcomes to ``measured``.
-
-    A one-row register measured against many draws is recorded once per
-    draw, as the reference measures it.
-    """
+    """``measure`` that also appends a copy of its states, draws and outcomes to ``measured``."""
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
-        measured.append((np.broadcast_to(states, (draws.size, states.shape[1])).copy(), draws.copy(),
-                         outcomes.copy()))
+        measured.append((states.copy(), draws.copy(), outcomes.copy()))
         return outcomes, probs
     return wrapper
 
@@ -189,6 +185,23 @@ def _assert_certain(measured):
         probs = qcore.bell_pair_probabilities(states)
         assert ((probs != 0).sum(axis=1) == 1).all()
         assert probs.argmax(axis=1).tolist() == outcomes.tolist()
+
+
+def _force_a_residue(monkeypatch):
+    """Add a 5e-34 residue at one zero label of each row of the engine's certainty check.
+
+    A BLAS gemm can leave such a residue at a label that should be 0; the
+    engine's probability kernel calls no BLAS, so only this makes a
+    receiver-free register uncertain.
+    """
+    probabilities = harness.bell_pair_probabilities
+
+    def with_residue(states):
+        probs = probabilities(states)
+        probs[np.arange(probs.shape[0]), (probs == 0).argmax(axis=1)] += 5e-34
+        return probs
+
+    monkeypatch.setattr(harness, "bell_pair_probabilities", with_residue)
 
 
 def _counting(monkeypatch, *functions):
@@ -245,11 +258,15 @@ class TestBatchedEngine:
         got = harness._run_many(cfg)[0] if kind == "control" else run_experiment(cfg)
         assert got == want  # accepts and min_outcome_probability compared with ==
 
-        if _is_certain(cfg):
-            # the reference's outcomes could not have been others
-            assert draws == {"_trial_generator": 0}
+        if policy is BCPolicy.NONE:
+            # the engine measures nothing: a certain run makes no draws, and
+            # any other runs the reference, one generator per trial
+            certain = _is_certain(cfg)
+            assert draws == {"_trial_generator": 0 if certain else cfg.trials}
             assert measured["engine"] == []
-            _assert_certain(measured["reference"])
+            if certain:
+                # the reference's outcomes could not have been others
+                _assert_certain(measured["reference"])
             return
         rows = [states.shape[0] for states, *_ in measured["engine"]]
         chunk = cfg.trials if per_chunk == "all" else per_chunk
@@ -275,9 +292,12 @@ class TestBatchedEngine:
                             _recording(reference, protocol.measure_bell_pairs))
         draws = _counting(monkeypatch, (harness, "_trial_generator"))
         cells = acceptance_matrix(cfg).cells
+        receiver_free = policy is BCPolicy.NONE
         certain = _is_certain(*(cell.config for cell in cells))
-        if certain:
-            assert draws == {"_trial_generator": 0}
+        if receiver_free:
+            # the engine measures nothing: a certain run makes no draws, and
+            # any other runs the reference, one generator per trial and cell
+            assert draws == {"_trial_generator": 0 if certain else len(cells) * cfg.trials}
             assert engine == []
         # the engine measures chunk by chunk, every distinct register in
         # turn, in the order the cells first prepare it
@@ -286,8 +306,9 @@ class TestBatchedEngine:
         for cell in cells:
             reference.clear()
             assert cell.stats == _reference_stats(cell.config)
-            if certain:
-                _assert_certain(reference)
+            if receiver_free:
+                if certain:
+                    _assert_certain(reference)
                 continue
             # each cell's states and draws must be its own reference's, bit for bit
             measured = engine[registers.index(_register(cell)) :: len(registers)]
@@ -306,54 +327,44 @@ class TestBatchedEngine:
         matrix = acceptance_matrix(cfg)
         assert matrix.passed()
         chunks = 2  # 9 trials, 7 to a chunk
-        if _is_certain(*(cell.config for cell in matrix.cells)):
+        if policy is BCPolicy.NONE:
             # the four flipped registers are built once per run, and their
-            # certain outcomes need no draw and no measurement
-            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4, "_trial_generator": 0}
+            # certain outcomes need no draw and no measurement; were they not
+            # certain, each of the 20 cells would run the reference
+            draws = 0 if _is_certain(*(cell.config for cell in matrix.cells)) else 20 * cfg.trials
+            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4, "_trial_generator": draws}
         else:
             # per chunk: eight applies, four flips, eight undos
             assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks,
                              "_trial_generator": cfg.trials}
 
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_an_uncertain_receiver_free_matrix_draws_as_the_reference(self, m, monkeypatch):
-        # a BLAS gemm can leave a 5e-34 residue at a label that should be 0;
-        # forced on the certainty check, it makes the run draw and measure,
-        # from each trial's own generator, exactly as the reference does
-        probabilities = harness.bell_pair_probabilities
-
-        def with_residue(states):
-            probs = probabilities(states)
-            probs[np.arange(probs.shape[0]), (probs == 0).argmax(axis=1)] += 5e-34
-            return probs
-
-        monkeypatch.setattr(harness, "bell_pair_probabilities", with_residue)
+    def test_an_uncertain_receiver_free_matrix_runs_the_reference(self, m, monkeypatch):
+        _force_a_residue(monkeypatch)
         cfg = _config(m_ancillas=m, trials=9)
-        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
-        engine, reference = [], []
-        monkeypatch.setattr(harness, "measure_bell_pairs",
-                            _recording(engine, harness.measure_bell_pairs))
-        monkeypatch.setattr(protocol, "measure_bell_pairs",
-                            _recording(reference, protocol.measure_bell_pairs))
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
-                          (harness, "_trial_generator"), (harness, "random_unitaries"))
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"))
         matrix = acceptance_matrix(cfg)
-        chunks = 2  # 9 trials, 7 to a chunk
-        # the four flipped registers are built once per run, and each chunk
-        # measures the eight registers
-        assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 4,
-                         "_trial_generator": cfg.trials, "random_unitaries": 0}
+        assert calls == {"measure_bell_pairs": 0, "_execute_trial": 20 * cfg.trials}
         assert matrix.passed()
-        registers = list(dict.fromkeys(map(_register, matrix.cells)))
         for cell in matrix.cells:
-            reference.clear()
             assert cell.stats == _reference_stats(cell.config)
-            # the outcomes are certain whatever the draws, so check the draws too
-            measured = engine[registers.index(_register(cell)) :: len(registers)]
-            for position in (0, 1):
-                got = np.concatenate([record[position] for record in measured])
-                want = np.concatenate([record[position] for record in reference])
-                assert got.tobytes() == want.tobytes()
+
+    def test_an_uncertain_receiver_free_run_keeps_memory_flat(self, monkeypatch):
+        _force_a_residue(monkeypatch)
+
+        # the reference runs one trial at a time, so fewer trials than above;
+        # many pairs make each trial's arrays outweigh the allocator's noise
+        def peak(trials):
+            cfg = _config(n_pairs=256, trials=trials, m_ancillas=2)
+            run_experiment(cfg)  # caches filled outside the measurement
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 1.1 * peak(125)
 
     # SeedSequence hashes a seed below 2**32 as one word and a larger one as two
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])

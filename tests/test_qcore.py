@@ -527,9 +527,10 @@ class TestBellMeasurement:
         p = probs[0, index]
         assert np.flatnonzero(probs[0]).tolist() == [index]
         draws = [0.0, 2**-53, np.nextafter(p, 0), *([p] if p < 1 else []), 1 - 2**-53]
-        outcomes, measured = measure_bell_pairs(BELL[index : index + 1], np.array(draws))
+        rows = np.tile(BELL[index], (len(draws), 1))
+        outcomes, measured = measure_bell_pairs(rows, np.array(draws))
         assert outcomes.tolist() == [index] * len(draws)
-        assert measured.tobytes() == probs.tobytes()
+        assert measured.tobytes() == np.tile(probs, (len(draws), 1)).tobytes()
 
     @pytest.mark.parametrize("committer", ["honest", "cheat"])
     @pytest.mark.parametrize("value", COMMIT_VALUES, ids=lambda value: value.value)
@@ -560,29 +561,6 @@ class TestBellMeasurement:
         for row, state in zip(probs, states):
             assert np.abs(row - bell_probabilities(StateVector(qubits, state), (0, 1))).max() <= ATOL_EXACT
 
-    @pytest.mark.parametrize("qubits", [2, 4])
-    def test_one_row_against_many_draws_equals_the_tiled_row(self, qubits):
-        if qubits == 2:
-            # the slack state above, so that one draw lands in its slack
-            amps = np.sqrt(0.3) * make_bell(BellLabel(0, 1)).amplitudes
-            amps += np.sqrt(0.7) * make_bell(BellLabel(1, 0)).amplitudes
-            amps *= np.sqrt(1 - 2e-14)
-        else:
-            amps = random_state(qubits, np.random.default_rng(5)).amplitudes
-        draws = np.append(np.random.default_rng(qubits).random(40), [0.0, 0.9999999999999999])
-        outcomes, probs = measure_bell_pairs(amps[None], draws)
-        tiled_outcomes, tiled_probs = measure_bell_pairs(np.tile(amps, (draws.size, 1)), draws)
-        assert (outcomes.dtype, outcomes.shape) == (tiled_outcomes.dtype, tiled_outcomes.shape)
-        assert outcomes.tobytes() == tiled_outcomes.tobytes()
-        assert np.broadcast_to(probs, tiled_probs.shape).tobytes() == tiled_probs.tobytes()
-        if qubits == 2:
-            assert outcomes[-1] == 2 and len(set(outcomes.tolist())) == 2
-
-    def test_one_row_needs_at_least_one_draw(self):
-        # several rows need exactly one draw each: test_one_draw_per_row_is_required
-        with pytest.raises(ValueError):
-            measure_bell_pairs(basis_state(2, 0).amplitudes[None], np.empty(0))
-
     def test_embedded_pair_with_offset(self):
         state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
         probs = bell_probabilities(state, (1, 2))
@@ -594,8 +572,10 @@ class TestBellMeasurement:
             assert bell_probabilities(make_bell(label), (1, 0))[index] >= 1 - 1e-9
 
     @pytest.mark.parametrize("count", [0, 2, 4])
-    def test_one_draw_per_row_is_required(self, count):
-        states = np.stack([basis_state(2, 0).amplitudes] * 3)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_draw_per_row_is_required(self, rows, count):
+        # one row against several draws too: every draw needs its own row
+        states = np.stack([basis_state(2, 0).amplitudes] * rows)
         with pytest.raises(ValueError):
             measure_bell_pairs(states, np.full(count, 0.5))
 
