@@ -77,26 +77,22 @@ HIDING_THRESHOLD = 1e-12
 class Strategy(Enum):
     HONEST = "honest"
     CHEAT = "cheat"
+    CONTROL = "control"  # an honest commitment announced as another value
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-def _check_seed(master_seed: int) -> None:
-    if not 0 <= master_seed < 2**64:
-        raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-
-
-def _check_tolerance(tolerance: float) -> None:
-    # written so that NaN fails too
-    if not 0 < tolerance < 1:
-        raise ConfigError("tolerance must be a finite number strictly between 0 and 1")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a fixed scenario replayed over independent trials."""
+    """One experiment: a fixed scenario replayed over independent trials.
+
+    A config is checked when it is built: an inconsistent combination raises
+    :class:`ConfigError`, and pairs or trials of 2**63 or more raise
+    ``OverflowError``. An honest committer reveals what it committed, a
+    control announces another value, and a cheat prepares bit0.
+    """
 
     strategy: Strategy
     commit_value: CommitValue = CommitValue.BIT0
@@ -108,8 +104,7 @@ class ExperimentConfig:
     master_seed: int = 0
     tolerance: float = 1e-9
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on any inconsistent combination."""
+    def __post_init__(self) -> None:
         if self.n_pairs < 1:
             raise ConfigError("n_pairs must be at least 1")
         if self.trials < 1:
@@ -118,12 +113,21 @@ class ExperimentConfig:
             raise ConfigError(f"ancillas must be between 0 and {MAX_ANCILLAS}")
         if self.strategy is Strategy.HONEST and self.commit_value is not self.reveal_value:
             raise ConfigError("an honest committer can only reveal the committed value")
+        if self.strategy is Strategy.CONTROL and self.commit_value is self.reveal_value:
+            raise ConfigError("a control announces a value other than the committed one")
         if self.strategy is Strategy.CHEAT and self.commit_value is not CommitValue.BIT0:
             raise ConfigError("the cheating preparation is fixed to bit0")
         if self.bc_policy is BCPolicy.RANDOM_ENTANGLED and self.m_ancillas < 1:
             raise ConfigError("the random-entangled policy requires at least one ancilla")
-        _check_seed(self.master_seed)
-        _check_tolerance(self.tolerance)
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
+        # written so that NaN fails too
+        if not 0 < self.tolerance < 1:
+            raise ConfigError("tolerance must be a finite number strictly between 0 and 1")
+        # accept counts are int64, and so is every index of pairs and trials on
+        # a path that draws; a path that makes no draws refuses what they cannot hold too
+        if max(self.n_pairs, self.trials) >= 2**63:
+            raise OverflowError("pairs and trials must each be below 2**63")
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,8 @@ def _execute_trial(config: ExperimentConfig, trial_index: int) -> tuple[bool, fl
     """Accept flag and smallest announced outcome probability of one trial.
 
     The trial always announces ``config.reveal_value``. Only a cheat flips;
-    an honest committer whose reveal value differs from the commit value is
-    a control, which the verifier must reject.
+    a control commits honestly and announces another value, which the
+    verifier must reject.
     """
     rng = _trial_generator(config.master_seed, trial_index)
     if config.strategy is Strategy.CHEAT:
@@ -162,7 +166,6 @@ def _execute_trial(config: ExperimentConfig, trial_index: int) -> tuple[bool, fl
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
     """One end-to-end protocol run; bit-reproducible given (config, trial_index)."""
-    config.validate()
     return _execute_trial(config, trial_index)[0]
 
 
@@ -224,10 +227,6 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
         raise ValueError("configs run in one pass must agree on " + ", ".join(_SHARED_FIELDS))
-    # accept counts are int64, and so is every index of pairs and trials on a
-    # path that draws; a path that makes no draws refuses what they cannot hold too
-    if max(config.n_pairs, config.trials) >= 2**63:
-        raise OverflowError("pairs and trials must each be below 2**63")
     n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
     rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
@@ -293,7 +292,6 @@ def _cell_stats(config: ExperimentConfig, cells, accepts: np.ndarray, low: np.nd
 
 def run_experiment(config: ExperimentConfig) -> DetectionStats:
     """Aggregate ``config.trials`` independent trials."""
-    config.validate()
     return _run_many(config)[0]
 
 
@@ -309,11 +307,8 @@ class Cell:
 
     @property
     def kind(self) -> str:
-        """``cheat``, ``honest``, or ``control`` (honest, mismatched announcement)."""
-        config = self.config
-        if config.strategy is Strategy.HONEST and config.commit_value is not config.reveal_value:
-            return "control"
-        return config.strategy.value
+        """The strategy's value: ``cheat``, ``honest`` or ``control``."""
+        return self.config.strategy.value
 
     def passed(self) -> bool:
         """The verdict, judged at the cell's own ``config.tolerance``.
@@ -323,7 +318,7 @@ class Cell:
         within the tolerance of 1 before it was sampled.
         """
         stats = self.stats
-        if self.kind == "control":
+        if self.config.strategy is Strategy.CONTROL:
             return stats.accepts == 0
         return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - self.config.tolerance
 
@@ -358,23 +353,25 @@ class AcceptanceMatrix:
 def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     """Acceptance rates for every (strategy, commit, reveal) cell.
 
-    The cheat row prepares the fixed label and steers to each value. The
-    honest diagonal reveals what it committed; the controls are honest
-    commitments announced as another value, with no flip. All cells share
-    each trial's receiver operations and draws, drawn once: one receiver
-    history, four cheat reveals that all accept, and controls that reject.
-    The 20 cells hold 8 distinct registers (four cheat flips, four honest
-    values), and each is measured once for all the cells that hold it.
+    Every cell is ``base`` with its own strategy, commit and reveal. The
+    cheat row prepares the fixed label and steers to each value. The honest
+    diagonal reveals what it committed; the 12 controls commit honestly and
+    announce another value, with no flip. All cells share each trial's
+    receiver operations and draws, drawn once: one receiver history, four
+    cheat reveals that all accept, and controls that reject. The 20 cells
+    hold 8 distinct registers (four cheat flips, four honest values), and
+    each is measured once for all the cells that hold it.
     """
-    base.validate()
-    honest = replace(base, strategy=Strategy.HONEST)
     configs = [
         replace(base, strategy=Strategy.CHEAT, commit_value=CommitValue.BIT0, reveal_value=value)
         for value in COMMIT_VALUES
     ]
-    configs += [replace(honest, commit_value=value, reveal_value=value) for value in COMMIT_VALUES]
     configs += [
-        replace(honest, commit_value=commit, reveal_value=announce)
+        replace(base, strategy=Strategy.HONEST, commit_value=value, reveal_value=value)
+        for value in COMMIT_VALUES
+    ]
+    configs += [
+        replace(base, strategy=Strategy.CONTROL, commit_value=commit, reveal_value=announce)
         for commit in COMMIT_VALUES
         for announce in COMMIT_VALUES
         if commit is not announce
@@ -413,7 +410,6 @@ def hiding_report(base: ExperimentConfig) -> HidingReport:
     draws them, and applied to all four commit values; any distance above
     the threshold would mean the commitment leaks before the reveal.
     """
-    base.validate()
     width = op_width(base.bc_policy, base.m_ancillas)
     ops = random_unitaries(width, base.n_pairs, _trial_generator(base.master_seed, 0)) if width else None
     reduced = []
@@ -441,8 +437,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     pairs and 20 trials at ``master_seed`` and ``tolerance``. Each records
     whether every cell of its kind passed.
     """
-    _check_seed(master_seed)
-    _check_tolerance(tolerance)
+    base = ExperimentConfig(Strategy.HONEST, n_pairs=2, trials=20, master_seed=master_seed, tolerance=tolerance)
     checks: list[CheckResult] = []
 
     def record(name: str, passed, detail: str = "") -> None:
@@ -489,13 +484,6 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
 
     # One acceptance matrix per policy: honest runs and cheats accept for
     # every value, and mismatched announcements without the flip are rejected.
-    base = ExperimentConfig(
-        strategy=Strategy.HONEST,
-        n_pairs=2,
-        trials=20,
-        master_seed=master_seed,
-        tolerance=tolerance,
-    )
     cells = [
         cell
         for policy, m in ((BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1))

@@ -158,17 +158,24 @@ class TestInvalidConfigurations:
 
     # certain outcomes need no draw, so a --bc-ops none run makes no array
     # of its pairs or trials; only the int64 counts can refuse them
-    @pytest.mark.parametrize("counts", [["--pairs", str(2**63), "--trials", "1"],
-                                        ["--trials", str(2**63)]], ids=["pairs", "trials"])
-    @pytest.mark.parametrize("command", ["run", "matrix"])
-    def test_counts_beyond_int64_exit_two(self, command, counts, capsys):
-        code, out, err = _run([command, "--bc-ops", "none", *counts], capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--bc-ops", "none", *counts]
+         for command in ("run", "matrix")
+         for counts in (["--pairs", str(2**63), "--trials", "1"], ["--trials", str(2**63)])]
+        + [["hiding", "--bc-ops", policy, "--pairs", str(2**63)] for policy in ("none", "random-local")],
+        ids=["run-pairs", "run-trials", "matrix-pairs", "matrix-trials", "hiding-none", "hiding-random-local"],
+    )
+    def test_counts_beyond_int64_exit_two(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
         _assert_one_line_error(code, out, err)
         assert err == "error: too large to run: pairs and trials must each be below 2**63\n"
 
-    def test_unknown_flag_value_exits_two(self, capsys):
+    # control is a library strategy only: the CLI offers honest and cheat
+    @pytest.mark.parametrize("strategy", ["sneaky", "control"])
+    def test_unknown_flag_value_exits_two(self, strategy, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["run", "--strategy", "sneaky"])
+            cli.main(["run", "--strategy", strategy])
         assert excinfo.value.code == 2
 
 

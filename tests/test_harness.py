@@ -48,7 +48,7 @@ def _config(**overrides):
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
-        _config().validate()
+        _config()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -68,15 +68,21 @@ class TestConfigValidation:
             dict(tolerance=1.0),
             dict(tolerance=float("inf")),
             dict(tolerance=float("nan")),
+            dict(strategy=Strategy.CONTROL),  # a control announcing its commit
         ],
     )
     def test_rejects_inconsistent_combinations(self, overrides):
         with pytest.raises(ConfigError):
-            _config(**overrides).validate()
+            _config(**overrides)
+
+    @pytest.mark.parametrize("field", ["n_pairs", "trials"])
+    def test_counts_of_2_63_or_more_overflow(self, field):
+        with pytest.raises(OverflowError, match=r"^pairs and trials must each be below 2\*\*63$"):
+            _config(**{field: 2**63})
 
     def test_cheat_may_reveal_anything(self):
         for value in COMMIT_VALUES:
-            _config(strategy=Strategy.CHEAT, reveal_value=value).validate()
+            _config(strategy=Strategy.CHEAT, reveal_value=value)
 
 
 class TestRunTrial:
@@ -84,10 +90,6 @@ class TestRunTrial:
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS,
                       bc_policy=BCPolicy.RANDOM_LOCAL)
         assert run_trial(cfg, 3) == run_trial(cfg, 3)
-
-    def test_validates_config(self):
-        with pytest.raises(ConfigError):
-            run_trial(_config(trials=0), 0)
 
     def test_honest_trial_accepts(self):
         assert run_trial(_config(), 0) is True
@@ -227,7 +229,7 @@ def _register(cell):
 ENGINE_KINDS = {
     **{f"cheat-{value.value}": (Strategy.CHEAT, CommitValue.BIT0, value) for value in COMMIT_VALUES},
     "honest": (Strategy.HONEST, CommitValue.PLUS, CommitValue.PLUS),
-    "control": (Strategy.HONEST, CommitValue.BIT1, CommitValue.MINUS),
+    "control": (Strategy.CONTROL, CommitValue.BIT1, CommitValue.MINUS),
 }
 
 
@@ -254,9 +256,7 @@ class TestBatchedEngine:
         want = _reference_stats(cfg)
         # the engine's draws alone: the reference has made its own
         draws = _counting(monkeypatch, (harness, "_trial_generator"))
-        # run_experiment refuses a control's config, so it goes to the engine
-        got = harness._run_many(cfg)[0] if kind == "control" else run_experiment(cfg)
-        assert got == want  # accepts and min_outcome_probability compared with ==
+        assert run_experiment(cfg) == want  # accepts and min_outcome_probability compared with ==
 
         if policy is BCPolicy.NONE:
             # the engine measures nothing: a certain run makes no draws, and
@@ -399,6 +399,7 @@ class TestBatchedEngine:
         with pytest.raises(ValueError, match="agree"):
             harness._run_many(_config(), _config(**overrides))
 
+    # the none cases guard the certain path: at 2.5 KB peaks one float per trial fails them
     @pytest.mark.parametrize(
         "n_pairs,policy,m",
         [(1, BCPolicy.NONE, 0), (8, BCPolicy.NONE, 0), (1, BCPolicy.NONE, 1), (8, BCPolicy.NONE, 1),
@@ -417,6 +418,7 @@ class TestBatchedEngine:
 
         assert peak(8000) <= 1.1 * peak(1000)
 
+    # the none cases guard the certain path: at 11 KB peaks one float per trial fails them
     @pytest.mark.parametrize(
         "n_pairs,policy,m",
         [(8, BCPolicy.NONE, 0), (8, BCPolicy.NONE, 1), (2, BCPolicy.RANDOM_LOCAL, 0)],
@@ -463,6 +465,18 @@ class TestAcceptanceMatrix:
                                     min_outcome_probability=0.0)
         cells[-1] = replace(cells[-1], stats=one_accept)
         assert not AcceptanceMatrix(tuple(cells)).passed()
+
+    def test_cells_are_built_from_the_base_alone(self):
+        base = _config(bc_policy=BCPolicy.RANDOM_LOCAL, trials=9)
+        matrix = acceptance_matrix(base)
+        # a cheat base revealing minus has no valid honest copy: each cell comes from the base
+        cheat = replace(base, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
+        assert acceptance_matrix(cheat).cells == matrix.cells
+        # a control run alone gives the stats it has in the matrix
+        controls = [cell for cell in matrix.cells if cell.kind == "control"]
+        assert len(controls) == 12
+        for cell in controls:
+            assert run_experiment(cell.config) == cell.stats
 
     def test_passed_checks_outcome_probabilities(self):
         matrix = acceptance_matrix(_config(trials=5))
