@@ -5,9 +5,12 @@ Carlo experiment, that the committer of this scheme can postpone her choice
 and steer the commitment to any value at reveal time using only local Pauli
 operations, passing verification with probability 1, while the receiving
 side's view stays independent of the committed value.
+
+The top level is the protocol API; the state kernel and its reference
+oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -37,9 +40,7 @@ from .protocol import (
     BCPolicy,
     CommitmentSession,
     CommitValue,
-    Phase,
     ProtocolError,
-    RevealMessage,
     VerificationReport,
     alice_commit,
     alice_reveal_honest,
@@ -47,32 +48,10 @@ from .protocol import (
     commit_label,
     verify,
 )
-from .qcore import (
-    ATOL_ACCUM,
-    ATOL_EXACT,
-    BELL,
-    BELL_LABELS,
-    BellLabel,
-    PauliOp,
-    StateVector,
-    Unitary,
-    apply_rows,
-    apply_unitary,
-    bell_pair_probabilities,
-    bell_probabilities,
-    measure_bell_pairs,
-    random_unitaries,
-    random_unitary,
-    receiver_states,
-    trace_distances,
-)
+from .qcore import BellLabel, PauliOp
 
 __all__ = [
-    "ATOL_ACCUM",
-    "ATOL_EXACT",
     "BCPolicy",
-    "BELL",
-    "BELL_LABELS",
     "BellLabel",
     "CHEAT_START_LABEL",
     "COMMIT_VALUES",
@@ -88,34 +67,21 @@ __all__ = [
     "HidingReport",
     "MAX_ANCILLAS",
     "PauliOp",
-    "Phase",
     "ProtocolError",
-    "RevealMessage",
-    "StateVector",
     "Strategy",
-    "Unitary",
     "VerificationReport",
     "acceptance_matrix",
     "alice_commit",
     "alice_commit_cheating",
     "alice_reveal_cheat",
     "alice_reveal_honest",
-    "apply_rows",
-    "apply_unitary",
     "bc_apply_operations",
-    "bell_pair_probabilities",
-    "bell_probabilities",
     "commit_label",
     "hiding_report",
-    "measure_bell_pairs",
     "pauli_for_flip",
-    "random_unitaries",
-    "random_unitary",
-    "receiver_states",
     "run_experiment",
     "run_trial",
     "selftest",
-    "trace_distances",
     "verify",
     "__version__",
 ]

@@ -14,16 +14,14 @@ from __future__ import annotations
 from .protocol import (
     CommitmentSession,
     CommitValue,
-    Phase,
     ProtocolError,
-    RevealMessage,
     alice_commit,
     commit_label,
 )
 from .qcore import BellLabel, PauliOp, apply_rows
 
-# The scripted attack always starts from this preparation.
-CHEAT_START_LABEL = BellLabel(0, 0)
+# The scripted attack always starts from this preparation, bit0's coding.
+CHEAT_START_LABEL = commit_label(CommitValue.BIT0)
 
 
 def pauli_for_flip(src: BellLabel, dst: BellLabel) -> PauliOp:
@@ -43,17 +41,17 @@ def alice_commit_cheating(n_pairs: int, m_ancillas: int = 0) -> CommitmentSessio
     return alice_commit(CommitValue.BIT0, n_pairs, m_ancillas)
 
 
-def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> RevealMessage:
-    """Steer the pending session to ``target`` with local flips, then announce it.
+def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> BellLabel:
+    """Steer the pending session to ``target`` with local flips; return its label.
 
     The flip is computed from the fixed (0, 0) preparation and applied to the
     committer's qubit of every pair. Global phases are dropped; no check can
-    see them.
+    see them. The returned label is the announcement the verifier checks.
     """
-    if session.phase is not Phase.COMMITTED:
+    if session.revealed:
         raise ProtocolError("session was already revealed")
     # the committer's qubit is qubit 0 of every pair, where the flip acts
     flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).matrix()
     session.states = apply_rows(session.states, flip, 0)
-    session.phase = Phase.REVEALED
-    return RevealMessage(announced=commit_label(target))
+    session.revealed = True
+    return commit_label(target)

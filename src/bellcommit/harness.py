@@ -49,7 +49,6 @@ from .protocol import (
     MAX_ANCILLAS,
     BCPolicy,
     CommitValue,
-    RevealMessage,
     alice_commit,
     alice_reveal_honest,
     bc_apply_operations,
@@ -160,7 +159,7 @@ def _execute_trial(config: ExperimentConfig, trial_index: int) -> tuple[bool, fl
         session = alice_commit(config.commit_value, config.n_pairs, config.m_ancillas)
         bc_apply_operations(session, config.bc_policy, rng)
         alice_reveal_honest(session)
-    report = verify(session, RevealMessage(commit_label(config.reveal_value)), rng)
+    report = verify(session, commit_label(config.reveal_value), rng)
     return report.accept, min(report.announced_probabilities)
 
 
@@ -299,16 +298,12 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 class Cell:
     """One experiment and its statistics: one row of a report table.
 
+    Its kind is ``config.strategy``: a cheat, an honest commit or a control.
     :meth:`passed` is the one verdict on an acceptance experiment.
     """
 
     config: ExperimentConfig
     stats: DetectionStats
-
-    @property
-    def kind(self) -> str:
-        """The strategy's value: ``cheat``, ``honest`` or ``control``."""
-        return self.config.strategy.value
 
     def passed(self) -> bool:
         """The verdict, judged at the cell's own ``config.tolerance``.
@@ -327,23 +322,24 @@ class Cell:
 class AcceptanceMatrix:
     """Every cell at the same base settings: cheat row, honest diagonal, controls.
 
-    It passes when every cell does, each by :meth:`Cell.passed`.
+    Rows and columns follow :data:`.protocol.COMMIT_VALUES`. It passes when
+    every cell does, each by :meth:`Cell.passed`.
     """
 
     cells: tuple[Cell, ...]
-    values = COMMIT_VALUES
 
-    def rates(self, kind: str) -> list[float]:
-        return [cell.stats.acceptance_rate for cell in self.cells if cell.kind == kind]
+    def rates(self, strategy: Strategy) -> list[float]:
+        """The acceptance rates of the cells of ``strategy``, in cell order."""
+        return [cell.stats.acceptance_rate for cell in self.cells if cell.config.strategy is strategy]
 
     def grid_rates(self) -> list[list[float]]:
         """Honest and control rates, indexed ``[commit][announce]``."""
         grid = {
             (cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
             for cell in self.cells
-            if cell.kind != "cheat"
+            if cell.config.strategy is not Strategy.CHEAT
         }
-        return [[grid[(commit, announce)] for announce in self.values] for commit in self.values]
+        return [[grid[(commit, announce)] for announce in COMMIT_VALUES] for commit in COMMIT_VALUES]
 
     def passed(self) -> bool:
         """Every cell matches the exact prediction."""
@@ -385,14 +381,12 @@ class HidingReport:
 
     ``distances[a][b]`` is the maximum over pair indices of the trace
     distance between the receiving side's reduced states after committing
-    ``values[a]`` versus ``values[b]`` (the same receiver-side operations
-    applied to both). It passes when no distance exceeds ``threshold``,
-    which is always :data:`HIDING_THRESHOLD`.
+    ``COMMIT_VALUES[a]`` versus ``COMMIT_VALUES[b]`` (the same receiver-side
+    operations applied to both). It passes when no distance exceeds
+    :data:`HIDING_THRESHOLD`.
     """
 
-    values: tuple[CommitValue, ...]
     distances: tuple[tuple[float, ...], ...]
-    threshold = HIDING_THRESHOLD
 
     @property
     def max_distance(self) -> float:
@@ -400,7 +394,7 @@ class HidingReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_distance <= self.threshold
+        return self.max_distance <= HIDING_THRESHOLD
 
 
 def hiding_report(base: ExperimentConfig) -> HidingReport:
@@ -419,7 +413,7 @@ def hiding_report(base: ExperimentConfig) -> HidingReport:
             states = apply_rows(states, ops, 1)
         reduced.append(receiver_states(states))
     rows = tuple(tuple(float(trace_distances(a, b).max()) for b in reduced) for a in reduced)
-    return HidingReport(COMMIT_VALUES, rows)
+    return HidingReport(rows)
 
 
 @dataclass(frozen=True)
@@ -435,7 +429,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     The protocol checks read three acceptance matrices, one per receiver
     policy (none, random-local, random-entangled with one ancilla), of two
     pairs and 20 trials at ``master_seed`` and ``tolerance``. Each records
-    whether every cell of its kind passed.
+    whether every cell of its strategy passed.
     """
     base = ExperimentConfig(Strategy.HONEST, n_pairs=2, trials=20, master_seed=master_seed, tolerance=tolerance)
     checks: list[CheckResult] = []
@@ -489,12 +483,12 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
         for policy, m in ((BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1))
         for cell in acceptance_matrix(replace(base, bc_policy=policy, m_ancillas=m)).cells
     ]
-    for name, kind in (
-        ("honest-completeness", "honest"),
-        ("cheat-undetectability", "cheat"),
-        ("control-rejection", "control"),
+    for name, strategy in (
+        ("honest-completeness", Strategy.HONEST),
+        ("cheat-undetectability", Strategy.CHEAT),
+        ("control-rejection", Strategy.CONTROL),
     ):
-        record(name, all(cell.passed() for cell in cells if cell.kind == kind))
+        record(name, all(cell.passed() for cell in cells if cell.config.strategy is strategy))
 
     # The closed-form flip chooser reaches every label from every label.
     worst = 0.0

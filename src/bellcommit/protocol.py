@@ -5,9 +5,10 @@ single-qubit states) into N identically prepared Bell pairs. She keeps the
 first qubit of each pair and hands the second to the receiving side, which
 may apply arbitrary recorded unitaries to its qubits (optionally entangling
 them with ancillas) while the commitment is pending. At reveal time the
-committer announces one Bell label and hands over her kept qubits; the
-verifier undoes the recorded operations in reverse order and Bell-measures
-every pair, accepting only a unanimous match with the announcement.
+committer hands over her kept qubits, and the reveal returns the one Bell
+label she announces; the verifier undoes the recorded operations in reverse
+order and Bell-measures every pair, accepting only a unanimous match with
+that label.
 
 A session holds all its pairs as one ``(N, 2**(2+m))`` amplitude array, one
 row per pair. In every row qubit 0 belongs to the committer, qubit 1 to the
@@ -37,12 +38,7 @@ class CommitValue(Enum):
     MINUS = "minus"  # (|0> - |1>) / sqrt(2)
 
 
-COMMIT_VALUES: tuple[CommitValue, ...] = (
-    CommitValue.BIT0,
-    CommitValue.BIT1,
-    CommitValue.PLUS,
-    CommitValue.MINUS,
-)
+COMMIT_VALUES: tuple[CommitValue, ...] = tuple(CommitValue)
 
 _VALUE_TO_LABEL = {
     CommitValue.BIT0: BellLabel(0, 0),
@@ -53,11 +49,6 @@ _VALUE_TO_LABEL = {
 
 # Ancilla count per pair is a session parameter: default 0, at most 2.
 MAX_ANCILLAS = 2
-
-
-class Phase(Enum):
-    COMMITTED = "committed"
-    REVEALED = "revealed"
 
 
 class BCPolicy(Enum):
@@ -75,13 +66,6 @@ class ProtocolError(RuntimeError):
 def commit_label(value: CommitValue) -> BellLabel:
     """Coding table: the Bell label prepared for ``value``."""
     return _VALUE_TO_LABEL[value]
-
-
-@dataclass
-class RevealMessage:
-    """The committer's reveal: one announced label, kept qubits handed over."""
-
-    announced: BellLabel
 
 
 @dataclass
@@ -105,13 +89,14 @@ class CommitmentSession:
 
     ``states`` holds one row of amplitudes per pair. ``ops`` holds one
     ``(n_pairs, d, d)`` stack per receiver step, in the order applied, each
-    acting on qubits ``1 .. log2 d`` of its row.
+    acting on qubits ``1 .. log2 d`` of its row. ``revealed`` turns true
+    once, at the reveal; before it the session is committed.
     """
 
     committed: CommitValue
-    phase: Phase
     states: np.ndarray
     ops: list[np.ndarray] = field(default_factory=list)
+    revealed: bool = False
 
     @property
     def n_pairs(self) -> int:
@@ -140,7 +125,7 @@ def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> Commi
         raise ValueError(f"m_ancillas must be between 0 and {MAX_ANCILLAS}")
     row = _initial_row(commit_label(value), m_ancillas)
     states = np.broadcast_to(row, (n_pairs, row.size))
-    return CommitmentSession(value, Phase.COMMITTED, states)
+    return CommitmentSession(value, states)
 
 
 def op_width(policy: BCPolicy, m_ancillas: int) -> int:
@@ -161,7 +146,7 @@ def bc_apply_operations(
     order, and each pair's draw count is fixed, so the whole step is a pure
     function of the generator's seed.
     """
-    if session.phase is not Phase.COMMITTED:
+    if session.revealed:
         raise ProtocolError("receiver-side operations only apply while committed")
     if policy is BCPolicy.NONE:
         return session
@@ -173,33 +158,33 @@ def bc_apply_operations(
     return session
 
 
-def alice_reveal_honest(session: CommitmentSession) -> RevealMessage:
-    """Reveal phase: announce the committed label and hand over the kept qubits."""
-    if session.phase is not Phase.COMMITTED:
+def alice_reveal_honest(session: CommitmentSession) -> BellLabel:
+    """Reveal phase: hand over the kept qubits; return the announced, committed label."""
+    if session.revealed:
         raise ProtocolError("session was already revealed")
-    session.phase = Phase.REVEALED
-    return RevealMessage(announced=commit_label(session.committed))
+    session.revealed = True
+    return commit_label(session.committed)
 
 
 def verify(
-    session: CommitmentSession, reveal: RevealMessage, rng: np.random.Generator
+    session: CommitmentSession, announced: BellLabel, rng: np.random.Generator
 ) -> VerificationReport:
     """Verifier's acceptance test after the reveal.
 
     Per pair: undo the recorded receiver-side operations in reverse order,
     then Bell-measure qubits (0, 1). Accept iff every measured label equals
-    the announced one. Measurements consume one draw from ``rng`` per pair,
-    in pair order. The session is left as it was, so verifying it again
+    ``announced``, the label a reveal returns. Measurements consume one draw
+    from ``rng`` per pair, in pair order. The session is left as it was, so verifying it again
     with an equally seeded generator gives the same report.
     """
-    if session.phase is not Phase.REVEALED:
+    if not session.revealed:
         raise ProtocolError("verification requires a revealed session")
     states = session.states
     for ops in reversed(session.ops):
         states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
     outcomes, probs = measure_bell_pairs(states, rng.random(session.n_pairs))
     indices = outcomes.tolist()
-    announced_index = BELL_LABELS.index(reveal.announced)
+    announced_index = BELL_LABELS.index(announced)
     accept = set(indices) == {announced_index}
     per_pair = [BELL_LABELS[k] for k in indices]
     return VerificationReport(per_pair, accept, probs[:, announced_index].tolist())

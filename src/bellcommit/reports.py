@@ -33,13 +33,16 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .harness import (
+    HIDING_THRESHOLD,
     AcceptanceMatrix,
     Cell,
     CheckResult,
     DetectionStats,
     ExperimentConfig,
     HidingReport,
+    Strategy,
 )
+from .protocol import COMMIT_VALUES
 
 FORMATS = ("text", "json", "csv")
 
@@ -98,7 +101,7 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
     """One ``_CELL_FIELDS`` row per cell, in the given order."""
     return [
         (
-            cell.kind,
+            cell.config.strategy.value,
             cell.config.commit_value.value,
             cell.config.reveal_value.value,
             cell.config.bc_policy.value,
@@ -139,14 +142,14 @@ def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
     ok = matrix.passed()
     rows = cell_rows(matrix.cells)
     summary = {
-        "cheat_min_rate": min(matrix.rates("cheat")),
-        "honest_min_rate": min(matrix.rates("honest")),
-        "control_max_rate": max(matrix.rates("control")),
+        "cheat_min_rate": min(matrix.rates(Strategy.CHEAT)),
+        "honest_min_rate": min(matrix.rates(Strategy.HONEST)),
+        "control_max_rate": max(matrix.rates(Strategy.CONTROL)),
         "passed": ok,
     }
     section = {
-        "values": [value.value for value in matrix.values],
-        "cheat_rates": matrix.rates("cheat"),
+        "values": [value.value for value in COMMIT_VALUES],
+        "cheat_rates": matrix.rates(Strategy.CHEAT),
         "grid_rates": matrix.grid_rates(),
         "rows": [dict(zip(_CELL_FIELDS, row)) for row in rows],
         "passed": ok,
@@ -172,8 +175,8 @@ def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
 
 def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
     ok = report.passed
-    names = [value.value for value in report.values]
-    summary = {"max_distance": report.max_distance, "threshold": report.threshold, "passed": ok}
+    names = [value.value for value in COMMIT_VALUES]
+    summary = {"max_distance": report.max_distance, "threshold": HIDING_THRESHOLD, "passed": ok}
     section = {
         "values": names,
         "distances": [list(row) for row in report.distances],
@@ -191,7 +194,7 @@ def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
     lines += [
         "",
         f"max distance  {report.max_distance:.3e}",
-        f"threshold     {report.threshold:.3e}",
+        f"threshold     {HIDING_THRESHOLD:.3e}",
         f"result        {_verdict(ok)}",
     ]
     return Report(

@@ -11,7 +11,6 @@ from bellcommit.protocol import (
     COMMIT_VALUES,
     BCPolicy,
     CommitValue,
-    Phase,
     ProtocolError,
     alice_commit,
     alice_reveal_honest,
@@ -158,9 +157,9 @@ class TestCheatingReveal:
         session = alice_commit_cheating(3, m_ancillas=m)
         rng = _rng(101)
         bc_apply_operations(session, policy, rng)
-        reveal = alice_reveal_cheat(session, target)
-        assert reveal.announced == commit_label(target)
-        report = verify(session, reveal, rng)
+        announced = alice_reveal_cheat(session, target)
+        assert announced == commit_label(target)
+        report = verify(session, announced, rng)
         assert report.accept
         assert min(report.announced_probabilities) >= 1 - 1e-9
 
@@ -192,7 +191,7 @@ class TestCheatingReveal:
     def test_moves_session_to_revealed(self):
         session = alice_commit_cheating(1)
         alice_reveal_cheat(session, CommitValue.PLUS)
-        assert session.phase is Phase.REVEALED
+        assert session.revealed is True
 
     def test_double_reveal_raises(self):
         session = alice_commit_cheating(1)

@@ -440,7 +440,7 @@ class TestBatchedEngine:
 class TestAcceptanceMatrix:
     def test_small_matrix_matches_predictions(self):
         matrix = acceptance_matrix(_config(trials=10))
-        assert matrix.rates("cheat") == [1.0, 1.0, 1.0, 1.0]
+        assert matrix.rates(Strategy.CHEAT) == [1.0, 1.0, 1.0, 1.0]
         grid = matrix.grid_rates()
         for i in range(4):
             for j in range(4):
@@ -459,8 +459,8 @@ class TestAcceptanceMatrix:
     def test_passed_flags_an_accepting_control(self):
         matrix = acceptance_matrix(_config(trials=5))
         cells = list(matrix.cells)
-        kinds = [cell.kind for cell in cells]
-        assert kinds == ["cheat"] * 4 + ["honest"] * 4 + ["control"] * 12
+        kinds = [cell.config.strategy for cell in cells]
+        assert kinds == [Strategy.CHEAT] * 4 + [Strategy.HONEST] * 4 + [Strategy.CONTROL] * 12
         one_accept = DetectionStats(trials=5, accepts=1, acceptance_rate=0.2,
                                     min_outcome_probability=0.0)
         cells[-1] = replace(cells[-1], stats=one_accept)
@@ -473,7 +473,7 @@ class TestAcceptanceMatrix:
         cheat = replace(base, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
         assert acceptance_matrix(cheat).cells == matrix.cells
         # a control run alone gives the stats it has in the matrix
-        controls = [cell for cell in matrix.cells if cell.kind == "control"]
+        controls = [cell for cell in matrix.cells if cell.config.strategy is Strategy.CONTROL]
         assert len(controls) == 12
         for cell in controls:
             assert run_experiment(cell.config) == cell.stats
@@ -498,7 +498,7 @@ class TestHidingReport:
     def test_distances_below_threshold(self, policy, m):
         report = hiding_report(_config(bc_policy=policy, m_ancillas=m))
         assert report.passed
-        assert report.max_distance <= report.threshold
+        assert report.max_distance <= harness.HIDING_THRESHOLD
         for i in range(4):
             assert report.distances[i][i] == 0.0
 

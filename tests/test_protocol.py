@@ -9,9 +9,7 @@ from bellcommit.protocol import (
     MAX_ANCILLAS,
     BCPolicy,
     CommitValue,
-    Phase,
     ProtocolError,
-    RevealMessage,
     alice_commit,
     alice_reveal_honest,
     bc_apply_operations,
@@ -62,7 +60,7 @@ class TestCommit:
         for value in COMMIT_VALUES:
             session = alice_commit(value, 3)
             want = make_bell(commit_label(value)).amplitudes
-            assert session.phase is Phase.COMMITTED
+            assert session.revealed is False
             assert session.committed is value
             assert session.n_pairs == 3
             assert session.states.shape == (3, 4)
@@ -195,9 +193,9 @@ class TestRevealAndVerify:
         session = alice_commit(value, 3, m_ancillas=m)
         rng = _rng(21)
         bc_apply_operations(session, policy, rng)
-        reveal = alice_reveal_honest(session)
-        assert reveal.announced == commit_label(value)
-        report = verify(session, reveal, rng)
+        announced = alice_reveal_honest(session)
+        assert announced == commit_label(value)
+        report = verify(session, announced, rng)
         assert report.accept
         assert all(label == commit_label(value) for label in report.per_pair)
         assert min(report.announced_probabilities) >= 1 - 1e-9
@@ -207,7 +205,7 @@ class TestRevealAndVerify:
         rng = _rng(3)
         bc_apply_operations(session, BCPolicy.RANDOM_LOCAL, rng)
         alice_reveal_honest(session)
-        lie = RevealMessage(announced=commit_label(CommitValue.MINUS))
+        lie = commit_label(CommitValue.MINUS)
         report = verify(session, lie, rng)
         assert not report.accept
         assert max(report.announced_probabilities) <= 1e-9
@@ -230,9 +228,8 @@ class TestRevealAndVerify:
 
     def test_verify_requires_revealed_phase(self):
         session = alice_commit(CommitValue.BIT0, 1)
-        reveal = RevealMessage(announced=commit_label(CommitValue.BIT0))
         with pytest.raises(ProtocolError):
-            verify(session, reveal, _rng())
+            verify(session, commit_label(CommitValue.BIT0), _rng())
 
     def test_verification_is_seed_reproducible(self):
         reports = []
@@ -296,7 +293,7 @@ class TestRevealAndVerify:
                             outcome = k
                     labels.append(BELL_LABELS[int(np.argmax(probs)) if outcome is None else outcome])
                     probabilities.append(float(probs[announced_index]))
-                report = verify(session, RevealMessage(announced), rng)
+                report = verify(session, announced, rng)
                 case = (policies, m, n_pairs)
                 assert report.per_pair == labels, case
                 assert report.announced_probabilities == probabilities, case
