@@ -170,7 +170,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 
 # A chunk of trials holds at most this many complex entries of state rows
 # plus receiver unitaries (at least one trial), so memory stays flat in trials.
-_CHUNK_ENTRIES = 2**11
+_CHUNK_ENTRIES = 2**12
 
 
 def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
@@ -178,18 +178,17 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
     measurement draws, in the reference's order.
 
     Each trial draws from its own generator: its Haar unitaries, then one
-    uniform per pair.
+    uniform per pair. A chunk's unitaries are one stack, drawn and checked in
+    one call.
     """
     seed, n, trials = config.master_seed, config.n_pairs, config.trials
     for first in range(0, trials, chunk):
-        count = min(chunk, trials - first)
-        draws = np.empty((count, n))
-        matrices = []
-        for t in range(count):
-            rng = _trial_generator(seed, first + t)
-            matrices.append(random_unitaries(width, n, rng))
+        rngs = [_trial_generator(seed, trial) for trial in range(first, min(first + chunk, trials))]
+        matrices = random_unitaries(width, n, *rngs)
+        draws = np.empty((len(rngs), n))
+        for t, rng in enumerate(rngs):
             draws[t] = rng.random(n)
-        yield np.concatenate(matrices), draws
+        yield matrices, draws
 
 
 def _stepwise_stats(config: ExperimentConfig) -> DetectionStats:
@@ -329,7 +328,13 @@ class AcceptanceMatrix:
     cells: tuple[Cell, ...]
 
     def rates(self, strategy: Strategy) -> list[float]:
-        """The acceptance rates of the cells of ``strategy``, in cell order."""
+        """The acceptance rates of the cells of ``strategy``, in cell order.
+
+        Raises TypeError unless ``strategy`` is a :class:`Strategy`, so that
+        a string such as ``"control"`` cannot silently match no cell.
+        """
+        if not isinstance(strategy, Strategy):
+            raise TypeError(f"expected a Strategy, got {strategy!r}")
         return [cell.stats.acceptance_rate for cell in self.cells if cell.config.strategy is strategy]
 
     def grid_rates(self) -> list[list[float]]:

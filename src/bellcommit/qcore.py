@@ -14,12 +14,14 @@ and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
 engine's certain path needs no samples: it reads each register's
 probabilities, with the same check, and makes no draws. Its Haar path and the
 step-by-step reference measure one draw per pair. Every production path runs
-through the kernel, and none constructs an oracle object. :func:`random_unitary`
+through the kernel, and none constructs an oracle object.
+:func:`random_unitaries` draws each generator's normals in one call and
+checks the whole stack for unitarity once. Its per-matrix kernel,
+:func:`random_unitary`, turns one Ginibre matrix into a Haar unitary: it
 calls the two LAPACK steps of ``np.linalg.qr`` (zgeqrf, then zungqr) through
 NumPy's own gufuncs and reads R's diagonal from zgeqrf's output; it skips
 only the wrapper's copies and checks, so its draws are byte-equal to
-``np.linalg.qr``'s, and :func:`random_unitaries` checks every stack for
-unitarity.
+``np.linalg.qr``'s.
 
 The Bell amplitudes are contracted with ``np.einsum``, which calls no BLAS.
 A BLAS complex gemm may round a label that should have probability 0 to a
@@ -57,7 +59,8 @@ from numpy.linalg import _umath_linalg
 ATOL_EXACT = 1e-12
 ATOL_ACCUM = 1e-10
 
-_SQRT1_2 = 1.0 / np.sqrt(2.0)
+_SQRT2 = np.sqrt(2.0)
+_SQRT1_2 = 1.0 / _SQRT2
 
 
 class PauliOp(Enum):
@@ -211,33 +214,22 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
-def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed ``(d, d)`` unitary matrix on ``num_target_qubits`` qubits.
+def random_unitary(ginibre: np.ndarray) -> np.ndarray:
+    """The Haar-distributed unitary of one ``(d, d)`` complex Ginibre matrix, which it overwrites.
 
-    Complex Ginibre matrix, QR factorization, then a diagonal phase
-    correction so the distribution is exactly Haar (Mezzadri, Notices AMS
-    54, 592, 2007). Intended for small blocks (a few qubits). Unchecked:
-    :func:`random_unitaries` checks its stacks.
+    QR factorization, then a diagonal phase correction so the distribution
+    is exactly Haar (Mezzadri, Notices AMS 54, 592, 2007). Intended for
+    small blocks (a few qubits). Unchecked: :func:`random_unitaries` draws
+    the Ginibre matrices and checks its stacks.
 
     The QR runs as the two LAPACK steps that ``np.linalg.qr`` itself calls,
-    without its wrapper: zgeqrf (``qr_r_raw``) overwrites the Ginibre matrix
-    with R above its diagonal and the Householder reflectors below it, and
-    zungqr (``qr_reduced``) builds Q from them. Only R's diagonal is read,
-    straight from zgeqrf's output. The wrapper's copy, type checks and
-    ``triu`` change no value, so every draw is byte-equal to
-    ``np.linalg.qr`` on the same matrix; the tests check this.
+    without its wrapper: zgeqrf (``qr_r_raw``) overwrites ``ginibre`` with R
+    above its diagonal and the Householder reflectors below it, and zungqr
+    (``qr_reduced``) builds Q from them. Only R's diagonal is read, straight
+    from zgeqrf's output. The wrapper's copy, type checks and ``triu`` change
+    no value, so every draw is byte-equal to ``np.linalg.qr`` on the same
+    matrix; the tests check this.
     """
-    if num_target_qubits < 1:
-        raise ValueError("need at least one target qubit")
-    dim = 2**num_target_qubits
-    # the same normals as two (dim, dim) draws, real parts first
-    normals = rng.standard_normal((2, dim, dim))
-    # the same bytes as (real + 1j * imag) / sqrt(2), which adds a signed
-    # zero to each part: it differs only for a normal of exactly -0.0
-    ginibre = np.empty((dim, dim), complex)
-    ginibre.real = normals[0]
-    ginibre.imag = normals[1]
-    ginibre /= np.sqrt(2.0)
     tau = _umath_linalg.qr_r_raw(ginibre, signature="D->D")
     q = _umath_linalg.qr_reduced(ginibre, tau, signature="DD->D")
     diagonal = ginibre.diagonal()
@@ -245,22 +237,37 @@ def random_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarr
     return q
 
 
-def random_unitaries(num_target_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` successive :func:`random_unitary` draws, stacked as ``(count, d, d)``.
+def random_unitaries(num_target_qubits: int, count: int, *rngs: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries on ``num_target_qubits`` qubits from each of ``rngs`` in turn.
 
-    Raises ValueError if any matrix of the stack leaves unitarity by more
-    than ATOL_ACCUM.
+    Returns a ``(count * len(rngs), d, d)`` stack: the first generator's
+    draws, then the next one's. Each generator draws all its normals in one
+    call, ``count`` Ginibre matrices of real parts then imaginary parts, into
+    its part of the stack, and each matrix is replaced by its
+    :func:`random_unitary`. Raises ValueError if any matrix of the stack
+    leaves unitarity by more than ATOL_ACCUM.
     """
+    if num_target_qubits < 1:
+        raise ValueError("need at least one target qubit")
     # allocated before any draw, so a count too large to hold fails at once
     dim = 1 << num_target_qubits
-    stack = np.empty((count, dim, dim), complex)
-    # one call per draw, by its module-global name: the benchmark's traced
-    # run counts Haar draws as calls of random_unitary
-    for index in range(count):
-        stack[index] = random_unitary(num_target_qubits, rng)
+    stack = np.empty((count * len(rngs), dim, dim), complex)
+    for position, rng in enumerate(rngs):
+        # this generator's part of the stack holds its Ginibre matrices first
+        ginibre = stack[position * count : (position + 1) * count]
+        normals = rng.standard_normal((count, 2, dim, dim))
+        # the same bytes as (real + 1j * imag) / sqrt(2), which adds a signed
+        # zero to each part: it differs only for a normal of exactly -0.0
+        ginibre.real = normals[:, 0]
+        ginibre.imag = normals[:, 1]
+        ginibre /= _SQRT2
+        # one call per matrix, by its module-global name: the benchmark's
+        # traced run counts Haar draws as calls of random_unitary
+        for matrix in ginibre:
+            matrix[...] = random_unitary(matrix)
     residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(dim)
-    # written so that NaN fails too
-    if not np.abs(residual).max() <= ATOL_ACCUM:
+    # written so that NaN fails too; an empty stack has nothing to check
+    if not np.abs(residual).max(initial=0.0) <= ATOL_ACCUM:
         raise ValueError("a Haar draw is not unitary")
     return stack
 

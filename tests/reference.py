@@ -69,8 +69,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def haar_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar unitary through the public ``np.linalg.qr``, with the phase fix on R's diagonal.
 
-    The same normals from ``rng`` as :func:`bellcommit.qcore.random_unitary`,
-    which calls NumPy's LAPACK steps directly and must give the same bytes.
+    The same normals from ``rng`` as one draw of
+    :func:`bellcommit.qcore.random_unitaries`, whose per-matrix kernel
+    :func:`bellcommit.qcore.random_unitary` calls NumPy's LAPACK steps
+    directly and must give the same bytes.
     """
     dim = 2**num_target_qubits
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)

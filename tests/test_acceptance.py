@@ -33,7 +33,7 @@ from bellcommit.qcore import (
     StateVector,
     Unitary,
     apply_unitary,
-    random_unitary,
+    random_unitaries,
 )
 from reference import fidelity, inner_product, make_bell, random_state, reduced_density
 
@@ -105,7 +105,7 @@ def test_criterion_3_commutation_on_200_random_triples():
         flip = list(PauliOp)[int(rng.integers(0, 4))]
         k = int(rng.integers(1, n))
         targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
-        u = Unitary(random_unitary(k, rng), targets)
+        u = Unitary(random_unitaries(k, 1, rng)[0], targets)
         pauli = Unitary(flip.matrix(), (0,))
         a = apply_unitary(apply_unitary(state, pauli), u)
         b = apply_unitary(apply_unitary(state, u), pauli)

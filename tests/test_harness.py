@@ -26,9 +26,12 @@ from bellcommit.protocol import (
     alice_commit,
     bc_apply_operations,
 )
-from bellcommit.qcore import PauliOp, StateVector, Unitary, receiver_states
+from bellcommit.qcore import ATOL_ACCUM, PauliOp, StateVector, Unitary, receiver_states
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
+from test_qcore import _off_unitarity
+
+HAAR_GRID = [(policy, m) for policy, m in POLICY_GRID if policy is not BCPolicy.NONE]
 
 
 def _config(**overrides):
@@ -220,6 +223,21 @@ def _counting(monkeypatch, *functions):
     return calls
 
 
+def _one_pair_off(measure, n_pairs):
+    """``measure`` whose outcomes name the next label at the last pair of every trial.
+
+    Both callers measure trial by trial, pair by pair: the reference one
+    trial's pairs per call, the engine a chunk of whole trials. So every
+    trial measures at least two labels, and the verifier must reject it.
+    """
+    def wrapper(states, draws):
+        outcomes, probs = measure(states, draws)
+        outcomes = outcomes.copy()
+        outcomes[n_pairs - 1 :: n_pairs] = (outcomes[n_pairs - 1 :: n_pairs] + 1) % len(qcore.BELL_LABELS)
+        return outcomes, probs
+    return wrapper
+
+
 def _register(cell):
     """What sets a matrix cell's register: its commit value and, for a cheat, its target."""
     config = cell.config
@@ -316,6 +334,43 @@ class TestBatchedEngine:
                 got = np.concatenate([record[position] for record in measured])
                 want = np.concatenate([record[position] for record in reference])
                 assert got.tobytes() == want.tobytes()
+
+    # a trial accepts only if every pair measures the announced label: with
+    # one pair of every trial off, no cell accepts a trial
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    @pytest.mark.parametrize("policy,m", HAAR_GRID)
+    def test_a_trial_with_one_pair_off_is_rejected_in_every_cell(self, policy, m, per_chunk, monkeypatch):
+        cfg = _config(bc_policy=policy, m_ancillas=m, n_pairs=3, trials=9, master_seed=5)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
+        monkeypatch.setattr(harness, "measure_bell_pairs",
+                            _one_pair_off(harness.measure_bell_pairs, cfg.n_pairs))
+        monkeypatch.setattr(protocol, "measure_bell_pairs",
+                            _one_pair_off(protocol.measure_bell_pairs, cfg.n_pairs))
+        for cell in acceptance_matrix(cfg).cells:
+            assert cell.stats == harness._stepwise_stats(cell.config)
+            assert cell.stats.accepts == 0
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    def test_draws_one_stack_per_chunk(self, per_chunk, monkeypatch):
+        cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS, n_pairs=3, trials=9,
+                      bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
+        want = _reference_stats(cfg)
+        # the engine's draws alone: the reference has made its own
+        calls = _counting(monkeypatch, (harness, "random_unitaries"), (qcore, "random_unitary"))
+        assert run_experiment(cfg) == want
+        # one Haar matrix per pair and trial, all of a chunk's in one call
+        chunks = {1: 9, 7: 2, "all": 1}[per_chunk]
+        assert calls == {"random_unitaries": chunks, "random_unitary": cfg.n_pairs * cfg.trials}
+
+    @pytest.mark.parametrize("policy,m", HAAR_GRID)
+    def test_a_draw_off_unitarity_in_the_last_trial_of_a_chunk_is_refused(self, policy, m, monkeypatch):
+        cfg = _config(bc_policy=policy, m_ancillas=m, n_pairs=3, trials=9)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
+        # the last pair of trial 6, the last trial of the first chunk
+        monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(ATOL_ACCUM, at=7 * cfg.n_pairs))
+        with pytest.raises(ValueError, match="^a Haar draw is not unitary$"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.NONE, 1),
                                           (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1)])
@@ -446,6 +501,18 @@ class TestAcceptanceMatrix:
             for j in range(4):
                 assert grid[i][j] == (1.0 if i == j else 0.0)
         assert matrix.passed()
+
+    @pytest.mark.parametrize("strategy, cells", [(Strategy.CHEAT, 4), (Strategy.HONEST, 4), (Strategy.CONTROL, 12)])
+    def test_rates_of_each_strategy(self, strategy, cells):
+        rates = acceptance_matrix(_config(trials=5)).rates(strategy)
+        assert rates == [0.0 if strategy is Strategy.CONTROL else 1.0] * cells
+
+    # a string names no strategy: it would match no cell and give []
+    @pytest.mark.parametrize("name", [strategy.value for strategy in Strategy])
+    def test_rates_refuse_a_strategy_name(self, name):
+        matrix = acceptance_matrix(_config(trials=5))
+        with pytest.raises(TypeError, match="^expected a Strategy, got '" + name + "'$"):
+            matrix.rates(name)
 
     def test_passed_flags_a_bad_cell(self):
         matrix = acceptance_matrix(_config(trials=5))

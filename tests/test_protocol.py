@@ -19,11 +19,13 @@ from bellcommit.protocol import (
 from bellcommit.qcore import (
     BELL_LABELS,
     BellLabel,
+    PauliOp,
     StateVector,
     Unitary,
+    apply_rows,
     apply_unitary,
     bell_probabilities,
-    random_unitary,
+    random_unitaries,
 )
 from reference import basis_state, make_bell, reduced_density, tensor, trace_distance
 
@@ -117,7 +119,7 @@ class TestBCRecord:
         # one stack per step, in the order applied, each drawn in pair order
         for ops, (seed, width) in zip(session.ops, [(1, 1), (2, 2)], strict=True):
             rng = _rng(seed)
-            want = np.stack([random_unitary(width, rng) for _ in range(2)])
+            want = np.stack([random_unitaries(width, 1, rng)[0] for _ in range(2)])
             assert np.array_equal(ops, want)
 
 
@@ -209,6 +211,22 @@ class TestRevealAndVerify:
         report = verify(session, lie, rng)
         assert not report.accept
         assert max(report.announced_probabilities) <= 1e-9
+
+    # the verifier accepts only a unanimous match: pairs that hold different
+    # Bell states fail every announcement, even the label all pairs but one hold
+    @pytest.mark.parametrize("flips", [(0, 1, 2, 3), (0, 0, 0, 3), (2, 0)])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_pairs_holding_different_labels_fail_every_announcement(self, flips, m):
+        paulis = [list(PauliOp)[index] for index in flips]
+        session = alice_commit(CommitValue.BIT0, len(flips), m_ancillas=m)
+        # a flip at qubit 0 turns bit0's label (0, 0) into (z, x), pair by pair
+        session.states = apply_rows(session.states, np.stack([p.matrix() for p in paulis]), 0)
+        alice_reveal_honest(session)
+        held = [BellLabel(p.z_component, p.x_component) for p in paulis]
+        for announced in BELL_LABELS:
+            report = verify(session, announced, _rng(4))
+            assert report.per_pair == held
+            assert not report.accept
 
     @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 0), (BCPolicy.RANDOM_ENTANGLED, 1)])
     def test_verify_consumes_exactly_n_pairs_uniforms_after_the_receivers_draws(self, policy, m):

@@ -260,14 +260,14 @@ class TestUnitary:
             Unitary(np.eye(1), ())
 
     def test_on_rebinds_targets(self):
-        u = Unitary(random_unitary(1, np.random.default_rng(0)), (0,))
+        u = Unitary(random_unitaries(1, 1, np.random.default_rng(0))[0], (0,))
         assert u.on(3).targets == (3,)
         with pytest.raises(ValueError):
             u.on(1, 2)
 
     def test_dagger_inverts(self):
         rng = np.random.default_rng(5)
-        u = Unitary(random_unitary(2, rng), (0, 1))
+        u = Unitary(random_unitaries(2, 1, rng)[0], (0, 1))
         state = random_state(2, rng)
         round_trip = apply_unitary(apply_unitary(state, u), u.dagger())
         assert np.abs(round_trip.amplitudes - state.amplitudes).max() <= ATOL_ACCUM
@@ -284,14 +284,14 @@ class TestUnitary:
             (4, (0, 1, 2)),
         ]
         for n, targets in cases:
-            u = Unitary(random_unitary(len(targets), rng), targets)
+            u = Unitary(random_unitaries(len(targets), 1, rng)[0], targets)
             state = random_state(n, rng)
             got = apply_unitary(state, u).amplitudes
             want = expand_full(u.matrix, targets, n) @ state.amplitudes
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_apply_rejects_out_of_range_targets(self):
-        u = Unitary(random_unitary(1, np.random.default_rng(0)), (5,))
+        u = Unitary(random_unitaries(1, 1, np.random.default_rng(0))[0], (5,))
         with pytest.raises(ValueError):
             apply_unitary(basis_state(2, 0), u)
 
@@ -300,25 +300,25 @@ class TestRandomUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(23)
         for k in (1, 2, 3):
-            u = random_unitary(k, rng)
+            u = random_unitaries(k, 1, rng)[0]
             residual = u @ u.conj().T - np.eye(2**k)
             assert np.abs(residual).max() <= ATOL_ACCUM
 
     def test_deterministic_for_equal_seeds(self):
-        a = random_unitary(2, np.random.default_rng(99))
-        b = random_unitary(2, np.random.default_rng(99))
+        a = random_unitaries(2, 1, np.random.default_rng(99))[0]
+        b = random_unitaries(2, 1, np.random.default_rng(99))[0]
         assert np.array_equal(a, b)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(8)
         state = random_state(3, rng)
-        u = Unitary(random_unitary(2, rng), (0, 2))
+        u = Unitary(random_unitaries(2, 1, rng)[0], (0, 2))
         out = apply_unitary(state, u)
         assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) <= ATOL_EXACT
 
     def test_requires_at_least_one_qubit(self):
         with pytest.raises(ValueError):
-            random_unitary(0, np.random.default_rng(0))
+            random_unitaries(0, 1, np.random.default_rng(0))
 
     # random_unitary calls NumPy's private QR gufuncs; if NumPy renames or
     # changes them, this fails instead of a report changing
@@ -326,20 +326,33 @@ class TestRandomUnitary:
     def test_equals_the_public_qr_bytes(self, k):
         for seed in [*range(100), 2**64 - 1]:
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert random_unitary(k, rng).tobytes() == haar_unitary(k, oracle_rng).tobytes(), seed
+            assert random_unitaries(k, 1, rng)[0].tobytes() == haar_unitary(k, oracle_rng).tobytes(), seed
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-def _off_unitarity(defect):
-    """A stand-in for ``qcore.random_unitary`` whose draws are not unitary."""
-    draw = qcore.random_unitary
+def _off_unitarity(defect, at=None):
+    """A stand-in for ``qcore.random_unitary`` whose draws are not unitary.
 
-    def corrupted(k, rng):
-        u = draw(k, rng)
+    A ``"nan"`` draw holds a NaN, and a ``"scaled-column"`` draw has its first
+    column 1e-6 too long. A number ``e`` scales the whole draw by ``1 + e``,
+    which moves every diagonal entry of ``U U^dagger`` off 1 by ``2e + e**2``.
+    With ``at``, only the draw of that call, counted from 1, is off.
+    """
+    draw = qcore.random_unitary
+    calls = 0
+
+    def corrupted(ginibre):
+        nonlocal calls
+        calls += 1
+        u = draw(ginibre)
+        if at is not None and calls != at:
+            return u
         if defect == "nan":
             u[0, 0] = np.nan
-        else:
+        elif defect == "scaled-column":
             u[:, 0] *= 1 + 1e-6
+        else:
+            u *= 1 + defect
         return u
 
     return corrupted
@@ -374,7 +387,7 @@ class TestRandomUnitaries:
     def test_equals_successive_draws(self, k, count):
         rng, oracle_rng = np.random.default_rng(k), np.random.default_rng(k)
         got = random_unitaries(k, count, rng)
-        want = np.stack([random_unitary(k, oracle_rng) for _ in range(count)])
+        want = np.stack([random_unitaries(k, 1, oracle_rng)[0] for _ in range(count)])
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -384,6 +397,53 @@ class TestRandomUnitaries:
         rng, oracle_rng = np.random.default_rng(2**64 - 1), np.random.default_rng(2**64 - 1)
         want = np.stack([haar_unitary(k, oracle_rng) for _ in range(8)])
         assert random_unitaries(k, 8, rng).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_several_generators_equal_each_ones_successive_draws(self, k, count):
+        seeds = (k, 2**32, 2**64 - 1)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        oracles = [np.random.default_rng(seed) for seed in seeds]
+        got = random_unitaries(k, count, *rngs)
+        want = np.stack([haar_unitary(k, oracle) for oracle in oracles for _ in range(count)])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        for rng, oracle in zip(rngs, oracles, strict=True):
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_draws_give_an_empty_stack(self, k):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for stack in (random_unitaries(k, 0, rng), random_unitaries(k, 3)):
+            assert (stack.shape, stack.dtype) == ((0, 2**k, 2**k), np.complex128)
+        assert rng.bit_generator.state == before
+
+    def test_the_kernel_overwrites_its_ginibre_matrix(self):
+        normals = np.random.default_rng(3).standard_normal((2, 4, 4))
+        ginibre = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
+        q, r = np.linalg.qr(ginibre)
+        u = random_unitary(ginibre)
+        assert np.array_equal(np.triu(ginibre), r)
+        assert u.tobytes() == (q * (r.diagonal() / np.abs(r.diagonal()))).tobytes()
+
+    # the guard sits at ATOL_ACCUM: a draw off unitarity by twice the bound
+    # is refused, and one off by a fifth of it passes
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_unitarity_guard_sits_at_its_bound(self, k, monkeypatch):
+        outside, inside = _off_unitarity(ATOL_ACCUM), _off_unitarity(0.1 * ATOL_ACCUM)
+        monkeypatch.setattr(qcore, "random_unitary", outside)
+        with pytest.raises(ValueError, match="^a Haar draw is not unitary$"):
+            random_unitaries(k, 3, np.random.default_rng(k))
+        monkeypatch.setattr(qcore, "random_unitary", inside)
+        assert random_unitaries(k, 3, np.random.default_rng(k)).shape == (3, 2**k, 2**k)
+
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_one_draw_off_unitarity_anywhere_in_the_stack_is_refused(self, position, monkeypatch):
+        monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(ATOL_ACCUM, at=position + 1))
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        with pytest.raises(ValueError, match="^a Haar draw is not unitary$"):
+            random_unitaries(2, 3, *rngs)
 
     def test_nan_normals_are_refused_with_warnings_off(self):
         # np.linalg.qr's errstate is gone from the draw: with every
@@ -690,7 +750,7 @@ def test_pauli_on_first_qubit_commutes_with_other_qubit_unitaries(seed):
     op = list(PauliOp)[int(rng.integers(0, 4))]
     k = int(rng.integers(1, n))
     targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
-    u = Unitary(random_unitary(k, rng), targets)
+    u = Unitary(random_unitaries(k, 1, rng)[0], targets)
     flip = Unitary(op.matrix(), (0,))
     a = apply_unitary(apply_unitary(state, flip), u)
     b = apply_unitary(apply_unitary(state, u), flip)
@@ -704,7 +764,7 @@ def test_operations_preserve_normalization(seed):
     n = int(rng.integers(1, 5))
     state = random_state(n, rng)
     state = apply_unitary(state, Unitary(PauliOp.ZX.matrix(), (int(rng.integers(0, n)),)))
-    u = Unitary(random_unitary(1, rng), (int(rng.integers(0, n)),))
+    u = Unitary(random_unitaries(1, 1, rng)[0], (int(rng.integers(0, n)),))
     state = apply_unitary(state, u)
     norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
     assert abs(norm_sq - 1.0) <= ATOL_EXACT
