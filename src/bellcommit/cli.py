@@ -33,22 +33,42 @@ _POLICY_NAMES = [policy.value for policy in BCPolicy]
 _TOLERANCE = ExperimentConfig.tolerance  # the field's default
 
 
-def _add_register_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pairs", type=int, default=8, help="Bell pairs per commitment")
-    parser.add_argument(
-        "--bc-ops",
+# every flag, declared once; each subcommand takes only the flags it reads
+_FLAGS = {
+    "--pairs": dict(type=int, default=8, help="Bell pairs per commitment"),
+    "--trials": dict(type=int, default=1000, help="independent trials (per cell in matrix)"),
+    "--strategy": dict(choices=["honest", "cheat"], default="honest"),
+    "--commit": dict(choices=_VALUE_NAMES, default="bit0", help="committed value"),
+    "--reveal": dict(choices=_VALUE_NAMES, default="bit0", help="revealed value"),
+    "--bc-ops": dict(
         choices=_POLICY_NAMES,
         default="none",
-        dest="bc_ops",
         help="receiver-side operation policy during the commit phase",
-    )
-    parser.add_argument("--ancillas", type=int, default=0, help="receiver-side ancillas per pair")
-    parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    ),
+    "--ancillas": dict(type=int, default=0, help="receiver-side ancillas per pair"),
+    "--seed": dict(type=int, default=0, help="master seed for all randomness"),
+    "--tolerance": dict(type=float, default=_TOLERANCE, help="outcome probability slack"),
+    "--format": dict(choices=reports.FORMATS, default="text", help="report format"),
+    "--out": dict(default=None, help="write the report to this file instead of stdout"),
+}
 
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=reports.FORMATS, default="text", help="report format")
-    parser.add_argument("--out", default=None, help="write the report to this file instead of stdout")
+_OUTPUT = ("--format", "--out")
+_SUBCOMMANDS = {
+    "run": (
+        "run one experiment and report the acceptance rate",
+        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", "--strategy", "--commit",
+         "--reveal", "--tolerance", *_OUTPUT),
+    ),
+    "matrix": (
+        "acceptance rates for every cheat, honest, and control cell",
+        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", "--tolerance", *_OUTPUT),
+    ),
+    "hiding": (
+        "trace distances of the receiving side's view across commit values",
+        ("--pairs", "--ancillas", *_OUTPUT),
+    ),
+    "selftest": ("run the built-in invariant checks", ("--seed", "--tolerance", *_OUTPUT)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,50 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a Bell-pair commitment scheme and its retroactive-flip attack.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment and report the acceptance rate")
-    _add_register_flags(run_p)
-    run_p.add_argument("--trials", type=int, default=1000, help="independent trials")
-    run_p.add_argument("--strategy", choices=["honest", "cheat"], default="honest")
-    run_p.add_argument("--commit", choices=_VALUE_NAMES, default="bit0", help="committed value")
-    run_p.add_argument("--reveal", choices=_VALUE_NAMES, default="bit0", help="revealed value")
-    run_p.add_argument("--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack")
-    _add_output_flags(run_p)
-
-    matrix_p = sub.add_parser(
-        "matrix", help="acceptance rates for every cheat, honest, and control cell"
-    )
-    _add_register_flags(matrix_p)
-    matrix_p.add_argument("--trials", type=int, default=1000, help="independent trials per cell")
-    matrix_p.add_argument("--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack")
-    _add_output_flags(matrix_p)
-
-    hiding_p = sub.add_parser(
-        "hiding", help="trace distances of the receiving side's view across commit values"
-    )
-    _add_register_flags(hiding_p)
-    _add_output_flags(hiding_p)
-
-    selftest_p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    selftest_p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    selftest_p.add_argument(
-        "--tolerance", type=float, default=_TOLERANCE, help="outcome probability slack"
-    )
-    _add_output_flags(selftest_p)
-
+    for command, (help_text, flags) in _SUBCOMMANDS.items():
+        command_p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            command_p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> ExperimentConfig:
+    # a field whose flag the subcommand lacks keeps its default
     return ExperimentConfig(
         strategy=strategy if strategy is not None else Strategy(args.strategy),
         commit_value=CommitValue(getattr(args, "commit", "bit0")),
         reveal_value=CommitValue(getattr(args, "reveal", "bit0")),
         n_pairs=args.pairs,
         trials=getattr(args, "trials", 1),
-        bc_policy=BCPolicy(args.bc_ops),
+        bc_policy=BCPolicy(getattr(args, "bc_ops", "none")),
         m_ancillas=args.ancillas,
-        master_seed=args.seed,
+        master_seed=getattr(args, "seed", 0),
         tolerance=getattr(args, "tolerance", _TOLERANCE),
     )
 

@@ -9,6 +9,7 @@ from bellcommit import cli, harness, protocol, qcore
 from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.harness import (
     AcceptanceMatrix,
+    Cell,
     ConfigError,
     DetectionStats,
     ExperimentConfig,
@@ -24,7 +25,7 @@ from bellcommit.protocol import (
     BCPolicy,
     CommitValue,
     alice_commit,
-    bc_apply_operations,
+    commit_label,
 )
 from bellcommit.qcore import ATOL_ACCUM, PauliOp, StateVector, Unitary, receiver_states
 from reference import reduced_density, trace_distance
@@ -557,6 +558,20 @@ class TestAcceptanceMatrix:
         assert AcceptanceMatrix(tuple(cells)).passed()
 
 
+class TestCellVerdict:
+    def test_the_outcome_probability_edge_passes(self):
+        # the bound is inclusive: exactly 1 - tolerance passes, one ulp below fails
+        config = _config()
+        edge = 1 - config.tolerance
+
+        def cell(low):
+            return Cell(config, DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
+                                               min_outcome_probability=low))
+
+        assert cell(edge).passed()
+        assert not cell(float(np.nextafter(edge, 0))).passed()
+
+
 class TestHidingReport:
     @pytest.mark.parametrize(
         "policy,m",
@@ -569,40 +584,31 @@ class TestHidingReport:
         for i in range(4):
             assert report.distances[i][i] == 0.0
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("n_pairs", [1, 3])
-    @pytest.mark.parametrize(
-        "policy,m",
-        [
-            (BCPolicy.NONE, 0),
-            (BCPolicy.RANDOM_LOCAL, 0),
-            (BCPolicy.RANDOM_LOCAL, 2),
-            (BCPolicy.RANDOM_ENTANGLED, 1),
-            (BCPolicy.RANDOM_ENTANGLED, 2),
-        ],
-    )
-    def test_equals_the_per_row_reference_exactly(self, policy, m, n_pairs, seed):
-        # the array path against one StateVector per row, bit for bit
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_equals_the_per_row_reference_exactly(self, m, n_pairs):
+        # the committed views against one StateVector per row, bit for bit
         n = 2 + m
         reduced = []
         for value in COMMIT_VALUES:
-            session = alice_commit(value, n_pairs, m)
-            bc_apply_operations(session, policy, harness._trial_generator(seed, 0))
-            want = [reduced_density(StateVector(n, row), range(1, n)) for row in session.states]
-            assert np.array_equal(receiver_states(session.states), np.stack(want))
+            states = alice_commit(value, n_pairs, m).states
+            want = [reduced_density(StateVector(n, row), range(1, n)) for row in states]
+            assert np.array_equal(receiver_states(states), np.stack(want))
             reduced.append(want)
         distances = tuple(
             tuple(max(trace_distance(x, y) for x, y in zip(a, b)) for b in reduced)
             for a in reduced
         )
-        config = _config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed)
-        assert hiding_report(config).distances == distances
+        assert distances == ((0.0,) * 4,) * 4
+        assert hiding_report(_config(m_ancillas=m, n_pairs=n_pairs)).distances == distances
 
-    def test_draws_the_receiver_unitaries_once(self, monkeypatch):
-        # all four commit values share one draw of trial 0's unitaries
+    def test_draws_nothing(self, monkeypatch):
+        # trace distance is unitarily invariant, so the receiver's operations
+        # and the seed change no distance, and none is drawn
         calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
-        assert hiding_report(_config(n_pairs=5, bc_policy=BCPolicy.RANDOM_LOCAL, master_seed=0)).passed
-        assert calls == {"_trial_generator": 1, "random_unitary": 5}
+        report = hiding_report(_config(n_pairs=5, bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1))
+        assert calls == {"_trial_generator": 0, "random_unitary": 0}
+        assert report == hiding_report(_config(n_pairs=5, m_ancillas=1, master_seed=3))
 
     def test_no_register_outlives_the_report(self):
         # sessions share one cached row per value, not a cached register
@@ -641,6 +647,34 @@ class TestSelftest:
         failures = {check.name for check in selftest() if not check.passed}
         assert failures == {"cheat-undetectability", "flip-chooser"}
         assert cli.main(["selftest"]) == 1
+
+    def test_a_receiver_apply_on_the_committer_qubit_fails_flip_commutation(self, monkeypatch):
+        # the receiver's operations land on qubit 0, where the committer flips
+        def on_qubit_zero(states, matrices, first):
+            return qcore.apply_rows(states, matrices, 0)
+
+        monkeypatch.setattr(harness, "apply_rows", on_qubit_zero)
+        failures = {check.name for check in selftest() if not check.passed}
+        assert failures == {"flip-commutation", "cheat-undetectability"}
+        assert cli.main(["selftest"]) == 1
+
+    def test_a_leaky_coding_table_fails_hiding(self, monkeypatch):
+        # minus committed as the product state |0...0>: the receiver sees
+        # |0><0| on its qubit instead of I/2
+        initial_row = protocol._initial_row
+
+        def leaky(label, m_ancillas):
+            if label != commit_label(CommitValue.MINUS):
+                return initial_row(label, m_ancillas)
+            return np.eye(2 ** (2 + m_ancillas), dtype=np.complex128)[0]
+
+        monkeypatch.setattr(protocol, "_initial_row", leaky)
+        assert hiding_report(_config()).max_distance == 0.5
+        # minus's honest cell measures it and fails, and so do its controls
+        failures = {check.name for check in selftest() if not check.passed}
+        assert failures == {"hiding", "honest-completeness", "control-rejection"}
+        assert cli.main(["selftest"]) == 1
+        assert cli.main(["hiding"]) == 1
 
     def test_reads_one_acceptance_matrix_per_policy(self, monkeypatch):
         calls = _counting(monkeypatch, (harness, "_run_many"))

@@ -498,6 +498,11 @@ class TestHaarMeasure:
         assert abs((squares**2).mean() - 2) <= np.sqrt(20) * error
 
 
+def _off_norm(defect):
+    """Two Bell rows, the second scaled so that its squared norm is ``1 + defect``."""
+    return np.stack([BELL[0], BELL[1] * np.sqrt(1 + defect)])
+
+
 class TestApplyRows:
     @pytest.mark.parametrize("first", [0, 1])
     @pytest.mark.parametrize("width", [1, 2, 3])
@@ -509,6 +514,14 @@ class TestApplyRows:
         want = apply_rows(np.tile(row, (5, 1)), stack, first)
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
+
+    # the norm guard sits at ATOL_EXACT: a row off by twice the bound is
+    # refused, one off by a fifth of it passes
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_norm_guard_sits_at_its_bound(self, sign):
+        with pytest.raises(ValueError, match="no longer normalized"):
+            apply_rows(_off_norm(sign * 2 * ATOL_EXACT), PauliOp.X.matrix(), 0)
+        assert apply_rows(_off_norm(sign * 0.2 * ATOL_EXACT), PauliOp.X.matrix(), 0).shape == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +667,14 @@ class TestBellMeasurement:
             measure_bell_pairs(states, np.random.default_rng(0).random(2))
         with pytest.raises(ValueError, match="sum to"):
             bell_pair_probabilities(states)
+
+    # the sum guard sits at ATOL_ACCUM: a row off by twice the bound is
+    # refused, one off by a fifth of it passes
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_sum_guard_sits_at_its_bound(self, sign):
+        with pytest.raises(ValueError, match="sum to"):
+            bell_pair_probabilities(_off_norm(sign * 2 * ATOL_ACCUM))
+        assert bell_pair_probabilities(_off_norm(sign * 0.2 * ATOL_ACCUM)).shape == (2, 4)
 
 
 # ---------------------------------------------------------------------------
