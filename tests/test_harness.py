@@ -25,9 +25,10 @@ from bellcommit.protocol import (
     BCPolicy,
     CommitValue,
     alice_commit,
+    bc_apply_operations,
     commit_label,
 )
-from bellcommit.qcore import ATOL_ACCUM, PauliOp, StateVector, Unitary, receiver_states
+from bellcommit.qcore import ATOL_ACCUM, ATOL_EXACT, PauliOp, StateVector, Unitary, receiver_states
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
 from test_qcore import _off_unitarity
@@ -601,6 +602,26 @@ class TestHidingReport:
         )
         assert distances == ((0.0,) * 4,) * 4
         assert hiding_report(_config(m_ancillas=m, n_pairs=n_pairs)).distances == distances
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    @pytest.mark.parametrize("policy,m", HAAR_GRID)
+    def test_the_receivers_operations_change_no_distance(self, policy, m, n_pairs, seed):
+        # the views after trial 0's Haar draw, against one StateVector per row
+        # bit for bit, and within rounding of the report's undrawn distances
+        n = 2 + m
+        reduced = []
+        for value in COMMIT_VALUES:
+            session = alice_commit(value, n_pairs, m)
+            bc_apply_operations(session, policy, harness._trial_generator(seed, 0))
+            want = [reduced_density(StateVector(n, row), range(1, n)) for row in session.states]
+            assert np.array_equal(receiver_states(session.states), np.stack(want))
+            reduced.append(want)
+        report = hiding_report(_config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed))
+        for a, row in zip(reduced, report.distances):
+            for b, distance in zip(reduced, row):
+                after = max(trace_distance(x, y) for x, y in zip(a, b))
+                assert after == pytest.approx(distance, abs=ATOL_EXACT)
 
     def test_draws_nothing(self, monkeypatch):
         # trace distance is unitarily invariant, so the receiver's operations
