@@ -65,7 +65,7 @@ _SUBCOMMANDS = {
     ),
     "hiding": (
         "trace distances of the receiving side's view across commit values",
-        ("--pairs", "--ancillas", *_OUTPUT),
+        ("--ancillas", *_OUTPUT),
     ),
     "selftest": ("run the built-in invariant checks", ("--seed", "--tolerance", *_OUTPUT)),
 }
@@ -90,7 +90,7 @@ def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> 
         strategy=strategy if strategy is not None else Strategy(args.strategy),
         commit_value=CommitValue(getattr(args, "commit", "bit0")),
         reveal_value=CommitValue(getattr(args, "reveal", "bit0")),
-        n_pairs=args.pairs,
+        n_pairs=getattr(args, "pairs", 1),
         trials=getattr(args, "trials", 1),
         bc_policy=BCPolicy(getattr(args, "bc_ops", "none")),
         m_ancillas=args.ancillas,

@@ -384,11 +384,11 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
 class HidingReport:
     """Pairwise distinguishability of the receiving side's view.
 
-    ``distances[a][b]`` is the maximum over pair indices of the trace
-    distance between the receiving side's reduced states right after
-    committing ``COMMIT_VALUES[a]`` versus ``COMMIT_VALUES[b]``. Trace
-    distance is unitarily invariant, so no receiver-side operation changes
-    it. It passes when no distance exceeds :data:`HIDING_THRESHOLD`.
+    ``distances[a][b]`` is the trace distance between the receiving side's
+    reduced states right after committing ``COMMIT_VALUES[a]`` versus
+    ``COMMIT_VALUES[b]``, of one pair and so of every pair: all hold the
+    same row. No receiver-side operation changes it. It passes when no
+    distance exceeds :data:`HIDING_THRESHOLD`.
     """
 
     distances: tuple[tuple[float, ...], ...]
@@ -405,18 +405,17 @@ class HidingReport:
 def hiding_report(base: ExperimentConfig) -> HidingReport:
     """Trace-distance table of the receiving side's committed views.
 
-    It reads only ``base.n_pairs`` and ``base.m_ancillas``, draws nothing
-    and builds no generator. Whatever the receiver does while the
+    It reads only ``base.m_ancillas`` and draws nothing. Every pair of a
+    commitment holds the same row, so one committed row per value decides
+    the table for any number of pairs. Whatever the receiver does while the
     commitment is pending is a unitary U on its own qubits, and
     D(U rho U^dagger, U sigma U^dagger) = D(rho, sigma), so the distances
     between the views before it acts are the distances after any receiver
     operations. Any distance above the threshold would mean the commitment
     leaks before the reveal.
     """
-    reduced = [receiver_states(alice_commit(value, base.n_pairs, base.m_ancillas).states)
-               for value in COMMIT_VALUES]
-    rows = tuple(tuple(float(trace_distances(a, b).max()) for b in reduced) for a in reduced)
-    return HidingReport(rows)
+    reduced = [receiver_states(alice_commit(value, 1, base.m_ancillas).states) for value in COMMIT_VALUES]
+    return HidingReport(tuple(tuple(trace_distances(a, b).item() for b in reduced) for a in reduced))
 
 
 @dataclass(frozen=True)

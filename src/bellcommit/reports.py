@@ -183,7 +183,7 @@ def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
         **summary,
     }
     lines = [
-        f"receiver-side trace distances (pairs={config.n_pairs}, ancillas={config.m_ancillas})",
+        f"receiver-side trace distances (ancillas={config.m_ancillas})",
         "",
         "        " + "  ".join(f"{name:>9}" for name in names),
     ]
@@ -197,8 +197,7 @@ def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
     ]
     return Report(
         ok=ok,
-        body=_body({"pairs": config.n_pairs, "ancillas": config.m_ancillas, "format": "json"},
-                   summary, hiding=section),
+        body=_body({"ancillas": config.m_ancillas, "format": "json"}, summary, hiding=section),
         csv_header=("value_a", "value_b", "trace_distance"),
         csv_rows=[
             (a, b, value)

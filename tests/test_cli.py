@@ -57,6 +57,15 @@ class TestRunCommand:
         assert doc["stats"]["acceptance_rate"] == 1.0
         assert doc["stats"]["min_outcome_probability"] >= 1 - 1e-9
 
+    def test_defaults_are_the_documented_ones(self, capsys):
+        # README's flag table
+        code, out, _ = _run(["run", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "strategy": "honest", "commit": "bit0", "reveal": "bit0", "pairs": 8, "trials": 1000,
+            "bc_policy": "none", "ancillas": 0, "seed": 0, "tolerance": 1e-9, "format": "json",
+        }
+
     def test_csv_format(self, capsys):
         code, out, _ = _run(["run", *FAST, "--format", "csv"], capsys)
         assert code == 0
@@ -141,19 +150,21 @@ class TestInvalidConfigurations:
         _assert_one_line_error(code, out, err)
         assert "512. TiB" in err
 
-    def test_huge_hiding_register_exits_two_at_once(self):
-        # the first array allocated is receiver_states' conjugate copy of the
-        # broadcast commitment rows (140 TiB, more than a process's address
-        # space); the timeout turns a run that computes without bound into a
-        # failure instead of a hang
+    def test_huge_haar_register_exits_two_at_once(self):
+        # the first array allocated is random_unitaries' stack of the trial's
+        # receiver unitaries, made before any draw (559 TiB, more than a
+        # process's address space under any overcommit setting); the timeout
+        # turns a run that computes without bound into a failure instead of a hang
         result = subprocess.run(
-            [sys.executable, "-m", "bellcommit", "hiding", "--pairs", "600000000000", "--ancillas", "2"],
+            [sys.executable, "-m", "bellcommit", "run", "--bc-ops", "random-entangled", "--ancillas", "2",
+             "--pairs", "600000000000", "--trials", "1"],
             capture_output=True,
             text=True,
             env=_child_env(),
             timeout=60,
         )
         _assert_one_line_error(result.returncode, result.stdout, result.stderr)
+        assert result.stderr.startswith("error: out of memory: ")
         assert "Traceback" not in result.stderr
 
     # certain outcomes need no draw, so a --bc-ops none run makes no array
@@ -162,9 +173,8 @@ class TestInvalidConfigurations:
         "argv",
         [[command, "--bc-ops", "none", *counts]
          for command in ("run", "matrix")
-         for counts in (["--pairs", str(2**63), "--trials", "1"], ["--trials", str(2**63)])]
-        + [["hiding", "--pairs", str(2**63)]],
-        ids=["run-pairs", "run-trials", "matrix-pairs", "matrix-trials", "hiding"],
+         for counts in (["--pairs", str(2**63), "--trials", "1"], ["--trials", str(2**63)])],
+        ids=["run-pairs", "run-trials", "matrix-pairs", "matrix-trials"],
     )
     def test_counts_beyond_int64_exit_two(self, argv, capsys):
         code, out, err = _run(argv, capsys)
@@ -173,17 +183,24 @@ class TestInvalidConfigurations:
 
     # control is a library strategy only: the CLI offers honest and cheat;
     # hiding takes no --bc-ops or --seed, since no receiver operation and no
-    # seed changes a trace distance
+    # seed changes a trace distance, and no --pairs, since every pair holds
+    # the same row
     @pytest.mark.parametrize(
         "argv",
         [["run", "--strategy", "sneaky"], ["run", "--strategy", "control"],
-         ["hiding", "--bc-ops", "none"], ["hiding", "--seed", "3"]],
-        ids=["sneaky", "control", "hiding-bc-ops", "hiding-seed"],
+         ["hiding", "--bc-ops", "none"], ["hiding", "--seed", "3"], ["hiding", "--pairs", "2"]],
+        ids=["sneaky", "control", "hiding-bc-ops", "hiding-seed", "hiding-pairs"],
     )
     def test_unknown_flag_value_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
+
+    def test_a_missing_subcommand_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([])
+        assert excinfo.value.code == 2
+        assert "required" in capsys.readouterr().err
 
 
 class TestCertainOutcomes:
@@ -244,14 +261,15 @@ class TestMatrixCommand:
 
 class TestHidingCommand:
     def test_text(self, capsys):
-        code, out, _ = _run(["hiding", "--pairs", "2"], capsys)
+        code, out, _ = _run(["hiding"], capsys)
         assert code == 0
         assert "result        PASS" in out
 
     def test_json(self, capsys):
-        code, out, _ = _run(["hiding", "--pairs", "1", "--format", "json"], capsys)
+        code, out, _ = _run(["hiding", "--ancillas", "2", "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
+        assert doc["config"] == {"ancillas": 2, "format": "json"}
         assert doc["hiding"]["passed"] is True
         assert doc["stats"]["max_distance"] <= 1e-12
 

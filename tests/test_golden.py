@@ -42,7 +42,7 @@ COMMANDS = {
     # run makes no draws
     "matrix-none-ancilla-seed-max": ["matrix", "--pairs", "3", "--trials", "700", "--bc-ops", "none",
                                      "--ancillas", "1", "--seed", "18446744073709551615"],
-    "hiding": ["hiding", "--pairs", "2", "--ancillas", "1"],
+    "hiding": ["hiding", "--ancillas", "1"],
     "selftest": ["selftest"],
     "selftest-20260819": ["selftest", "--seed", "20260819"],
 }

@@ -1,6 +1,6 @@
 import gc
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,11 @@ from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.harness import (
     AcceptanceMatrix,
     Cell,
+    CheckResult,
     ConfigError,
     DetectionStats,
     ExperimentConfig,
+    HidingReport,
     Strategy,
     acceptance_matrix,
     hiding_report,
@@ -51,9 +53,32 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
+_STATS = DetectionStats(trials=1, accepts=1, acceptance_rate=1.0, min_outcome_probability=1.0)
+
+
+# a config is checked when it is built, and a result is what was computed,
+# so neither can be changed afterwards
+@pytest.mark.parametrize(
+    "value",
+    [_config(), _STATS, Cell(_config(), _STATS), AcceptanceMatrix((Cell(_config(), _STATS),)),
+     HidingReport(((0.0,),)), CheckResult("check", True)],
+    ids=lambda value: type(value).__name__,
+)
+def test_configs_and_results_are_frozen(value):
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, fields(value)[0].name, None)
+
+
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         _config()
+
+    def test_defaults_are_the_documented_ones(self):
+        # README's flag table; a subcommand passes every flag it takes
+        assert ExperimentConfig(Strategy.HONEST) == ExperimentConfig(
+            Strategy.HONEST, CommitValue.BIT0, CommitValue.BIT0, n_pairs=8, trials=1000,
+            bc_policy=BCPolicy.NONE, m_ancillas=0, master_seed=0, tolerance=1e-9,
+        )
 
     @pytest.mark.parametrize(
         "overrides",
@@ -631,6 +656,14 @@ class TestHidingReport:
         assert calls == {"_trial_generator": 0, "random_unitary": 0}
         assert report == hiding_report(_config(n_pairs=5, m_ancillas=1, master_seed=3))
 
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_one_row_decides_any_number_of_pairs(self, m):
+        # every pair holds the same row, so a commitment far too large to
+        # hold answers at once, with the one-pair table
+        report = hiding_report(_config(m_ancillas=m, n_pairs=2**62))
+        assert report.distances == ((0.0,) * 4,) * 4
+        assert report == hiding_report(_config(m_ancillas=m, n_pairs=1))
+
     def test_no_register_outlives_the_report(self):
         # sessions share one cached row per value, not a cached register
         tracemalloc.start()
@@ -643,6 +676,12 @@ class TestHidingReport:
             tracemalloc.stop()
         assert after - before <= 2**20
 
+    def test_the_threshold_edge_passes(self):
+        # the bound is inclusive: a distance of exactly the threshold passes
+        at = harness.HIDING_THRESHOLD
+        assert HidingReport(((0.0, at), (at, 0.0))).passed
+        assert not HidingReport(((0.0, float(np.nextafter(at, 1))),)).passed
+
     def test_table_is_symmetric(self):
         report = hiding_report(_config(bc_policy=BCPolicy.RANDOM_LOCAL))
         for i in range(4):
@@ -650,6 +689,37 @@ class TestHidingReport:
                 assert report.distances[i][j] == pytest.approx(
                     report.distances[j][i], abs=1e-15
                 )
+
+
+def _tilt_bell_flips(ndim):
+    """``apply_rows`` that turns each row of a flip of ``BELL`` by an ``ndim`` array
+    toward the next Bell row, for a fidelity defect of 2e-12."""
+    theta = np.sqrt(2e-12)
+
+    def tilted(states, matrices, first):
+        out = qcore.apply_rows(states, matrices, first)
+        if states is qcore.BELL and matrices.ndim == ndim:
+            labels = np.abs(out @ qcore.BELL.conj().T).argmax(axis=1)
+            out = np.cos(theta) * out + np.sin(theta) * qcore.BELL[(labels + 1) % 4]
+        return out
+
+    return tilted
+
+
+def _tilt_receiver_applies(states, matrices, first):
+    """``apply_rows`` that also turns the committer's qubit by 2e-12 about X after
+    every receiver apply; the committer's ZX flip does not commute with that."""
+    out = qcore.apply_rows(states, matrices, first)
+    if first == 1:
+        out = qcore.apply_rows(out, np.array([[1, -2e-12j], [-2e-12j, 1]]), 0)
+    return out
+
+
+_TILTED_APPLIES = {
+    "pauli-label-flips": _tilt_bell_flips(2),
+    "flip-chooser": _tilt_bell_flips(3),
+    "flip-commutation": _tilt_receiver_applies,
+}
 
 
 class TestSelftest:
@@ -679,6 +749,21 @@ class TestSelftest:
         assert failures == {"flip-commutation", "cheat-undetectability"}
         assert cli.main(["selftest"]) == 1
 
+    # an algebra check's bound is 1e-12: a defect of a few 1e-12, which the
+    # 1e-9 tolerance of the protocol checks absorbs, fails that check alone
+    @pytest.mark.parametrize(
+        "check", ["bell-orthonormality", "pauli-label-flips", "flip-commutation", "flip-chooser"]
+    )
+    def test_a_defect_just_above_the_bound_fails_its_check(self, check, monkeypatch):
+        if check == "bell-orthonormality":
+            tilted = qcore.BELL.copy()
+            tilted[0] += 2e-12 * tilted[1]
+            monkeypatch.setattr(harness, "BELL", tilted)
+        else:
+            monkeypatch.setattr(harness, "apply_rows", _TILTED_APPLIES[check])
+        failures = {check.name for check in selftest() if not check.passed}
+        assert failures == {check}
+
     def test_a_leaky_coding_table_fails_hiding(self, monkeypatch):
         # minus committed as the product state |0...0>: the receiver sees
         # |0><0| on its qubit instead of I/2
@@ -696,6 +781,27 @@ class TestSelftest:
         assert failures == {"hiding", "honest-completeness", "control-rejection"}
         assert cli.main(["selftest"]) == 1
         assert cli.main(["hiding"]) == 1
+
+    def test_the_measurement_certainty_edge_passes(self):
+        # the bound is inclusive: a tolerance of exactly 1 - the smallest
+        # prepared outcome probability passes
+        worst = float(qcore.bell_pair_probabilities(qcore.BELL).diagonal().min())
+        checks = {check.name: check for check in selftest(tolerance=1 - worst)}
+        assert checks["measurement-certainty"].passed
+
+    def test_reads_the_documented_matrices(self, monkeypatch):
+        # two pairs and 20 trials per policy, at seed 0 and the config's
+        # default tolerance unless given
+        bases = []
+        matrix = harness.acceptance_matrix
+        monkeypatch.setattr(harness, "acceptance_matrix", lambda base: bases.append(base) or matrix(base))
+        selftest()
+        assert [(base.bc_policy, base.m_ancillas) for base in bases] == [
+            (BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1)
+        ]
+        assert {(base.n_pairs, base.trials, base.master_seed, base.tolerance) for base in bases} == {
+            (2, 20, 0, 1e-9)
+        }
 
     def test_reads_one_acceptance_matrix_per_policy(self, monkeypatch):
         calls = _counting(monkeypatch, (harness, "_run_many"))

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from bellcommit import protocol
 from bellcommit.attack import alice_commit_cheating, alice_reveal_cheat
 from bellcommit.protocol import (
     COMMIT_VALUES,
@@ -80,6 +81,8 @@ class TestCommit:
         first = alice_commit(CommitValue.MINUS, 2, m_ancillas=1)
         second = alice_commit(CommitValue.MINUS, 2, m_ancillas=1)
         assert not first.states.flags.writeable
+        # so is the cached row under every session's view
+        assert not protocol._initial_row(BellLabel(1, 1), 1).flags.writeable
         template = np.tile(tensor(make_bell(BellLabel(1, 1)), basis_state(1, 0)).amplitudes, (2, 1))
         bc_apply_operations(first, BCPolicy.RANDOM_ENTANGLED, _rng(3))
         assert not np.array_equal(first.states, template)

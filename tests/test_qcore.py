@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,9 @@ class TestMakeBell:
             assert np.array_equal(make_bell(BellLabel(ui, uj)).amplitudes, row)
         with pytest.raises(ValueError):
             BELL[0, 0] = 0.0
+        # the measurement kernels contract with this conjugate table
+        with pytest.raises(ValueError):
+            qcore._BELL_BASIS_CONJ[0, 0] = 0.0
 
     def test_orthonormality_all_sixteen_inner_products(self):
         for i, a in enumerate(BELL_LABELS):
@@ -156,7 +161,7 @@ class TestStateVector:
             StateVector(1, np.array([1.0, 1.0]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected 4 amplitudes for 2 qubits, got shape"):
             StateVector(2, np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -171,6 +176,24 @@ class TestStateVector:
     def test_rejects_non_finite_entries(self, build, bad):
         with pytest.raises(ValueError):
             build(bad)
+
+    def test_zero_qubits_hold_one_amplitude(self):
+        assert StateVector(0, [1.0]).dim == 1
+        assert StateVector(2, [0.0, 1.0, 0.0, 0.0]).dim == 4
+
+    # eq=False: equality and hashing are by identity, since a field-wise
+    # comparison of arrays has no truth value
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: StateVector(1, [1.0, 0.0]), lambda: Unitary(np.eye(2), (0,))],
+        ids=["StateVector", "Unitary"],
+    )
+    def test_oracle_objects_are_frozen_and_compare_by_identity(self, build):
+        a, b = build(), build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, dataclasses.fields(a)[0].name, None)
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_amplitudes_are_read_only(self):
         state = basis_state(2, 0)
@@ -253,6 +276,21 @@ class TestUnitary:
         with pytest.raises(ValueError):
             Unitary(np.eye(4), (0,))
 
+    def test_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            Unitary(np.eye(2), (0,)).matrix[0, 0] = 0.0
+
+    def test_rejects_a_non_square_isometry(self):
+        # its rows are orthonormal, so only the squareness check refuses it
+        with pytest.raises(ValueError, match="must be square"):
+            Unitary(np.eye(2, 4), (0,))
+
+    def test_the_unitarity_guard_admits_its_bound(self):
+        # U U^dagger - I is exactly ATOL_ACCUM off the diagonal, or one ulp more
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary(_off_diagonal(np.nextafter(ATOL_ACCUM, 1)), (0,))
+        assert Unitary(_off_diagonal(ATOL_ACCUM), (0,)).dim == 2
+
     def test_rejects_duplicate_or_empty_targets(self):
         with pytest.raises(ValueError):
             Unitary(np.eye(4), (1, 1))
@@ -291,9 +329,10 @@ class TestUnitary:
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_apply_rejects_out_of_range_targets(self):
-        u = Unitary(random_unitaries(1, 1, np.random.default_rng(0))[0], (5,))
-        with pytest.raises(ValueError):
-            apply_unitary(basis_state(2, 0), u)
+        u = Unitary(random_unitaries(1, 1, np.random.default_rng(0))[0], (0,))
+        for target in (2, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_unitary(basis_state(2, 0), u.on(target))
 
 
 class TestRandomUnitary:
@@ -328,6 +367,11 @@ class TestRandomUnitary:
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert random_unitaries(k, 1, rng)[0].tobytes() == haar_unitary(k, oracle_rng).tobytes(), seed
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _off_diagonal(entry):
+    """``[[1, entry], [0, 1]]``: ``U U^dagger - I`` is exactly ``entry`` off the diagonal."""
+    return np.array([[1.0, entry], [0.0, 1.0]], dtype=complex)
 
 
 def _off_unitarity(defect, at=None):
@@ -438,6 +482,10 @@ class TestRandomUnitaries:
         monkeypatch.setattr(qcore, "random_unitary", inside)
         assert random_unitaries(k, 3, np.random.default_rng(k)).shape == (3, 2**k, 2**k)
 
+    def test_a_draw_exactly_at_the_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(qcore, "random_unitary", lambda ginibre: _off_diagonal(ATOL_ACCUM))
+        assert random_unitaries(1, 2, np.random.default_rng(0)).shape == (2, 2, 2)
+
     @pytest.mark.parametrize("position", [0, 4, 8])
     def test_one_draw_off_unitarity_anywhere_in_the_stack_is_refused(self, position, monkeypatch):
         monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(ATOL_ACCUM, at=position + 1))
@@ -504,6 +552,10 @@ def _off_norm(defect):
 
 
 class TestApplyRows:
+    def test_the_tolerances_are_pinned(self):
+        # the guard tests scale with these constants, so only this pins them
+        assert (ATOL_EXACT, ATOL_ACCUM) == (1e-12, 1e-10)
+
     @pytest.mark.parametrize("first", [0, 1])
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_one_row_against_a_stack_equals_the_tiled_row(self, width, first):
@@ -649,15 +701,21 @@ class TestBellMeasurement:
     def test_one_draw_per_row_is_required(self, rows, count):
         # one row against several draws too: every draw needs its own row
         states = np.stack([basis_state(2, 0).amplitudes] * rows)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^expected one draw for each of {rows} rows, got"):
             measure_bell_pairs(states, np.full(count, 0.5))
 
     def test_invalid_pair(self):
         state = basis_state(2, 0)
-        with pytest.raises(ValueError):
-            bell_probabilities(state, (0, 0))
-        with pytest.raises(ValueError):
-            bell_probabilities(state, (0, 2))
+        for pair in [(0, 0), (0, 2), (2, 0), (-1, 1)]:
+            with pytest.raises(ValueError, match="invalid qubit pair"):
+                bell_probabilities(state, pair)
+
+    def test_pair_around_a_middle_qubit(self):
+        # qubits 0 and 2 hold the Bell state, qubit 1 is |0>
+        for index, row in enumerate(BELL):
+            amplitudes = np.zeros(8, dtype=complex)
+            amplitudes[[0b000, 0b001, 0b100, 0b101]] = row
+            assert bell_probabilities(StateVector(3, amplitudes), (0, 2))[index] >= 1 - 1e-9
 
     @pytest.mark.parametrize("scale", [1.1, np.nan])
     def test_unnormalized_register_is_rejected(self, scale):
