@@ -84,31 +84,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace, strategy: Strategy | None = None) -> ExperimentConfig:
-    # a field whose flag the subcommand lacks keeps its default
-    return ExperimentConfig(
-        strategy=strategy if strategy is not None else Strategy(args.strategy),
-        commit_value=CommitValue(getattr(args, "commit", "bit0")),
-        reveal_value=CommitValue(getattr(args, "reveal", "bit0")),
-        n_pairs=getattr(args, "pairs", 1),
-        trials=getattr(args, "trials", 1),
-        bc_policy=BCPolicy(getattr(args, "bc_ops", "none")),
+def _shared(args: argparse.Namespace) -> dict:
+    # the fields every acceptance experiment of run and matrix takes from its flags
+    return dict(
+        n_pairs=args.pairs,
+        trials=args.trials,
+        bc_policy=BCPolicy(args.bc_ops),
         m_ancillas=args.ancillas,
-        master_seed=getattr(args, "seed", 0),
-        tolerance=getattr(args, "tolerance", _TOLERANCE),
+        master_seed=args.seed,
+        tolerance=args.tolerance,
     )
 
 
 def _report(args: argparse.Namespace) -> reports.Report:
     if args.command == "run":
-        config = _config_from(args)
+        config = ExperimentConfig(
+            Strategy(args.strategy), CommitValue(args.commit), CommitValue(args.reveal), **_shared(args)
+        )
         return reports.build_run(config, run_experiment(config))
     if args.command == "matrix":
-        config = _config_from(args, strategy=Strategy.HONEST)
+        config = ExperimentConfig(Strategy.HONEST, **_shared(args))
         return reports.build_matrix(config, acceptance_matrix(config))
     if args.command == "hiding":
-        config = _config_from(args, strategy=Strategy.HONEST)
-        return reports.build_hiding(config, hiding_report(config))
+        return reports.build_hiding(args.ancillas, hiding_report(args.ancillas))
     checks = selftest(master_seed=args.seed, tolerance=args.tolerance)
     return reports.build_selftest(args.seed, args.tolerance, checks)
 

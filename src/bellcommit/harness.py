@@ -57,6 +57,7 @@ from .protocol import (
     verify,
 )
 from .qcore import (
+    ATOL_EXACT,
     BELL,
     BELL_LABELS,
     BellLabel,
@@ -261,6 +262,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     low = np.full((len(registers), len(BELL_LABELS)), math.inf)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
+        # C-contiguous as in protocol.verify: both undos take one matmul path and give the same bytes
         undo = np.ascontiguousarray(ops.conj().swapaxes(1, 2))
         uniforms = draws.reshape(-1)
         for group, (value, flip) in enumerate(registers):
@@ -354,14 +356,15 @@ class AcceptanceMatrix:
 def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     """Acceptance rates for every (strategy, commit, reveal) cell.
 
-    Every cell is ``base`` with its own strategy, commit and reveal. The
-    cheat row prepares the fixed label and steers to each value. The honest
-    diagonal reveals what it committed; the 12 controls commit honestly and
-    announce another value, with no flip. All cells share each trial's
-    receiver operations and draws, drawn once: one receiver history, four
-    cheat reveals that all accept, and controls that reject. The 20 cells
-    hold 8 distinct registers (four cheat flips, four honest values), and
-    each is measured once for all the cells that hold it.
+    Every cell is ``base`` with its own strategy, commit and reveal, so only
+    ``base``'s shared fields are read: pairs, trials, policy, ancillas, seed
+    and tolerance. The cheat row prepares the fixed label and steers to each
+    value. The honest diagonal reveals what it committed; the 12 controls
+    commit honestly and announce another value, with no flip. All cells
+    share each trial's receiver operations and draws, drawn once: one
+    receiver history, four cheat reveals that all accept, and controls that
+    reject. The 20 cells hold 8 distinct registers (four cheat flips, four
+    honest values), and each is measured once for all the cells that hold it.
     """
     configs = [
         replace(base, strategy=Strategy.CHEAT, commit_value=CommitValue.BIT0, reveal_value=value)
@@ -402,19 +405,19 @@ class HidingReport:
         return self.max_distance <= HIDING_THRESHOLD
 
 
-def hiding_report(base: ExperimentConfig) -> HidingReport:
-    """Trace-distance table of the receiving side's committed views.
+def hiding_report(m_ancillas: int) -> HidingReport:
+    """Trace-distance table of the receiving side's views with ``m_ancillas`` ancillas.
 
-    It reads only ``base.m_ancillas`` and draws nothing. Every pair of a
-    commitment holds the same row, so one committed row per value decides
-    the table for any number of pairs. Whatever the receiver does while the
-    commitment is pending is a unitary U on its own qubits, and
-    D(U rho U^dagger, U sigma U^dagger) = D(rho, sigma), so the distances
-    between the views before it acts are the distances after any receiver
-    operations. Any distance above the threshold would mean the commitment
-    leaks before the reveal.
+    It draws nothing. Every pair of a commitment holds the same row, so one
+    committed row per value decides the table for any number of pairs.
+    Whatever the receiver does while the commitment is pending is a unitary
+    U on its own qubits, and D(U rho U^dagger, U sigma U^dagger) =
+    D(rho, sigma), so the distances between the views before it acts are
+    the distances after any receiver operations. Any distance above the
+    threshold would mean the commitment leaks before the reveal. An ancilla
+    count outside ``0 .. MAX_ANCILLAS`` raises ``ValueError``.
     """
-    reduced = [receiver_states(alice_commit(value, 1, base.m_ancillas).states) for value in COMMIT_VALUES]
+    reduced = [receiver_states(alice_commit(value, 1, m_ancillas).states) for value in COMMIT_VALUES]
     return HidingReport(tuple(tuple(trace_distances(a, b).item() for b in reduced) for a in reduced))
 
 
@@ -448,7 +451,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
 
     # Bell basis is orthonormal.
     worst = float(np.abs(BELL.conj() @ BELL.T - np.eye(4)).max())
-    record("bell-orthonormality", worst <= 1e-12, f"max deviation {worst:.3e}")
+    record("bell-orthonormality", worst <= ATOL_EXACT, f"max deviation {worst:.3e}")
 
     # Pauli flips permute labels as advertised (Z flips u_i, X flips u_j).
     worst = 0.0
@@ -458,7 +461,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
             for src in BELL_LABELS
         ]
         worst = max(worst, fidelity_defect(apply_rows(BELL, flip.matrix(), 0), BELL[dst]))
-    record("pauli-label-flips", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
+    record("pauli-label-flips", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The committer's flip commutes with receiver-side unitaries: the
     # receiver's apply touches only the receiver's qubits.
@@ -472,7 +475,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     a = apply_rows(apply_rows(states, flip, 0), ops, 1)
     b = apply_rows(apply_rows(states, ops, 1), flip, 0)
     worst = float(np.abs(a - b).max())
-    record("flip-commutation", worst <= 1e-12, f"max amplitude delta {worst:.3e}")
+    record("flip-commutation", worst <= ATOL_EXACT, f"max amplitude delta {worst:.3e}")
 
     # Measuring a prepared Bell state returns its label with certainty.
     probs = bell_pair_probabilities(BELL)
@@ -498,10 +501,10 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     for index, dst in enumerate(BELL_LABELS):
         flips = np.stack([pauli_for_flip(src, dst).matrix() for src in BELL_LABELS])
         worst = max(worst, fidelity_defect(apply_rows(BELL, flips, 0), BELL[[index] * 4]))
-    record("flip-chooser", worst <= 1e-12, f"max fidelity defect {worst:.3e}")
+    record("flip-chooser", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The receiving side's view is independent of the committed value.
-    report = hiding_report(base)
+    report = hiding_report(base.m_ancillas)
     record("hiding", report.passed, f"max trace distance {report.max_distance:.3e}")
 
     return checks

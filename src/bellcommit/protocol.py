@@ -122,7 +122,7 @@ def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> Commi
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     if not 0 <= m_ancillas <= MAX_ANCILLAS:
-        raise ValueError(f"m_ancillas must be between 0 and {MAX_ANCILLAS}")
+        raise ValueError(f"ancillas must be between 0 and {MAX_ANCILLAS}")
     row = _initial_row(commit_label(value), m_ancillas)
     states = np.broadcast_to(row, (n_pairs, row.size))
     return CommitmentSession(value, states)
@@ -181,6 +181,7 @@ def verify(
         raise ProtocolError("verification requires a revealed session")
     states = session.states
     for ops in reversed(session.ops):
+        # C-contiguous as in harness._run_many: both undos take one matmul path and give the same bytes
         states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
     outcomes, probs = measure_bell_pairs(states, rng.random(session.n_pairs))
     indices = outcomes.tolist()

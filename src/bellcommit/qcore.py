@@ -375,10 +375,6 @@ def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     n = state.num_qubits
     if i == j or not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"invalid qubit pair {pair!r} for {n} qubits")
-    if (i, j) == (0, 1):
-        psi = state.amplitudes.reshape(4, -1)
-    else:
-        psi = state.amplitudes.reshape((2,) * n)
-        psi = np.moveaxis(psi, (i, j), (0, 1)).reshape(4, -1)
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), (i, j), (0, 1)).reshape(4, -1)
     coeffs = np.einsum("lk,ka->la", _BELL_BASIS_CONJ, psi)
     return (np.abs(coeffs) ** 2).sum(axis=1)

@@ -83,10 +83,8 @@ def _verdict(ok: bool) -> str:
 
 
 def config_dict(config: ExperimentConfig) -> dict:
+    """The settings an acceptance matrix shares across its cells, as echoed."""
     return {
-        "strategy": config.strategy.value,
-        "commit": config.commit_value.value,
-        "reveal": config.reveal_value.value,
         "pairs": config.n_pairs,
         "trials": config.trials,
         "bc_policy": config.bc_policy.value,
@@ -114,10 +112,11 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
 def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
     cell = Cell(config, stats)
     ok = cell.passed()
+    # the run's own settings; the rest it shares with a matrix
+    values = {"strategy": config.strategy.value, "commit": config.commit_value.value,
+              "reveal": config.reveal_value.value}
     items = [
-        ("strategy", config.strategy.value),
-        ("commit", config.commit_value.value),
-        ("reveal", config.reveal_value.value),
+        *values.items(),
         ("pairs", config.n_pairs),
         ("trials", config.trials),
         ("bc policy", config.bc_policy.value),
@@ -131,7 +130,7 @@ def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
     width = max(len(key) for key, _ in items)
     return Report(
         ok=ok,
-        body=_body(config_dict(config), asdict(stats)),
+        body=_body({**values, **config_dict(config)}, asdict(stats)),
         csv_header=_CELL_FIELDS,
         csv_rows=cell_rows((cell,)),
         text="".join(f"{key.ljust(width)}  {value}\n" for key, value in items),
@@ -173,7 +172,7 @@ def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
     )
 
 
-def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
+def build_hiding(m_ancillas: int, report: HidingReport) -> Report:
     ok = report.passed
     names = [value.value for value in COMMIT_VALUES]
     summary = {"max_distance": report.max_distance, "threshold": HIDING_THRESHOLD, "passed": ok}
@@ -183,7 +182,7 @@ def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
         **summary,
     }
     lines = [
-        f"receiver-side trace distances (ancillas={config.m_ancillas})",
+        f"receiver-side trace distances (ancillas={m_ancillas})",
         "",
         "        " + "  ".join(f"{name:>9}" for name in names),
     ]
@@ -197,7 +196,7 @@ def build_hiding(config: ExperimentConfig, report: HidingReport) -> Report:
     ]
     return Report(
         ok=ok,
-        body=_body({"ancillas": config.m_ancillas, "format": "json"}, summary, hiding=section),
+        body=_body({"ancillas": m_ancillas, "format": "json"}, summary, hiding=section),
         csv_header=("value_a", "value_b", "trace_distance"),
         csv_rows=[
             (a, b, value)

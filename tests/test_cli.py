@@ -105,6 +105,15 @@ class TestInvalidConfigurations:
         code, _, _ = _run(["run", *FAST, "--ancillas", "9"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("ancillas", ["3", "-1"])
+    @pytest.mark.parametrize("argv", [["run", *FAST], ["matrix", *FAST], ["hiding"]],
+                             ids=["run", "matrix", "hiding"])
+    def test_ancillas_out_of_range_give_the_same_line(self, argv, ancillas, capsys):
+        # hiding checks its count below the config layer, in the config's words
+        code, out, err = _run([*argv, "--ancillas", ancillas], capsys)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: ancillas must be between 0 and 2\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "1", "-1"])
     @pytest.mark.parametrize("argv", [["run", *FAST], ["matrix", *FAST], ["selftest"]],
                              ids=["run", "matrix", "selftest"])
@@ -251,6 +260,15 @@ class TestMatrixCommand:
         assert doc["stats"]["control_max_rate"] == 0.0
         assert doc["stats"]["passed"] is True
         assert len(doc["matrix"]["rows"]) == 20
+
+    def test_json_config_echoes_only_the_shared_settings(self, capsys):
+        # every cell sets its own strategy, commit and reveal, so none is echoed
+        code, out, _ = _run(["matrix", *FAST, "--seed", "4", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "pairs": 2, "trials": 10, "bc_policy": "none", "ancillas": 0, "seed": 4, "tolerance": 1e-9,
+            "format": "json",
+        }
 
     def test_csv_rows(self, capsys):
         code, out, _ = _run(["matrix", *FAST, "--format", "csv"], capsys)

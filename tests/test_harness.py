@@ -24,6 +24,7 @@ from bellcommit.harness import (
 )
 from bellcommit.protocol import (
     COMMIT_VALUES,
+    MAX_ANCILLAS,
     BCPolicy,
     CommitValue,
     alice_commit,
@@ -599,12 +600,9 @@ class TestCellVerdict:
 
 
 class TestHidingReport:
-    @pytest.mark.parametrize(
-        "policy,m",
-        [(BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 2)],
-    )
-    def test_distances_below_threshold(self, policy, m):
-        report = hiding_report(_config(bc_policy=policy, m_ancillas=m))
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_distances_below_threshold(self, m):
+        report = hiding_report(m)
         assert report.passed
         assert report.max_distance <= harness.HIDING_THRESHOLD
         for i in range(4):
@@ -626,7 +624,7 @@ class TestHidingReport:
             for a in reduced
         )
         assert distances == ((0.0,) * 4,) * 4
-        assert hiding_report(_config(m_ancillas=m, n_pairs=n_pairs)).distances == distances
+        assert hiding_report(m).distances == distances
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     @pytest.mark.parametrize("n_pairs", [1, 3])
@@ -642,7 +640,7 @@ class TestHidingReport:
             want = [reduced_density(StateVector(n, row), range(1, n)) for row in session.states]
             assert np.array_equal(receiver_states(session.states), np.stack(want))
             reduced.append(want)
-        report = hiding_report(_config(bc_policy=policy, m_ancillas=m, n_pairs=n_pairs, master_seed=seed))
+        report = hiding_report(m)
         for a, row in zip(reduced, report.distances):
             for b, distance in zip(reduced, row):
                 after = max(trace_distance(x, y) for x, y in zip(a, b))
@@ -650,26 +648,23 @@ class TestHidingReport:
 
     def test_draws_nothing(self, monkeypatch):
         # trace distance is unitarily invariant, so the receiver's operations
-        # and the seed change no distance, and none is drawn
+        # change no distance, and none is drawn
         calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
-        report = hiding_report(_config(n_pairs=5, bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1))
+        for m in range(MAX_ANCILLAS + 1):
+            hiding_report(m)
         assert calls == {"_trial_generator": 0, "random_unitary": 0}
-        assert report == hiding_report(_config(n_pairs=5, m_ancillas=1, master_seed=3))
 
-    @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_one_row_decides_any_number_of_pairs(self, m):
-        # every pair holds the same row, so a commitment far too large to
-        # hold answers at once, with the one-pair table
-        report = hiding_report(_config(m_ancillas=m, n_pairs=2**62))
-        assert report.distances == ((0.0,) * 4,) * 4
-        assert report == hiding_report(_config(m_ancillas=m, n_pairs=1))
+    @pytest.mark.parametrize("m", [MAX_ANCILLAS + 1, -1])
+    def test_ancillas_out_of_range_raise_the_configs_message(self, m):
+        with pytest.raises(ValueError, match=r"^ancillas must be between 0 and 2$"):
+            hiding_report(m)
 
     def test_no_register_outlives_the_report(self):
         # sessions share one cached row per value, not a cached register
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            hiding_report(_config(n_pairs=20000, m_ancillas=2))
+            hiding_report(2)
             gc.collect()
             after = tracemalloc.get_traced_memory()[0]
         finally:
@@ -683,7 +678,7 @@ class TestHidingReport:
         assert not HidingReport(((0.0, float(np.nextafter(at, 1))),)).passed
 
     def test_table_is_symmetric(self):
-        report = hiding_report(_config(bc_policy=BCPolicy.RANDOM_LOCAL))
+        report = hiding_report(0)
         for i in range(4):
             for j in range(4):
                 assert report.distances[i][j] == pytest.approx(
@@ -691,10 +686,14 @@ class TestHidingReport:
                 )
 
 
+# just above the algebra checks' bound
+_DEFECT = 2 * ATOL_EXACT
+
+
 def _tilt_bell_flips(ndim):
     """``apply_rows`` that turns each row of a flip of ``BELL`` by an ``ndim`` array
-    toward the next Bell row, for a fidelity defect of 2e-12."""
-    theta = np.sqrt(2e-12)
+    toward the next Bell row, for a fidelity defect of twice ATOL_EXACT."""
+    theta = np.sqrt(_DEFECT)
 
     def tilted(states, matrices, first):
         out = qcore.apply_rows(states, matrices, first)
@@ -707,11 +706,11 @@ def _tilt_bell_flips(ndim):
 
 
 def _tilt_receiver_applies(states, matrices, first):
-    """``apply_rows`` that also turns the committer's qubit by 2e-12 about X after
+    """``apply_rows`` that also turns the committer's qubit by twice ATOL_EXACT about X after
     every receiver apply; the committer's ZX flip does not commute with that."""
     out = qcore.apply_rows(states, matrices, first)
     if first == 1:
-        out = qcore.apply_rows(out, np.array([[1, -2e-12j], [-2e-12j, 1]]), 0)
+        out = qcore.apply_rows(out, np.array([[1, -1j * _DEFECT], [-1j * _DEFECT, 1]]), 0)
     return out
 
 
@@ -749,7 +748,7 @@ class TestSelftest:
         assert failures == {"flip-commutation", "cheat-undetectability"}
         assert cli.main(["selftest"]) == 1
 
-    # an algebra check's bound is 1e-12: a defect of a few 1e-12, which the
+    # an algebra check's bound is ATOL_EXACT: a defect of twice that, which the
     # 1e-9 tolerance of the protocol checks absorbs, fails that check alone
     @pytest.mark.parametrize(
         "check", ["bell-orthonormality", "pauli-label-flips", "flip-commutation", "flip-chooser"]
@@ -757,7 +756,7 @@ class TestSelftest:
     def test_a_defect_just_above_the_bound_fails_its_check(self, check, monkeypatch):
         if check == "bell-orthonormality":
             tilted = qcore.BELL.copy()
-            tilted[0] += 2e-12 * tilted[1]
+            tilted[0] += _DEFECT * tilted[1]
             monkeypatch.setattr(harness, "BELL", tilted)
         else:
             monkeypatch.setattr(harness, "apply_rows", _TILTED_APPLIES[check])
@@ -775,7 +774,7 @@ class TestSelftest:
             return np.eye(2 ** (2 + m_ancillas), dtype=np.complex128)[0]
 
         monkeypatch.setattr(protocol, "_initial_row", leaky)
-        assert hiding_report(_config()).max_distance == 0.5
+        assert hiding_report(0).max_distance == 0.5
         # minus's honest cell measures it and fails, and so do its controls
         failures = {check.name for check in selftest() if not check.passed}
         assert failures == {"hiding", "honest-completeness", "control-rejection"}

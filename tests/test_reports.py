@@ -13,7 +13,7 @@ from bellcommit.harness import (
     run_experiment,
     selftest,
 )
-from bellcommit.protocol import BCPolicy, CommitValue
+from bellcommit.protocol import CommitValue
 from bellcommit import reports
 
 
@@ -58,11 +58,11 @@ class TestJsonReports:
         assert all(grid[i][i] == 1.0 for i in range(4))
 
     def test_hiding_report_shape(self):
-        cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL)
-        parsed = json.loads(reports.build_hiding(cfg, hiding_report(cfg)).render("json"))
+        parsed = json.loads(reports.build_hiding(1, hiding_report(1)).render("json"))
         assert parsed["hiding"]["passed"] is True
         assert len(parsed["hiding"]["distances"]) == 4
         assert parsed["hiding"]["threshold"] == 1e-12
+        assert parsed["config"] == {"ancillas": 1, "format": "json"}
 
 
 class TestCsvReports:
@@ -88,9 +88,7 @@ class TestCsvReports:
                 assert row[4] == "1.0"
 
     def test_hiding_csv(self):
-        cfg = _config()
-        report = hiding_report(cfg)
-        rows = list(csv.reader(io.StringIO(reports.build_hiding(cfg, report).render("csv"))))
+        rows = list(csv.reader(io.StringIO(reports.build_hiding(0, hiding_report(0)).render("csv"))))
         assert rows[0] == ["value_a", "value_b", "trace_distance"]
         assert len(rows) == 17
 
