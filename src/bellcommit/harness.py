@@ -16,9 +16,9 @@ needs no generator. With receiver operations the engine makes the
 reference's draws in the reference's order and runs each protocol step once
 over a bounded chunk of trials, each trial drawing from its own NumPy
 generator, as the reference does; a register is one row until the receiver's
-apply broadcasts it to every pair. Were a receiver-free register ever not
-certain, the run would take neither path: each experiment would run the
-reference trial by trial. Experiments that share their draws share the
+apply broadcasts it to every pair. A receiver-free register that is not
+certain runs the same loop, with ones for the receiver's unitaries and no
+Haar draw. Experiments that share their draws share the
 pass: the acceptance matrix draws each trial once, and all its cells run on
 the same receiver operations and measurement draws. Cells that hold the same
 register, set by the commit value and the cheat's flip, share its
@@ -180,26 +180,17 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
 
     Each trial draws from its own generator: its Haar unitaries, then one
     uniform per pair. A chunk's unitaries are one stack, drawn and checked in
-    one call.
+    one call. Width 0 draws none: its stack holds ``1``, the receiver's
+    no-op, once per pair.
     """
     seed, n, trials = config.master_seed, config.n_pairs, config.trials
     for first in range(0, trials, chunk):
         rngs = [_trial_generator(seed, trial) for trial in range(first, min(first + chunk, trials))]
-        matrices = random_unitaries(width, n, *rngs)
+        matrices = random_unitaries(width, n, *rngs) if width else np.ones((len(rngs) * n, 1, 1), complex)
         draws = np.empty((len(rngs), n))
         for t, rng in enumerate(rngs):
             draws[t] = rng.random(n)
         yield matrices, draws
-
-
-def _stepwise_stats(config: ExperimentConfig) -> DetectionStats:
-    """``config``'s stats from ``_execute_trial``, one trial at a time, in flat memory."""
-    accepts, low = 0, math.inf
-    for trial in range(config.trials):
-        accept, probability = _execute_trial(config, trial)
-        accepts += accept
-        low = min(low, probability)
-    return DetectionStats(config.trials, accepts, accepts / config.trials, low)
 
 
 # configs run in one pass agree on what their draws depend on, and on tolerance
@@ -217,11 +208,11 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     flipped once per run; if every one has exactly one nonzero outcome
     probability, the run makes no draws and no chunks: each register's
     probabilities, computed once, are its smallest ones, and its one label
-    accepts every trial. If one has more, each config runs the reference.
-    With receiver operations each chunk's draws and undo matrices are made
-    once, and each register runs apply, flip, undo and measurement once per
-    chunk: it starts as one row, which the receiver's apply broadcasts to
-    every pair of the chunk.
+    accepts every trial. Otherwise each chunk's draws and undo matrices are
+    made once, and each register runs apply, flip, undo and measurement once
+    per chunk: it starts as one row, which the receiver's apply broadcasts to
+    every pair of the chunk. Without receiver operations the unitaries are
+    ones, so the chunk measures the reference's states with its draws.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -248,15 +239,14 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
                   for value, flip in registers]
         probs = bell_pair_probabilities(np.concatenate(states))
         certain = probs != 0
-        if not (certain.sum(axis=1) == 1).all():
-            return [_stepwise_stats(c) for c in configs]
-        # Every draw measures the one label k with nonzero p, so no draw is
-        # made. The cumulative walk is 0 before k and p from k on, so a draw
-        # u in [0, 1) passes the k zeros and stops at k, or, if u >= p,
-        # passes all four and the slack rule takes argmax = k. The reference
-        # gets these stats under any seed.
-        accepts[certain] = config.trials
-        return _cell_stats(config, cells, accepts, probs)
+        if (certain.sum(axis=1) == 1).all():
+            # Every draw measures the one label k with nonzero p, so no draw
+            # is made. The cumulative walk is 0 before k and p from k on, so a
+            # draw u in [0, 1) passes the k zeros and stops at k, or, if
+            # u >= p, passes all four and the slack rule takes argmax = k. The
+            # reference gets these stats under any seed.
+            accepts[certain] = config.trials
+            return _cell_stats(config, cells, accepts, probs)
     per_trial = n * (rows[config.commit_value].shape[1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
     low = np.full((len(registers), len(BELL_LABELS)), math.inf)

@@ -1,4 +1,7 @@
-import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -34,6 +37,7 @@ from bellcommit.protocol import (
 from bellcommit.qcore import ATOL_ACCUM, ATOL_EXACT, PauliOp, StateVector, Unitary, receiver_states
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
+from test_cli import _child_env
 from test_qcore import _off_unitarity
 
 HAAR_GRID = [(policy, m) for policy, m in POLICY_GRID if policy is not BCPolicy.NONE]
@@ -172,7 +176,7 @@ def _reference_stats(config):
 def _chunk_budget(config, per_chunk):
     """A ``_CHUNK_ENTRIES`` that gives ``per_chunk`` trials per chunk (1, 7 or all).
 
-    Only a run with receiver operations is chunked.
+    Every run but a certain receiver-free one is chunked.
     """
     n = config.n_pairs
     width = protocol.op_width(config.bc_policy, config.m_ancillas)
@@ -235,6 +239,24 @@ def _force_a_residue(monkeypatch):
         return probs
 
     monkeypatch.setattr(harness, "bell_pair_probabilities", with_residue)
+
+
+def _mix_rows(monkeypatch):
+    """Commit each label as 0.8 of its Bell row plus 0.6 of the row with ``u_j`` flipped.
+
+    Every pair of such a register measures two labels, with probabilities
+    0.64 and 0.36, so a receiver-free run of it is uncertain on any kernel,
+    and a cell can accept some of its trials and reject others.
+    """
+    initial_row = protocol._initial_row
+
+    def mixed(label, m_ancillas):
+        flipped = qcore.BellLabel(label.u_i, label.u_j ^ 1)
+        row = 0.8 * initial_row(label, m_ancillas) + 0.6 * initial_row(flipped, m_ancillas)
+        row.setflags(write=False)
+        return row
+
+    monkeypatch.setattr(protocol, "_initial_row", mixed)
 
 
 def _counting(monkeypatch, *functions):
@@ -304,15 +326,12 @@ class TestBatchedEngine:
         draws = _counting(monkeypatch, (harness, "_trial_generator"))
         assert run_experiment(cfg) == want  # accepts and min_outcome_probability compared with ==
 
-        if policy is BCPolicy.NONE:
-            # the engine measures nothing: a certain run makes no draws, and
-            # any other runs the reference, one generator per trial
-            certain = _is_certain(cfg)
-            assert draws == {"_trial_generator": 0 if certain else cfg.trials}
+        if _is_certain(cfg):
+            # a certain run measures nothing and makes no draws, and the
+            # reference's outcomes could not have been others
+            assert draws == {"_trial_generator": 0}
             assert measured["engine"] == []
-            if certain:
-                # the reference's outcomes could not have been others
-                _assert_certain(measured["reference"])
+            _assert_certain(measured["reference"])
             return
         rows = [states.shape[0] for states, *_ in measured["engine"]]
         chunk = cfg.trials if per_chunk == "all" else per_chunk
@@ -338,12 +357,10 @@ class TestBatchedEngine:
                             _recording(reference, protocol.measure_bell_pairs))
         draws = _counting(monkeypatch, (harness, "_trial_generator"))
         cells = acceptance_matrix(cfg).cells
-        receiver_free = policy is BCPolicy.NONE
         certain = _is_certain(*(cell.config for cell in cells))
-        if receiver_free:
-            # the engine measures nothing: a certain run makes no draws, and
-            # any other runs the reference, one generator per trial and cell
-            assert draws == {"_trial_generator": 0 if certain else len(cells) * cfg.trials}
+        if certain:
+            # a certain run measures nothing and makes no draws
+            assert draws == {"_trial_generator": 0}
             assert engine == []
         # the engine measures chunk by chunk, every distinct register in
         # turn, in the order the cells first prepare it
@@ -352,9 +369,8 @@ class TestBatchedEngine:
         for cell in cells:
             reference.clear()
             assert cell.stats == _reference_stats(cell.config)
-            if receiver_free:
-                if certain:
-                    _assert_certain(reference)
+            if certain:
+                _assert_certain(reference)
                 continue
             # each cell's states and draws must be its own reference's, bit for bit
             measured = engine[registers.index(_register(cell)) :: len(registers)]
@@ -375,7 +391,7 @@ class TestBatchedEngine:
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _one_pair_off(protocol.measure_bell_pairs, cfg.n_pairs))
         for cell in acceptance_matrix(cfg).cells:
-            assert cell.stats == harness._stepwise_stats(cell.config)
+            assert cell.stats == _reference_stats(cell.config)
             assert cell.stats.accepts == 0
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
@@ -410,33 +426,59 @@ class TestBatchedEngine:
         matrix = acceptance_matrix(cfg)
         assert matrix.passed()
         chunks = 2  # 9 trials, 7 to a chunk
-        if policy is BCPolicy.NONE:
-            # the four flipped registers are built once per run, and their
-            # certain outcomes need no draw and no measurement; were they not
-            # certain, each of the 20 cells would run the reference
-            draws = 0 if _is_certain(*(cell.config for cell in matrix.cells)) else 20 * cfg.trials
-            assert calls == {"measure_bell_pairs": 0, "apply_rows": 4, "_trial_generator": draws}
+        # a receiver-free run builds its four flipped registers once to see
+        # whether their outcomes are certain
+        built = 4 if policy is BCPolicy.NONE else 0
+        if _is_certain(*(cell.config for cell in matrix.cells)):
+            # certain outcomes need no draw and no measurement
+            assert calls == {"measure_bell_pairs": 0, "apply_rows": built, "_trial_generator": 0}
         else:
             # per chunk: eight applies, four flips, eight undos
-            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": 20 * chunks,
+            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": built + 20 * chunks,
                              "_trial_generator": cfg.trials}
 
+    # the receiver's unitaries are ones, so the chunk loop draws no Haar
+    # matrix and each trial's generator makes only its measurement draws
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_an_uncertain_receiver_free_matrix_runs_the_reference(self, m, monkeypatch):
+    def test_an_uncertain_receiver_free_matrix_runs_the_chunk_loop(self, m, monkeypatch):
         _force_a_residue(monkeypatch)
         cfg = _config(m_ancillas=m, trials=9)
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"))
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"),
+                          (harness, "random_unitaries"), (harness, "_trial_generator"))
         matrix = acceptance_matrix(cfg)
-        assert calls == {"measure_bell_pairs": 0, "_execute_trial": 20 * cfg.trials}
+        chunks = 2  # 9 trials, 7 to a chunk
+        assert calls == {"measure_bell_pairs": 8 * chunks, "_execute_trial": 0, "random_unitaries": 0,
+                         "_trial_generator": cfg.trials}
         assert matrix.passed()
         for cell in matrix.cells:
             assert cell.stats == _reference_stats(cell.config)
 
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_a_mixed_receiver_free_register_equals_the_reference(self, m, seed, per_chunk, monkeypatch):
+        _mix_rows(monkeypatch)
+        cfg = _config(n_pairs=3, trials=9, m_ancillas=m, master_seed=seed)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
+        chunks = {1: 9, 7: 2, "all": 1}[per_chunk]
+        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"),
+                          (harness, "random_unitaries"), (harness, "_trial_generator"))
+        cells = acceptance_matrix(cfg).cells
+        assert calls == {"measure_bell_pairs": 8 * chunks, "_execute_trial": 0, "random_unitaries": 0,
+                         "_trial_generator": cfg.trials}
+        cheat = replace(cfg, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
+        got = [cell.stats for cell in cells] + [run_experiment(cheat)]
+        assert calls == {"measure_bell_pairs": 9 * chunks, "_execute_trial": 0, "random_unitaries": 0,
+                         "_trial_generator": 2 * cfg.trials}
+        want = [_reference_stats(config) for config in [cell.config for cell in cells] + [cheat]]
+        assert got == want
+        assert any(0 < stats.accepts < cfg.trials for stats in want)
+
     def test_an_uncertain_receiver_free_run_keeps_memory_flat(self, monkeypatch):
         _force_a_residue(monkeypatch)
 
-        # the reference runs one trial at a time, so fewer trials than above;
-        # many pairs make each trial's arrays outweigh the allocator's noise
+        # many pairs make each chunk's arrays outweigh the allocator's noise
         def peak(trials):
             cfg = _config(n_pairs=256, trials=trials, m_ancillas=2)
             run_experiment(cfg)  # caches filled outside the measurement
@@ -518,6 +560,43 @@ class TestBatchedEngine:
                 tracemalloc.stop()
 
         assert peak(8000) <= 1.1 * peak(1000)
+
+    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
+    # names one: Haswell is an AVX2 kernel, Prescott SSE3. Each child checks
+    # 4 bases x 2 chunk sizes x 20 cells against the reference.
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_equals_the_reference_on_every_kernel(self, coretype):
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+        env["OPENBLAS_CORETYPE"] = coretype
+        script = "import json, test_harness\nprint(json.dumps(test_harness._cells_off_the_reference()))\n"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == [160, []]
+
+
+def _cells_off_the_reference():
+    """How many Haar matrix cells were checked, and which differ from their reference.
+
+    The bases are 3 pairs and 9 trials at the largest seed, under
+    random-local with 0 or 2 ancillas and random-entangled with 1 or 2, each
+    run in chunks of 1 and of 7 trials.
+    """
+    budget, checked, off = harness._CHUNK_ENTRIES, 0, []
+    try:
+        for policy, m in [(BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_LOCAL, 2),
+                          (BCPolicy.RANDOM_ENTANGLED, 1), (BCPolicy.RANDOM_ENTANGLED, 2)]:
+            cfg = _config(bc_policy=policy, m_ancillas=m, n_pairs=3, trials=9, master_seed=2**64 - 1)
+            for per_chunk in (1, 7):
+                harness._CHUNK_ENTRIES = _chunk_budget(cfg, per_chunk)
+                for cell in acceptance_matrix(cfg).cells:
+                    checked += 1
+                    if cell.stats != _reference_stats(cell.config):
+                        off.append(f"{policy.value} m={m} chunk={per_chunk}: {cell.config}")
+    finally:
+        harness._CHUNK_ENTRIES = budget
+    return checked, off
 
 
 class TestAcceptanceMatrix:
@@ -659,17 +738,19 @@ class TestHidingReport:
         with pytest.raises(ValueError, match=r"^ancillas must be between 0 and 2$"):
             hiding_report(m)
 
-    def test_no_register_outlives_the_report(self):
-        # sessions share one cached row per value, not a cached register
+    def test_every_pair_of_a_commitment_shares_one_row(self):
+        # what lets one committed row decide the table: the sessions of every
+        # value and the cheat's hold one cached row, not 20000 copies of it
+        # (5 MB each at 16 amplitudes)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            hiding_report(2)
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
+            sessions = [alice_commit(value, 20000, 2) for value in COMMIT_VALUES]
+            sessions.append(alice_commit_cheating(20000, 2))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert after - before <= 2**20
+        assert peak - before <= 2**20
 
     def test_the_threshold_edge_passes(self):
         # the bound is inclusive: a distance of exactly the threshold passes
