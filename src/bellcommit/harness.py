@@ -189,7 +189,7 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         matrices = random_unitaries(width, n, *rngs) if width else np.ones((len(rngs) * n, 1, 1), complex)
         draws = np.empty((len(rngs), n))
         for t, rng in enumerate(rngs):
-            draws[t] = rng.random(n)
+            rng.random(out=draws[t])
         yield matrices, draws
 
 

@@ -15,13 +15,15 @@ engine's certain path needs no samples: it reads each register's
 probabilities, with the same check, and makes no draws. Its Haar path and the
 step-by-step reference measure one draw per pair. Every production path runs
 through the kernel, and none constructs an oracle object.
-:func:`random_unitaries` draws each generator's normals in one call and
+:func:`random_unitaries` draws each generator's normals in one call into
+one shared buffer, fills the whole Ginibre stack from it at once, and
 checks the whole stack for unitarity once. Its per-matrix kernel,
-:func:`random_unitary`, turns one Ginibre matrix into a Haar unitary: it
-calls the two LAPACK steps of ``np.linalg.qr`` (zgeqrf, then zungqr) through
-NumPy's own gufuncs and reads R's diagonal from zgeqrf's output; it skips
-only the wrapper's copies and checks, so its draws are byte-equal to
-``np.linalg.qr``'s.
+:func:`random_unitary`, is the QR alone: it calls the two LAPACK steps of
+``np.linalg.qr`` (zgeqrf, then zungqr) through NumPy's own gufuncs and
+writes Q straight into the stack; it skips only the wrapper's copies and
+checks, so its Q and R are byte-equal to ``np.linalg.qr``'s. One phase fix
+over the stack, with R's diagonals read from zgeqrf's output, then makes
+the draws Haar.
 
 The Bell amplitudes are contracted with ``np.einsum``, which calls no BLAS.
 A BLAS complex gemm may round a label that should have probability 0 to a
@@ -214,57 +216,60 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
-def random_unitary(ginibre: np.ndarray) -> np.ndarray:
-    """The Haar-distributed unitary of one ``(d, d)`` complex Ginibre matrix, which it overwrites.
-
-    QR factorization, then a diagonal phase correction so the distribution
-    is exactly Haar (Mezzadri, Notices AMS 54, 592, 2007). Intended for
-    small blocks (a few qubits). Unchecked: :func:`random_unitaries` draws
-    the Ginibre matrices and checks its stacks.
+def random_unitary(ginibre: np.ndarray, out: np.ndarray) -> None:
+    """Write the unitary Q of one ``(d, d)`` complex Ginibre matrix's QR to ``out``; overwrites ``ginibre``.
 
     The QR runs as the two LAPACK steps that ``np.linalg.qr`` itself calls,
     without its wrapper: zgeqrf (``qr_r_raw``) overwrites ``ginibre`` with R
-    above its diagonal and the Householder reflectors below it, and zungqr
-    (``qr_reduced``) builds Q from them. Only R's diagonal is read, straight
-    from zgeqrf's output. The wrapper's copy, type checks and ``triu`` change
-    no value, so every draw is byte-equal to ``np.linalg.qr`` on the same
-    matrix; the tests check this.
+    on and above its diagonal and the Householder reflectors below it, and
+    zungqr (``qr_reduced``) writes Q from them straight into ``out``. The
+    wrapper's copy, type checks and ``triu`` change no value, so ``out`` and
+    R are byte-equal to ``np.linalg.qr`` on the same matrix; the tests check
+    this. No phase fix and no check: :func:`random_unitaries` draws the
+    Ginibre matrices, moves R's diagonal phases onto each Q and checks the
+    stack.
     """
     tau = _umath_linalg.qr_r_raw(ginibre, signature="D->D")
-    q = _umath_linalg.qr_reduced(ginibre, tau, signature="DD->D")
-    diagonal = ginibre.diagonal()
-    q *= diagonal / np.abs(diagonal)
-    return q
+    _umath_linalg.qr_reduced(ginibre, tau, signature="DD->D", out=out)
 
 
 def random_unitaries(num_target_qubits: int, count: int, *rngs: np.random.Generator) -> np.ndarray:
     """``count`` Haar unitaries on ``num_target_qubits`` qubits from each of ``rngs`` in turn.
 
     Returns a ``(count * len(rngs), d, d)`` stack: the first generator's
-    draws, then the next one's. Each generator draws all its normals in one
-    call, ``count`` Ginibre matrices of real parts then imaginary parts, into
-    its part of the stack, and each matrix is replaced by its
-    :func:`random_unitary`. Raises ValueError if any matrix of the stack
-    leaves unitarity by more than ATOL_ACCUM.
+    draws, then the next one's. Each generator fills its own slice of one
+    normals buffer in one call, ``count`` Ginibre matrices of real parts then
+    imaginary parts. Each matrix goes through :func:`random_unitary`, and one
+    phase fix over the stack then moves R's diagonal phases onto the columns
+    of Q, so the draws are exactly Haar (Mezzadri, Notices AMS 54, 592,
+    2007). Raises ValueError if any matrix of the stack leaves unitarity by
+    more than ATOL_ACCUM.
     """
     if num_target_qubits < 1:
         raise ValueError("need at least one target qubit")
     # allocated before any draw, so a count too large to hold fails at once
     dim = 1 << num_target_qubits
-    stack = np.empty((count * len(rngs), dim, dim), complex)
+    ginibre = np.empty((count * len(rngs), dim, dim), complex)
+    normals = np.empty((len(rngs), count, 2, dim, dim))
+    # by index: a loop variable holding a slice would keep the buffer alive
     for position, rng in enumerate(rngs):
-        # this generator's part of the stack holds its Ginibre matrices first
-        ginibre = stack[position * count : (position + 1) * count]
-        normals = rng.standard_normal((count, 2, dim, dim))
-        # the same bytes as (real + 1j * imag) / sqrt(2), which adds a signed
-        # zero to each part: it differs only for a normal of exactly -0.0
-        ginibre.real = normals[:, 0]
-        ginibre.imag = normals[:, 1]
-        ginibre /= _SQRT2
-        # one call per matrix, by its module-global name: the benchmark's
-        # traced run counts Haar draws as calls of random_unitary
-        for matrix in ginibre:
-            matrix[...] = random_unitary(matrix)
+        rng.standard_normal(out=normals[position])
+    # the same bytes as (real + 1j * imag) / sqrt(2), which adds a signed
+    # zero to each part: it differs only for a normal of exactly -0.0
+    ginibre.real = normals[:, :, 0].reshape(ginibre.shape)
+    ginibre.imag = normals[:, :, 1].reshape(ginibre.shape)
+    # freed before the output stack is allocated, so at most two stacks'
+    # worth of draws are alive at once
+    del normals
+    ginibre /= _SQRT2
+    stack = np.empty_like(ginibre)
+    # one call per matrix, by its module-global name: the benchmark's
+    # traced run counts Haar draws as calls of random_unitary
+    for matrix, q in zip(ginibre, stack):
+        random_unitary(matrix, q)
+    # column j of each Q takes the phase of R[j, j], zgeqrf's diagonal
+    diagonal = np.einsum("kii->ki", ginibre)
+    stack *= (diagonal / np.abs(diagonal))[:, None, :]
     residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(dim)
     # written so that NaN fails too; an empty stack has nothing to check
     if not np.abs(residual).max(initial=0.0) <= ATOL_ACCUM:

@@ -72,7 +72,7 @@ def haar_unitary(num_target_qubits: int, rng: np.random.Generator) -> np.ndarray
     The same normals from ``rng`` as one draw of
     :func:`bellcommit.qcore.random_unitaries`, whose per-matrix kernel
     :func:`bellcommit.qcore.random_unitary` calls NumPy's LAPACK steps
-    directly and must give the same bytes.
+    directly; with the stack's one phase fix, it must give the same bytes.
     """
     dim = 2**num_target_qubits
     ginibre = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)

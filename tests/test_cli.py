@@ -160,8 +160,8 @@ class TestInvalidConfigurations:
         assert "512. TiB" in err
 
     def test_huge_haar_register_exits_two_at_once(self):
-        # the first array allocated is random_unitaries' stack of the trial's
-        # receiver unitaries, made before any draw (559 TiB, more than a
+        # the first array allocated is random_unitaries' Ginibre stack of the
+        # trial's receiver matrices, made before any draw (559 TiB, more than a
         # process's address space under any overcommit setting); the timeout
         # turns a run that computes without bound into a failure instead of a hang
         result = subprocess.run(

@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +51,7 @@ from reference import (
     tensor,
     trace_distance,
 )
+from test_cli import _child_env
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -377,29 +383,51 @@ def _off_diagonal(entry):
 def _off_unitarity(defect, at=None):
     """A stand-in for ``qcore.random_unitary`` whose draws are not unitary.
 
-    A ``"nan"`` draw holds a NaN, and a ``"scaled-column"`` draw has its first
+    It runs the real kernel, then corrupts the Q it wrote to ``out``. A
+    ``"nan"`` draw holds a NaN, and a ``"scaled-column"`` draw has its first
     column 1e-6 too long. A number ``e`` scales the whole draw by ``1 + e``,
-    which moves every diagonal entry of ``U U^dagger`` off 1 by ``2e + e**2``.
-    With ``at``, only the draw of that call, counted from 1, is off.
+    which moves every diagonal entry of ``U U^dagger`` off 1 by ``2e + e**2``;
+    the unit-modulus phase fix that follows keeps each defect. With ``at``,
+    only the draw of that call, counted from 1, is off.
     """
     draw = qcore.random_unitary
     calls = 0
 
-    def corrupted(ginibre):
+    def corrupted(ginibre, out):
         nonlocal calls
         calls += 1
-        u = draw(ginibre)
+        draw(ginibre, out)
         if at is not None and calls != at:
-            return u
+            return
         if defect == "nan":
-            u[0, 0] = np.nan
+            out[0, 0] = np.nan
         elif defect == "scaled-column":
-            u[:, 0] *= 1 + 1e-6
+            out[:, 0] *= 1 + 1e-6
         else:
-            u *= 1 + defect
-        return u
+            out *= 1 + defect
 
     return corrupted
+
+
+def _draws_off_the_reference():
+    """How many stacks were checked against the public QR, and which differ.
+
+    Each stack draws 1 or 8 matrices on 1, 2 or 3 qubits from three
+    generators, seeded 0, 2**32 and 2**64 - 1. A stack is off if a byte or a
+    generator's end state differs from ``haar_unitary``'s.
+    """
+    seeds, checked, off = (0, 2**32, 2**64 - 1), 0, []
+    for k in (1, 2, 3):
+        for count in (1, 8):
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            oracles = [np.random.default_rng(seed) for seed in seeds]
+            want = np.stack([haar_unitary(k, oracle) for oracle in oracles for _ in range(count)])
+            got = random_unitaries(k, count, *rngs)
+            states = [(rng.bit_generator.state, oracle.bit_generator.state) for rng, oracle in zip(rngs, oracles)]
+            checked += 1
+            if got.tobytes() != want.tobytes() or any(mine != theirs for mine, theirs in states):
+                off.append(f"k={k} count={count}")
+    return checked, off
 
 
 def _haar_run(policy, m_ancillas):
@@ -467,9 +495,34 @@ class TestRandomUnitaries:
         normals = np.random.default_rng(3).standard_normal((2, 4, 4))
         ginibre = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
         q, r = np.linalg.qr(ginibre)
-        u = random_unitary(ginibre)
-        assert np.array_equal(np.triu(ginibre), r)
-        assert u.tobytes() == (q * (r.diagonal() / np.abs(r.diagonal()))).tobytes()
+        out = np.empty_like(ginibre)
+        assert random_unitary(ginibre, out) is None
+        assert np.triu(ginibre).tobytes() == r.tobytes()
+        assert out.tobytes() == q.tobytes()
+
+    # the normals are freed before the output stack is allocated: the peak
+    # is the Ginibre and output stacks plus the check's two temporaries
+    def test_the_draw_peaks_at_four_stacks(self):
+        tracemalloc.start()
+        try:
+            stack = random_unitaries(3, 20000, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * stack.nbytes
+
+    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
+    # names one: Haswell is an AVX2 kernel, Prescott SSE3
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_equals_the_public_qr_on_every_kernel(self, coretype):
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+        env["OPENBLAS_CORETYPE"] = coretype
+        script = "import json, test_qcore\nprint(json.dumps(test_qcore._draws_off_the_reference()))\n"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == [6, []]
 
     # the guard sits at ATOL_ACCUM: a draw off unitarity by twice the bound
     # is refused, and one off by a fifth of it passes
@@ -483,7 +536,12 @@ class TestRandomUnitaries:
         assert random_unitaries(k, 3, np.random.default_rng(k)).shape == (3, 2**k, 2**k)
 
     def test_a_draw_exactly_at_the_bound_passes(self, monkeypatch):
-        monkeypatch.setattr(qcore, "random_unitary", lambda ginibre: _off_diagonal(ATOL_ACCUM))
+        # ones on R's diagonal make every phase exactly 1
+        def at_the_bound(ginibre, out):
+            np.fill_diagonal(ginibre, 1)
+            out[...] = _off_diagonal(ATOL_ACCUM)
+
+        monkeypatch.setattr(qcore, "random_unitary", at_the_bound)
         assert random_unitaries(1, 2, np.random.default_rng(0)).shape == (2, 2, 2)
 
     @pytest.mark.parametrize("position", [0, 4, 8])
@@ -497,8 +555,8 @@ class TestRandomUnitaries:
         # np.linalg.qr's errstate is gone from the draw: with every
         # floating-point warning off, the stack's own check still refuses NaN
         class NanNormals:
-            def standard_normal(self, shape):
-                return np.full(shape, np.nan)
+            def standard_normal(self, out):
+                out.fill(np.nan)
 
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="^a Haar draw is not unitary$"):
             random_unitaries(2, 3, NanNormals())
