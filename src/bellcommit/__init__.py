@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -20,6 +20,7 @@ from .attack import (
 )
 from .harness import (
     HIDING_THRESHOLD,
+    OUTCOME_TOLERANCE,
     AcceptanceMatrix,
     Cell,
     CheckResult,
@@ -63,6 +64,7 @@ __all__ = [
     "DetectionStats",
     "ExperimentConfig",
     "HIDING_THRESHOLD",
+    "OUTCOME_TOLERANCE",
     "AcceptanceMatrix",
     "HidingReport",
     "MAX_ANCILLAS",

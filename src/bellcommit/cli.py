@@ -30,7 +30,6 @@ from .protocol import BCPolicy, CommitValue, ProtocolError
 
 _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
-_TOLERANCE = ExperimentConfig.tolerance  # the field's default
 
 
 # every flag, declared once; each subcommand takes only the flags it reads
@@ -38,8 +37,7 @@ _FLAGS = {
     "--pairs": dict(type=int, default=8, help="Bell pairs per commitment"),
     "--trials": dict(type=int, default=1000, help="independent trials (per cell in matrix)"),
     "--strategy": dict(choices=["honest", "cheat"], default="honest"),
-    "--commit": dict(choices=_VALUE_NAMES, default="bit0", help="committed value"),
-    "--reveal": dict(choices=_VALUE_NAMES, default="bit0", help="revealed value"),
+    "--reveal": dict(choices=_VALUE_NAMES, default="bit0", help="revealed value (honest runs commit it too)"),
     "--bc-ops": dict(
         choices=_POLICY_NAMES,
         default="none",
@@ -47,7 +45,6 @@ _FLAGS = {
     ),
     "--ancillas": dict(type=int, default=0, help="receiver-side ancillas per pair"),
     "--seed": dict(type=int, default=0, help="master seed for all randomness"),
-    "--tolerance": dict(type=float, default=_TOLERANCE, help="outcome probability slack"),
     "--format": dict(choices=reports.FORMATS, default="text", help="report format"),
     "--out": dict(default=None, help="write the report to this file instead of stdout"),
 }
@@ -56,18 +53,17 @@ _OUTPUT = ("--format", "--out")
 _SUBCOMMANDS = {
     "run": (
         "run one experiment and report the acceptance rate",
-        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", "--strategy", "--commit",
-         "--reveal", "--tolerance", *_OUTPUT),
+        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", "--strategy", "--reveal", *_OUTPUT),
     ),
     "matrix": (
         "acceptance rates for every cheat, honest, and control cell",
-        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", "--tolerance", *_OUTPUT),
+        ("--pairs", "--bc-ops", "--ancillas", "--seed", "--trials", *_OUTPUT),
     ),
     "hiding": (
         "trace distances of the receiving side's view across commit values",
         ("--ancillas", *_OUTPUT),
     ),
-    "selftest": ("run the built-in invariant checks", ("--seed", "--tolerance", *_OUTPUT)),
+    "selftest": ("run the built-in invariant checks", ("--seed", *_OUTPUT)),
 }
 
 
@@ -92,23 +88,22 @@ def _shared(args: argparse.Namespace) -> dict:
         bc_policy=BCPolicy(args.bc_ops),
         m_ancillas=args.ancillas,
         master_seed=args.seed,
-        tolerance=args.tolerance,
     )
 
 
 def _report(args: argparse.Namespace) -> reports.Report:
     if args.command == "run":
-        config = ExperimentConfig(
-            Strategy(args.strategy), CommitValue(args.commit), CommitValue(args.reveal), **_shared(args)
-        )
+        # an honest committer commits what it reveals; a cheat prepares bit0
+        strategy, reveal = Strategy(args.strategy), CommitValue(args.reveal)
+        commit = reveal if strategy is Strategy.HONEST else CommitValue.BIT0
+        config = ExperimentConfig(strategy, commit, reveal, **_shared(args))
         return reports.build_run(config, run_experiment(config))
     if args.command == "matrix":
         config = ExperimentConfig(Strategy.HONEST, **_shared(args))
         return reports.build_matrix(config, acceptance_matrix(config))
     if args.command == "hiding":
         return reports.build_hiding(args.ancillas, hiding_report(args.ancillas))
-    checks = selftest(master_seed=args.seed, tolerance=args.tolerance)
-    return reports.build_selftest(args.seed, args.tolerance, checks)
+    return reports.build_selftest(args.seed, selftest(master_seed=args.seed))
 
 
 def main(argv: list[str] | None = None) -> int:

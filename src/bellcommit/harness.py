@@ -25,9 +25,9 @@ register, set by the commit value and the cheat's flip, share its
 measurement, so the matrix's 20 cells measure 8 registers.
 
 One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
-at the cell's own ``config.tolerance``. ``run``, ``matrix`` and selftest's
-protocol checks all read it; ``hiding`` compares trace distances with
-:data:`HIDING_THRESHOLD` instead.
+at the fixed slack :data:`OUTCOME_TOLERANCE`. ``run``, ``matrix`` and
+selftest's protocol checks all read it; ``hiding`` compares trace distances
+with :data:`HIDING_THRESHOLD` instead.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ from .qcore import (
 
 # Two states of the receiving side's view are "identical" below this.
 HIDING_THRESHOLD = 1e-12
+# An announced outcome is "certain" within this of probability 1.
+OUTCOME_TOLERANCE = 1e-9
 
 
 class Strategy(Enum):
@@ -102,7 +104,6 @@ class ExperimentConfig:
     bc_policy: BCPolicy = BCPolicy.NONE
     m_ancillas: int = 0
     master_seed: int = 0
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
@@ -121,9 +122,6 @@ class ExperimentConfig:
             raise ConfigError("the random-entangled policy requires at least one ancilla")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        # written so that NaN fails too
-        if not 0 < self.tolerance < 1:
-            raise ConfigError("tolerance must be a finite number strictly between 0 and 1")
         # accept counts are int64, and so is every index of pairs and trials on
         # a path that draws; a path that makes no draws refuses what they cannot hold too
         if max(self.n_pairs, self.trials) >= 2**63:
@@ -193,8 +191,8 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         yield matrices, draws
 
 
-# configs run in one pass agree on what their draws depend on, and on tolerance
-_SHARED_FIELDS = ("master_seed", "trials", "n_pairs", "bc_policy", "m_ancillas", "tolerance")
+# configs run in one pass agree on what their draws depend on
+_SHARED_FIELDS = ("master_seed", "trials", "n_pairs", "bc_policy", "m_ancillas")
 
 
 def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
@@ -297,7 +295,7 @@ class Cell:
     stats: DetectionStats
 
     def passed(self) -> bool:
-        """The verdict, judged at the cell's own ``config.tolerance``.
+        """The verdict, judged at :data:`OUTCOME_TOLERANCE`.
 
         A control must reject every trial. Any other cell must accept every
         trial, and every pair's announced outcome must have had probability
@@ -306,7 +304,7 @@ class Cell:
         stats = self.stats
         if self.config.strategy is Strategy.CONTROL:
             return stats.accepts == 0
-        return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - self.config.tolerance
+        return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - OUTCOME_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -347,8 +345,8 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     """Acceptance rates for every (strategy, commit, reveal) cell.
 
     Every cell is ``base`` with its own strategy, commit and reveal, so only
-    ``base``'s shared fields are read: pairs, trials, policy, ancillas, seed
-    and tolerance. The cheat row prepares the fixed label and steers to each
+    ``base``'s shared fields are read: pairs, trials, policy, ancillas and
+    seed. The cheat row prepares the fixed label and steers to each
     value. The honest diagonal reveals what it committed; the 12 controls
     commit honestly and announce another value, with no flip. All cells
     share each trial's receiver operations and draws, drawn once: one
@@ -418,15 +416,16 @@ class CheckResult:
     detail: str = ""
 
 
-def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance) -> list[CheckResult]:
+def selftest(master_seed: int = 0) -> list[CheckResult]:
     """Fast invariant suite covering state algebra, protocol, and attack.
 
     The protocol checks read three acceptance matrices, one per receiver
     policy (none, random-local, random-entangled with one ancilla), of two
-    pairs and 20 trials at ``master_seed`` and ``tolerance``. Each records
-    whether every cell of its strategy passed.
+    pairs and 20 trials at ``master_seed``. Each records whether every cell
+    of its strategy passed. Those cells and the measurement-certainty check
+    are judged at :data:`OUTCOME_TOLERANCE`.
     """
-    base = ExperimentConfig(Strategy.HONEST, n_pairs=2, trials=20, master_seed=master_seed, tolerance=tolerance)
+    base = ExperimentConfig(Strategy.HONEST, n_pairs=2, trials=20, master_seed=master_seed)
     checks: list[CheckResult] = []
 
     def record(name: str, passed, detail: str = "") -> None:
@@ -470,7 +469,7 @@ def selftest(master_seed: int = 0, tolerance: float = ExperimentConfig.tolerance
     # Measuring a prepared Bell state returns its label with certainty.
     probs = bell_pair_probabilities(BELL)
     worst = float(probs.diagonal().min())
-    record("measurement-certainty", worst >= 1 - tolerance, f"min outcome probability {worst!r}")
+    record("measurement-certainty", worst >= 1 - OUTCOME_TOLERANCE, f"min outcome probability {worst!r}")
 
     # One acceptance matrix per policy: honest runs and cheats accept for
     # every value, and mismatched announcements without the flip are rejected.

@@ -263,13 +263,15 @@ def random_unitaries(num_target_qubits: int, count: int, *rngs: np.random.Genera
     del normals
     ginibre /= _SQRT2
     stack = np.empty_like(ginibre)
-    # one call per matrix, by its module-global name: the benchmark's
-    # traced run counts Haar draws as calls of random_unitary
-    for matrix, q in zip(ginibre, stack):
-        random_unitary(matrix, q)
+    # one call per matrix, by its module-global name, as the benchmark's traced run
+    # counts Haar draws; by index, so that no loop variable keeps a Ginibre view alive
+    for index in range(len(stack)):
+        random_unitary(ginibre[index], stack[index])
     # column j of each Q takes the phase of R[j, j], zgeqrf's diagonal
     diagonal = np.einsum("kii->ki", ginibre)
-    stack *= (diagonal / np.abs(diagonal))[:, None, :]
+    phases = diagonal / np.abs(diagonal)
+    del ginibre, diagonal  # freed before the check's temporaries are allocated
+    stack *= phases[:, None, :]
     residual = stack @ stack.conj().swapaxes(1, 2) - np.eye(dim)
     # written so that NaN fails too; an empty stack has nothing to check
     if not np.abs(residual).max(initial=0.0) <= ATOL_ACCUM:

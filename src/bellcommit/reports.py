@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .harness import (
     HIDING_THRESHOLD,
+    OUTCOME_TOLERANCE,
     AcceptanceMatrix,
     Cell,
     CheckResult,
@@ -83,14 +84,14 @@ def _verdict(ok: bool) -> str:
 
 
 def config_dict(config: ExperimentConfig) -> dict:
-    """The settings an acceptance matrix shares across its cells, as echoed."""
+    """The settings an acceptance matrix shares across its cells, and the fixed tolerance, as echoed."""
     return {
         "pairs": config.n_pairs,
         "trials": config.trials,
         "bc_policy": config.bc_policy.value,
         "ancillas": config.m_ancillas,
         "seed": config.master_seed,
-        "tolerance": config.tolerance,
+        "tolerance": OUTCOME_TOLERANCE,
         "format": "json",
     }
 
@@ -207,7 +208,7 @@ def build_hiding(m_ancillas: int, report: HidingReport) -> Report:
     )
 
 
-def build_selftest(master_seed: int, tolerance: float, checks: list[CheckResult]) -> Report:
+def build_selftest(master_seed: int, checks: list[CheckResult]) -> Report:
     failures = sum(1 for check in checks if not check.passed)
     lines = [
         f"{_verdict(c.passed)}  {c.name}" + (f"  ({c.detail})" if c.detail else "")
@@ -217,7 +218,7 @@ def build_selftest(master_seed: int, tolerance: float, checks: list[CheckResult]
     return Report(
         ok=failures == 0,
         body=_body(
-            {"seed": master_seed, "tolerance": tolerance, "format": "json"},
+            {"seed": master_seed, "tolerance": OUTCOME_TOLERANCE, "format": "json"},
             {"checks": len(checks), "failures": failures},
             selftest=[{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
         ),

@@ -82,8 +82,9 @@ class TestConfigValidation:
         # README's flag table; a subcommand passes every flag it takes
         assert ExperimentConfig(Strategy.HONEST) == ExperimentConfig(
             Strategy.HONEST, CommitValue.BIT0, CommitValue.BIT0, n_pairs=8, trials=1000,
-            bc_policy=BCPolicy.NONE, m_ancillas=0, master_seed=0, tolerance=1e-9,
+            bc_policy=BCPolicy.NONE, m_ancillas=0, master_seed=0,
         )
+        assert harness.OUTCOME_TOLERANCE == 1e-9
 
     @pytest.mark.parametrize(
         "overrides",
@@ -98,11 +99,6 @@ class TestConfigValidation:
             dict(bc_policy=BCPolicy.RANDOM_ENTANGLED),  # needs ancillas
             dict(master_seed=-1),
             dict(master_seed=2**64),
-            dict(tolerance=0.0),
-            dict(tolerance=-1.0),
-            dict(tolerance=1.0),
-            dict(tolerance=float("inf")),
-            dict(tolerance=float("nan")),
             dict(strategy=Strategy.CONTROL),  # a control announcing its commit
         ],
     )
@@ -518,7 +514,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize(
         "overrides",
         [dict(master_seed=8), dict(trials=26), dict(n_pairs=3),
-         dict(bc_policy=BCPolicy.RANDOM_LOCAL), dict(m_ancillas=1), dict(tolerance=1e-6)],
+         dict(bc_policy=BCPolicy.RANDOM_LOCAL), dict(m_ancillas=1)],
     )
     def test_one_pass_needs_configs_that_share_their_draws(self, overrides):
         with pytest.raises(ValueError, match="agree"):
@@ -659,16 +655,13 @@ class TestAcceptanceMatrix:
         cells = list(matrix.cells)
         cells[0] = replace(cells[0], stats=sloppy)
         assert not AcceptanceMatrix(tuple(cells)).passed()
-        # each cell is judged at its own config's tolerance
-        cells[0] = replace(cells[0], config=replace(cells[0].config, tolerance=0.5))
-        assert AcceptanceMatrix(tuple(cells)).passed()
 
 
 class TestCellVerdict:
     def test_the_outcome_probability_edge_passes(self):
-        # the bound is inclusive: exactly 1 - tolerance passes, one ulp below fails
+        # the bound is inclusive: exactly 1 - OUTCOME_TOLERANCE passes, one ulp below fails
         config = _config()
-        edge = 1 - config.tolerance
+        edge = 1 - harness.OUTCOME_TOLERANCE
 
         def cell(low):
             return Cell(config, DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
@@ -862,16 +855,16 @@ class TestSelftest:
         assert cli.main(["selftest"]) == 1
         assert cli.main(["hiding"]) == 1
 
-    def test_the_measurement_certainty_edge_passes(self):
+    def test_the_measurement_certainty_edge_passes(self, monkeypatch):
         # the bound is inclusive: a tolerance of exactly 1 - the smallest
         # prepared outcome probability passes
         worst = float(qcore.bell_pair_probabilities(qcore.BELL).diagonal().min())
-        checks = {check.name: check for check in selftest(tolerance=1 - worst)}
+        monkeypatch.setattr(harness, "OUTCOME_TOLERANCE", 1 - worst)
+        checks = {check.name: check for check in selftest()}
         assert checks["measurement-certainty"].passed
 
     def test_reads_the_documented_matrices(self, monkeypatch):
-        # two pairs and 20 trials per policy, at seed 0 and the config's
-        # default tolerance unless given
+        # two pairs and 20 trials per policy, at seed 0 unless given
         bases = []
         matrix = harness.acceptance_matrix
         monkeypatch.setattr(harness, "acceptance_matrix", lambda base: bases.append(base) or matrix(base))
@@ -879,9 +872,7 @@ class TestSelftest:
         assert [(base.bc_policy, base.m_ancillas) for base in bases] == [
             (BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1)
         ]
-        assert {(base.n_pairs, base.trials, base.master_seed, base.tolerance) for base in bases} == {
-            (2, 20, 0, 1e-9)
-        }
+        assert {(base.n_pairs, base.trials, base.master_seed) for base in bases} == {(2, 20, 0)}
 
     def test_reads_one_acceptance_matrix_per_policy(self, monkeypatch):
         calls = _counting(monkeypatch, (harness, "_run_many"))

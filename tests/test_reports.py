@@ -94,7 +94,7 @@ class TestCsvReports:
 
     def test_selftest_csv(self):
         checks = selftest(master_seed=2)
-        rows = list(csv.reader(io.StringIO(reports.build_selftest(2, 1e-9, checks).render("csv"))))
+        rows = list(csv.reader(io.StringIO(reports.build_selftest(2, checks).render("csv"))))
         assert rows[0] == ["check", "passed", "detail"]
         assert all(row[1] == "true" for row in rows[1:])
 
@@ -116,7 +116,7 @@ class TestTextReports:
 
     def test_selftest_text_one_line_per_check(self):
         checks = selftest(master_seed=2)
-        lines = reports.build_selftest(2, 1e-9, checks).render("text").strip().splitlines()
+        lines = reports.build_selftest(2, checks).render("text").strip().splitlines()
         assert sum(1 for line in lines if line.startswith("PASS")) == len(checks)
 
 
