@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from bellcommit import cli
-from bellcommit.harness import DetectionStats
+from bellcommit import cli, reports
+from bellcommit.harness import DetectionStats, ExperimentConfig, Strategy, run_experiment
+from bellcommit.protocol import BCPolicy, CommitValue
 
 FAST = ["--pairs", "2", "--trials", "10"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -79,6 +80,20 @@ class TestRunCommand:
         assert code == 0
         config = json.loads(out)["config"]
         assert (config["commit"], config["reveal"]) == (value if strategy == "honest" else "bit0", value)
+
+    # the derived commit gives the bytes of a library run that names it
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("strategy", ["honest", "cheat"])
+    def test_the_derived_commit_gives_the_explicit_commit_report(self, strategy, value, capsys):
+        seed = 2**64 - 1
+        code, out, _ = _run(["run", *FAST, "--strategy", strategy, "--reveal", value,
+                             "--bc-ops", "random-local", "--seed", str(seed), "--format", "json"], capsys)
+        assert code == 0
+        config = ExperimentConfig(
+            Strategy(strategy), CommitValue(value if strategy == "honest" else "bit0"), CommitValue(value),
+            n_pairs=2, trials=10, bc_policy=BCPolicy.RANDOM_LOCAL, master_seed=seed,
+        )
+        assert out == reports.build_run(config, run_experiment(config)).render("json")
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(["run", *FAST, "--format", "csv"], capsys)
@@ -303,6 +318,11 @@ class TestSelftestCommand:
         doc = json.loads(out)
         assert doc["stats"]["failures"] == 0
         assert all(check["passed"] for check in doc["selftest"])
+
+    def test_json_echoes_the_fixed_tolerance(self, capsys):
+        code, out, _ = _run(["selftest", "--seed", "2", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {"seed": 2, "tolerance": 1e-9, "format": "json"}
 
 
 class TestExitCodeOne:

@@ -106,6 +106,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _config(**overrides)
 
+    # the verdict slack is the module's OUTCOME_TOLERANCE, not a setting
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _config(tolerance=1e-9), lambda: selftest(tolerance=1e-9)],
+        ids=["config", "selftest"],
+    )
+    def test_the_tolerance_is_no_setting(self, build):
+        with pytest.raises(TypeError, match="tolerance"):
+            build()
+
     @pytest.mark.parametrize("field", ["n_pairs", "trials"])
     def test_counts_of_2_63_or_more_overflow(self, field):
         with pytest.raises(OverflowError, match=r"^pairs and trials must each be below 2\*\*63$"):
@@ -655,6 +665,15 @@ class TestAcceptanceMatrix:
         cells = list(matrix.cells)
         cells[0] = replace(cells[0], stats=sloppy)
         assert not AcceptanceMatrix(tuple(cells)).passed()
+
+    def test_every_cell_is_judged_at_the_fixed_tolerance(self, monkeypatch):
+        matrix = acceptance_matrix(_config(trials=5))
+        sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
+                                min_outcome_probability=0.99)
+        cells = list(matrix.cells)
+        cells[0] = replace(cells[0], stats=sloppy)
+        monkeypatch.setattr(harness, "OUTCOME_TOLERANCE", 0.5)
+        assert AcceptanceMatrix(tuple(cells)).passed()
 
 
 class TestCellVerdict:
