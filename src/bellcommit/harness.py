@@ -250,7 +250,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     low = np.full((len(registers), len(BELL_LABELS)), math.inf)
     for ops, draws in _chunk_draws(config, width, chunk):
         count = draws.shape[0]
-        # C-contiguous as in protocol.verify: both undos take one matmul path and give the same bytes
+        # one contiguous copy per chunk, for speed: apply_rows would copy a view once per register
         undo = np.ascontiguousarray(ops.conj().swapaxes(1, 2))
         uniforms = draws.reshape(-1)
         for group, (value, flip) in enumerate(registers):

@@ -172,17 +172,17 @@ def verify(
     """Verifier's acceptance test after the reveal.
 
     Per pair: undo the recorded receiver-side operations in reverse order,
-    then Bell-measure qubits (0, 1). Accept iff every measured label equals
-    ``announced``, the label a reveal returns. Measurements consume one draw
-    from ``rng`` per pair, in pair order. The session is left as it was, so verifying it again
-    with an equally seeded generator gives the same report.
+    each by the adjoint view of its stack, then Bell-measure qubits (0, 1).
+    Accept iff every measured label equals ``announced``, the label a reveal
+    returns. Measurements consume one draw from ``rng`` per pair, in pair
+    order. The session is left as it was, so verifying it again with an
+    equally seeded generator gives the same report.
     """
     if not session.revealed:
         raise ProtocolError("verification requires a revealed session")
     states = session.states
     for ops in reversed(session.ops):
-        # C-contiguous as in harness._run_many: both undos take one matmul path and give the same bytes
-        states = apply_rows(states, np.ascontiguousarray(ops.conj().swapaxes(1, 2)), 1)
+        states = apply_rows(states, ops.conj().swapaxes(1, 2), 1)
     outcomes, probs = measure_bell_pairs(states, rng.random(session.n_pairs))
     indices = outcomes.tolist()
     announced_index = BELL_LABELS.index(announced)

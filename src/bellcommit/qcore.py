@@ -15,23 +15,22 @@ engine's certain path needs no samples: it reads each register's
 probabilities, with the same check, and makes no draws. Its Haar path and the
 step-by-step reference measure one draw per pair. Every production path runs
 through the kernel, and none constructs an oracle object.
-:func:`random_unitaries` draws each generator's normals in one call into
-one shared buffer, fills the whole Ginibre stack from it at once, and
-checks the whole stack for unitarity once. Its per-matrix kernel,
-:func:`random_unitary`, is the QR alone: it calls the two LAPACK steps of
-``np.linalg.qr`` (zgeqrf, then zungqr) through NumPy's own gufuncs and
-writes Q straight into the stack; it skips only the wrapper's copies and
-checks, so its Q and R are byte-equal to ``np.linalg.qr``'s. One phase fix
-over the stack, with R's diagonals read from zgeqrf's output, then makes
-the draws Haar.
+:func:`random_unitaries` fills one Ginibre stack from one normals buffer,
+takes each matrix's QR with :func:`random_unitary`, byte-equal to
+``np.linalg.qr``, and makes the stack Haar with one phase fix.
 
-The Bell amplitudes are contracted with ``np.einsum``, which calls no BLAS.
-A BLAS complex gemm may round a label that should have probability 0 to a
-residue such as 5e-34, and whether it does depends on which kernel the BLAS
-picks at run time. ``np.einsum`` gives exact zeros there, so a register that
-can have only one outcome, such as every receiver-free register of the
-protocol, has exactly one nonzero probability on every kernel, and the
-reference oracle's :func:`bell_probabilities` uses the same contraction.
+Two rules keep the bytes from depending on how an operand was built or on
+which BLAS kernel runs. :func:`apply_rows` makes its matrices C-contiguous,
+since matmul rounds by their strides: an undo passed as a transposed view
+gives a copy's bytes. The Bell amplitudes are contracted with ``BELL``
+itself, which is real and so its own conjugate, by ``np.einsum``, which
+calls no BLAS. A BLAS complex gemm may round a label that should have
+probability 0 to a residue such as 5e-34, and whether it does depends on
+which kernel the BLAS picks at run time. ``np.einsum`` gives exact zeros
+there, so a register that can have only one outcome, such as every
+receiver-free register of the protocol, has exactly one nonzero probability
+on every kernel, and the reference oracle's :func:`bell_probabilities` uses
+the same contraction.
 
 The reference oracle is the one-register object layer: :class:`StateVector`,
 :class:`Unitary`, :func:`apply_unitary` and :func:`bell_probabilities`. It
@@ -135,8 +134,6 @@ BELL = np.array(
     [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=np.complex128
 ) * _SQRT1_2
 BELL.setflags(write=False)
-_BELL_BASIS_CONJ = BELL.conj()
-_BELL_BASIS_CONJ.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +144,11 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
     """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
 
     One row against a ``(k, d, d)`` stack is broadcast: the result holds that
-    row with each matrix applied, ``k`` rows. Raises ValueError if any row's
+    row with each matrix applied, ``k`` rows. ``matrices`` is made C-contiguous
+    first, as matmul rounds by its strides. Raises ValueError if any row's
     norm leaves 1 by more than ATOL_EXACT.
     """
+    matrices = np.ascontiguousarray(matrices)
     if matrices.ndim == 3:
         matrices = matrices[:, None]
     out = matrices @ states.reshape(states.shape[0], 2**first, matrices.shape[-1], -1)
@@ -164,12 +163,13 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
 def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
     """The ``(rows, 4)`` Bell outcome probabilities of qubits (0, 1) of every row.
 
-    Each row is as :func:`bell_probabilities` would give it. Raises
+    Each row is as :func:`bell_probabilities` would give it: both contract
+    with ``BELL`` itself, which is real and so its own conjugate. Raises
     ValueError if any row's probabilities leave a sum of 1 by more than
     ATOL_ACCUM.
     """
     rows = states.shape[0]
-    amplitudes = np.einsum("lk,rka->rla", _BELL_BASIS_CONJ, states.reshape(rows, 4, -1))
+    amplitudes = np.einsum("lk,rka->rla", BELL, states.reshape(rows, 4, -1))
     probs = (np.abs(amplitudes) ** 2).sum(axis=2)
     # summed in label order, as the inverse-CDF walk sums them
     totals = probs.cumsum(axis=1)[:, -1]
@@ -319,7 +319,7 @@ class Unitary:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
+        mat = np.array(self.matrix, dtype=np.complex128, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         targets = tuple(int(t) for t in self.targets)
@@ -353,7 +353,7 @@ class Unitary:
 
     def dagger(self) -> "Unitary":
         """Inverse (conjugate transpose) on the same targets."""
-        return Unitary(np.ascontiguousarray(self.matrix.conj().T), self.targets)
+        return Unitary(self.matrix.conj().T, self.targets)
 
 
 def apply_unitary(state: StateVector, u: Unitary) -> StateVector:
@@ -383,5 +383,5 @@ def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
     if i == j or not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"invalid qubit pair {pair!r} for {n} qubits")
     psi = np.moveaxis(state.amplitudes.reshape((2,) * n), (i, j), (0, 1)).reshape(4, -1)
-    coeffs = np.einsum("lk,ka->la", _BELL_BASIS_CONJ, psi)
+    coeffs = np.einsum("lk,ka->la", BELL, psi)
     return (np.abs(coeffs) ** 2).sum(axis=1)

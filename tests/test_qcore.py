@@ -139,9 +139,6 @@ class TestMakeBell:
             assert np.array_equal(make_bell(BellLabel(ui, uj)).amplitudes, row)
         with pytest.raises(ValueError):
             BELL[0, 0] = 0.0
-        # the measurement kernels contract with this conjugate table
-        with pytest.raises(ValueError):
-            qcore._BELL_BASIS_CONJ[0, 0] = 0.0
 
     def test_orthonormality_all_sixteen_inner_products(self):
         for i, a in enumerate(BELL_LABELS):
@@ -610,6 +607,31 @@ def _off_norm(defect):
     return np.stack([BELL[0], BELL[1] * np.sqrt(1 + defect)])
 
 
+def _undo(k, rows):
+    """A register after a receiver's apply on qubits 1 .. k, and the adjoint view of that apply's stack."""
+    rng = np.random.default_rng(k * 100 + rows)
+    states = np.stack([random_state(1 + k, rng).amplitudes for _ in range(rows)])
+    ops = random_unitaries(k, rows, rng)
+    return apply_rows(states, ops, 1), ops.conj().swapaxes(1, 2)
+
+
+def _views_off_the_copy():
+    """How many undo stacks were applied as views and as copies, and which differ.
+
+    Each stack holds 1, 7 or 48 Haar unitaries on 1, 2 or 3 qubits. A stack
+    is off if ``apply_rows`` gives its view other bytes than its C-contiguous
+    copy.
+    """
+    checked, off = 0, []
+    for k in (1, 2, 3):
+        for rows in (1, 7, 48):
+            states, view = _undo(k, rows)
+            checked += 1
+            if apply_rows(states, view, 1).tobytes() != apply_rows(states, np.ascontiguousarray(view), 1).tobytes():
+                off.append(f"k={k} rows={rows}")
+    return checked, off
+
+
 class TestApplyRows:
     def test_the_tolerances_are_pinned(self):
         # the guard tests scale with these constants, so only this pins them
@@ -625,6 +647,31 @@ class TestApplyRows:
         want = apply_rows(np.tile(row, (5, 1)), stack, first)
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
+
+    # the undo's adjoint reaches apply_rows as a transposed view, whose
+    # matmul would round otherwise than a C-contiguous copy's
+    @pytest.mark.parametrize("rows", [1, 7, 48])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_view_gives_the_bytes_of_its_contiguous_copy(self, k, rows):
+        states, view = _undo(k, rows)
+        assert not view.flags.c_contiguous
+        got = apply_rows(states, view, 1)
+        want = apply_rows(states, np.ascontiguousarray(view), 1)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
+    # names one: Haswell is an AVX2 kernel, Prescott SSE3
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_a_view_gives_the_bytes_of_its_copy_on_every_kernel(self, coretype):
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
+        env["OPENBLAS_CORETYPE"] = coretype
+        script = "import json, test_qcore\nprint(json.dumps(test_qcore._views_off_the_copy()))\n"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == [9, []]
 
     # the norm guard sits at ATOL_EXACT: a row off by twice the bound is
     # refused, one off by a fifth of it passes
@@ -744,6 +791,29 @@ class TestBellMeasurement:
         assert probs.tobytes() == measured.tobytes()
         for row, state in zip(probs, states):
             assert np.abs(row - bell_probabilities(StateVector(qubits, state), (0, 1))).max() <= ATOL_EXACT
+
+    # BELL is real, so contracting with it is contracting with its conjugate
+    @pytest.mark.parametrize("source", ["random", "bell", "cheat"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_probabilities_equal_the_conjugate_table_contraction_bytewise(self, m, source):
+        rng = np.random.default_rng(m)
+        if source == "random":
+            states = np.stack([random_state(2 + m, rng).amplitudes for _ in range(9)])
+        elif source == "bell":
+            states = np.concatenate([alice_commit(value, 1, m).states for value in COMMIT_VALUES])
+        else:
+            policy = BCPolicy.RANDOM_ENTANGLED if m else BCPolicy.RANDOM_LOCAL
+            registers = []
+            for value in COMMIT_VALUES:
+                session = bc_apply_operations(alice_commit_cheating(8, m), policy, rng)
+                alice_reveal_cheat(session, value)
+                registers.append(session.states)
+            states = np.concatenate(registers)
+        amplitudes = np.einsum("lk,rka->rla", BELL.conj(), states.reshape(len(states), 4, -1))
+        want = (np.abs(amplitudes) ** 2).sum(axis=2)
+        assert bell_pair_probabilities(states).tobytes() == want.tobytes()
+        for row, state in zip(want, states):
+            assert bell_probabilities(StateVector(2 + m, state), (0, 1)).tobytes() == row.tobytes()
 
     def test_embedded_pair_with_offset(self):
         state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
