@@ -14,15 +14,16 @@ floating point, because :func:`.qcore.bell_pair_probabilities` calls no BLAS.
 Every draw then measures that label, so such a run makes no draws at all and
 needs no generator. With receiver operations the engine makes the
 reference's draws in the reference's order and runs each protocol step once
-over a bounded chunk of trials, each trial drawing from its own NumPy
-generator, as the reference does; a register is one row until the receiver's
-apply broadcasts it to every pair. A receiver-free register that is not
-certain runs the same loop, with ones for the receiver's unitaries and no
-Haar draw. Experiments that share their draws share the
-pass: the acceptance matrix draws each trial once, and all its cells run on
-the same receiver operations and measurement draws. Cells that hold the same
-register, set by the commit value and the cheat's flip, share its
-measurement, so the matrix's 20 cells measure 8 registers.
+over a bounded chunk of trials and all its registers, each trial drawing from
+its own NumPy generator, as the reference does; the registers are one stack
+of rows until the receiver's apply broadcasts each to every pair. A
+receiver-free register that is not certain runs the same loop, with ones for
+the receiver's unitaries and no Haar draw. Experiments that share their draws
+share the pass: the acceptance matrix draws each trial once, and all its
+cells run on the same receiver operations and measurement draws. Cells that
+hold the same register, set by the commit value and the cheat's flip, share
+its rows, so the matrix's 20 cells hold 8 registers, which each chunk
+measures in one call.
 
 One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
 at the fixed slack :data:`OUTCOME_TOLERANCE`. ``run``, ``matrix`` and
@@ -167,8 +168,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
     return _execute_trial(config, trial_index)[0]
 
 
-# A chunk of trials holds at most this many complex entries of state rows
-# plus receiver unitaries (at least one trial), so memory stays flat in trials.
+# A chunk has as many trials (at least one) as fit this many complex entries
+# of one register's rows plus the receiver unitaries. It holds every
+# register's rows, a fixed multiple of that, so memory stays flat in trials.
 _CHUNK_ENTRIES = 2**12
 
 
@@ -202,40 +204,41 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     bit for bit. A register before measurement is set by the commit value and
     the cheat's flip alone, so configs that agree on both share one register,
     and every config reads its own announced label from that register's
-    measurement. Without receiver operations each register is one row,
-    flipped once per run; if every one has exactly one nonzero outcome
-    probability, the run makes no draws and no chunks: each register's
-    probabilities, computed once, are its smallest ones, and its one label
-    accepts every trial. Otherwise each chunk's draws and undo matrices are
-    made once, and each register runs apply, flip, undo and measurement once
-    per chunk: it starts as one row, which the receiver's apply broadcasts to
-    every pair of the chunk. Without receiver operations the unitaries are
-    ones, so the chunk measures the reference's states with its draws.
+    measurement. The registers' committed rows are one ``(registers, 1, dim)``
+    stack, the cheats' first, and each step runs once over all of them.
+    Without receiver operations each register is one row, flipped once per
+    run; if every one has exactly one nonzero outcome probability, the run
+    makes no draws and no chunks: those probabilities are its smallest ones,
+    and its one label accepts every trial. Otherwise each chunk runs one
+    apply, which broadcasts every register to every pair, one flip of the
+    cheats' rows, one undo and one measurement with its draws tiled per
+    register. Without receiver operations the unitaries are ones.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
         raise ValueError("configs run in one pass must agree on " + ", ".join(_SHARED_FIELDS))
-    n = config.n_pairs
     width = op_width(config.bc_policy, config.m_ancillas)
-    rows = {c.commit_value: alice_commit(c.commit_value, 1, config.m_ancillas).states for c in configs}
+    # one register per (commit value, flip), the cheats' first so that one slice holds
+    # their rows; an honest commit has no flip, which keeps it apart from the identity flip
+    flip_of = {c: pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
+               for c in configs if c.strategy is Strategy.CHEAT}
+    keys = [(c.commit_value, flip_of.get(c)) for c in configs]
+    registers = list(dict.fromkeys(sorted(keys, key=lambda key: key[1] is None)))
+    cells = [(registers.index(key), BELL_LABELS.index(commit_label(c.reveal_value)))
+             for key, c in zip(keys, configs)]
+    committed = np.stack([alice_commit(value, 1, config.m_ancillas).states for value, _ in registers])
+    flips = np.array([flip.matrix() for _, flip in registers if flip is not None]).reshape(-1, 1, 2, 2)
 
-    # one register per (commit value, flip); an honest commit has no flip,
-    # which keeps it apart from the cheat's identity flip
-    registers: dict[tuple[CommitValue, PauliOp | None], int] = {}
-    cells = []
-    for c in configs:
-        flip = None
-        if c.strategy is Strategy.CHEAT:
-            flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
-        group = registers.setdefault((c.commit_value, flip), len(registers))
-        cells.append((group, BELL_LABELS.index(commit_label(c.reveal_value))))
+    def flipped(states: np.ndarray) -> np.ndarray:
+        # only the cheats flip: an identity flip changes the sign of zero amplitudes
+        if len(flips):
+            states[: len(flips)] = apply_rows(states[: len(flips)], flips, 0)
+        return states
 
     # per register and Bell label: accepted trials, smallest probability
     accepts = np.zeros((len(registers), len(BELL_LABELS)), dtype=np.int64)
     if not width:
-        states = [rows[value] if flip is None else apply_rows(rows[value], flip.matrix(), 0)
-                  for value, flip in registers]
-        probs = bell_pair_probabilities(np.concatenate(states))
+        probs = bell_pair_probabilities(flipped(committed.copy())[:, 0])
         certain = probs != 0
         if (certain.sum(axis=1) == 1).all():
             # Every draw measures the one label k with nonzero p, so no draw
@@ -245,27 +248,23 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             # reference gets these stats under any seed.
             accepts[certain] = config.trials
             return _cell_stats(config, cells, accepts, probs)
-    per_trial = n * (rows[config.commit_value].shape[1] + 4**width)
+    per_trial = config.n_pairs * (committed.shape[-1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
-    low = np.full((len(registers), len(BELL_LABELS)), math.inf)
+    low = np.full(accepts.shape, math.inf)
+    offsets = np.arange(0, accepts.size, len(BELL_LABELS))[:, None]  # register g's labels: bins 4g to 4g + 3
     for ops, draws in _chunk_draws(config, width, chunk):
-        count = draws.shape[0]
-        # one contiguous copy per chunk, for speed: apply_rows would copy a view once per register
-        undo = np.ascontiguousarray(ops.conj().swapaxes(1, 2))
-        uniforms = draws.reshape(-1)
-        for group, (value, flip) in enumerate(registers):
-            states = apply_rows(rows[value], ops, 1)
-            if flip is not None:
-                states = apply_rows(states, flip.matrix(), 0)
-            states = apply_rows(states, undo, 1)
-            outcomes, probs = measure_bell_pairs(states, uniforms)
-            outcomes = outcomes.reshape(count, n)
-            # a trial accepts only the label that every one of its pairs measured
-            unanimous = (outcomes == outcomes[:, :1]).all(axis=1)
-            accepts[group] += np.bincount(outcomes[unanimous, 0], minlength=len(BELL_LABELS))
-            np.minimum(low[group], probs.min(axis=0), out=low[group])
+        states = flipped(apply_rows(committed, ops, 1))
+        states = apply_rows(states, ops.conj().swapaxes(1, 2), 1)
+        outcomes, probs = measure_bell_pairs(states.reshape(-1, states.shape[-1]),
+                                             np.tile(draws.reshape(-1), len(registers)))
+        outcomes = outcomes.reshape(len(registers), *draws.shape)
+        # a trial accepts only the label that every one of its pairs measured
+        unanimous = (outcomes == outcomes[:, :, :1]).all(axis=2)
+        accepted = np.bincount((outcomes[:, :, 0] + offsets)[unanimous], minlength=accepts.size)
+        accepts += accepted.reshape(accepts.shape)
+        np.minimum(low, probs.reshape(len(registers), -1, len(BELL_LABELS)).min(axis=1), out=low)
         # so that the next chunk's draws are made without this chunk's arrays
-        del draws, uniforms, outcomes, unanimous
+        del draws, states, outcomes, probs, unanimous
     return _cell_stats(config, cells, accepts, low)
 
 
@@ -352,7 +351,8 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
     share each trial's receiver operations and draws, drawn once: one
     receiver history, four cheat reveals that all accept, and controls that
     reject. The 20 cells hold 8 distinct registers (four cheat flips, four
-    honest values), and each is measured once for all the cells that hold it.
+    honest values), and each chunk measures all 8 in one call, each once for
+    all the cells that hold it.
     """
     configs = [
         replace(base, strategy=Strategy.CHEAT, commit_value=CommitValue.BIT0, reveal_value=value)

@@ -4,8 +4,8 @@ Everything operates on exact complex amplitudes (double precision), which is
 all the commitment protocol needs: registers stay tiny and every identity the
 protocol relies on holds exactly up to rounding.
 
-The kernel works on plain arrays: ``(rows, dim)`` registers, one per row,
-and ``(d, d)`` matrices or ``(count, d, d)`` stacks of them. It is the
+The kernel works on plain arrays, one register per row, and ``(d, d)``
+matrices, with leading axes that broadcast as in NumPy. It is the
 ``BELL`` table, :func:`apply_rows`, :func:`bell_pair_probabilities`,
 :func:`measure_bell_pairs`, :func:`receiver_states`, :func:`trace_distances`,
 :func:`random_unitary`, :func:`random_unitaries` and :meth:`PauliOp.matrix`.
@@ -141,19 +141,18 @@ BELL.setflags(write=False)
 
 
 def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
-    """Apply a ``(d, d)`` matrix, or one per row, to qubits ``first ..`` of every row.
+    """Apply ``(..., d, d)`` matrices to qubits ``first ..`` of ``(..., dim)`` rows.
 
-    One row against a ``(k, d, d)`` stack is broadcast: the result holds that
-    row with each matrix applied, ``k`` rows. ``matrices`` is made C-contiguous
-    first, as matmul rounds by its strides. Raises ValueError if any row's
-    norm leaves 1 by more than ATOL_EXACT.
+    The leading axes broadcast as in NumPy: one row against a ``(k, d, d)``
+    stack gives ``k`` rows, and ``(r, 1, dim)`` rows against it give
+    ``(r, k, dim)``, each row as a call on its own would give it.
+    ``matrices`` is made C-contiguous first, as matmul rounds by its strides.
+    Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
     """
     matrices = np.ascontiguousarray(matrices)
-    if matrices.ndim == 3:
-        matrices = matrices[:, None]
-    out = matrices @ states.reshape(states.shape[0], 2**first, matrices.shape[-1], -1)
-    out = out.reshape(out.shape[0], -1)
-    norms = np.einsum("ij,ij->i", out.conj(), out).real
+    out = matrices[..., None, :, :] @ states.reshape(*states.shape[:-1], 2**first, matrices.shape[-1], -1)
+    out = out.reshape(*out.shape[:-3], -1)
+    norms = np.einsum("...i,...i->...", out.conj(), out).real
     # written so that NaN fails too
     if not np.abs(norms - 1.0).max() <= ATOL_EXACT:
         raise ValueError("a pair's state is no longer normalized")

@@ -190,13 +190,25 @@ def _chunk_budget(config, per_chunk):
     return {1: 1, 7: 7 * per_trial, "all": 2**40}[per_chunk]
 
 
-def _recording(measured, measure):
-    """``measure`` that also appends a copy of its states, draws and outcomes to ``measured``."""
+def _recording(measured, measure, registers=1):
+    """``measure`` that also appends a copy of its states, draws and outcomes to ``measured[register]``.
+
+    A call measures whole registers, one block of rows after another: the
+    reference one register a call, the engine ``registers`` a call. So each
+    register's records hold its own states and draws however the engine batches.
+    """
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
-        measured.append((states.copy(), draws.copy(), outcomes.copy()))
+        blocks = zip(*(np.split(array, registers) for array in (states, draws, outcomes)))
+        for register, block in enumerate(blocks):
+            measured.setdefault(register, []).append(tuple(array.copy() for array in block))
         return outcomes, probs
     return wrapper
+
+
+def _joined(records, position):
+    """The bytes of one field of ``records``, states (0) or draws (1), in the order measured."""
+    return np.concatenate([record[position] for record in records]).tobytes()
 
 
 def _is_certain(*configs):
@@ -224,7 +236,7 @@ def _is_certain(*configs):
 def _assert_certain(measured):
     """Every recorded state has one nonzero outcome probability, at the label it measured."""
     assert measured
-    for states, _, outcomes in measured:
+    for states, _, outcomes in measured[0]:
         probs = qcore.bell_pair_probabilities(states)
         assert ((probs != 0).sum(axis=1) == 1).all()
         assert probs.argmax(axis=1).tolist() == outcomes.tolist()
@@ -279,12 +291,39 @@ def _counting(monkeypatch, *functions):
     return calls
 
 
+# the engine's work, by unit, however it batches: rows measured, rows
+# applied, Haar matrices drawn, generators built and trials run step by step
+_WORK = {
+    "measure_bell_pairs": ("measured", lambda args, result: len(args[1])),
+    "apply_rows": ("applied", lambda args, result: result.size // result.shape[-1]),
+    "random_unitaries": ("drawn", lambda args, result: len(result)),
+    "_trial_generator": ("generators", lambda args, result: 1),
+    "_execute_trial": ("stepwise", lambda args, result: 1),
+}
+
+
+def _work(monkeypatch, *modules):
+    """Count, by unit, the work of each ``_WORK`` function that ``modules`` (default: harness) call."""
+    work = dict.fromkeys([unit for unit, _ in _WORK.values()], 0)
+    for module in modules or (harness,):
+        for name, (unit, amount) in _WORK.items():
+            if hasattr(module, name):
+
+                def wrapper(*args, unit=unit, amount=amount, function=getattr(module, name)):
+                    result = function(*args)
+                    work[unit] += amount(args, result)
+                    return result
+
+                monkeypatch.setattr(module, name, wrapper)
+    return work
+
+
 def _one_pair_off(measure, n_pairs):
     """``measure`` whose outcomes name the next label at the last pair of every trial.
 
     Both callers measure trial by trial, pair by pair: the reference one
-    trial's pairs per call, the engine a chunk of whole trials. So every
-    trial measures at least two labels, and the verifier must reject it.
+    trial's pairs per call, the engine a chunk of whole trials per register.
+    So every trial measures at least two labels, and the verifier must reject it.
     """
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
@@ -298,6 +337,14 @@ def _register(cell):
     """What sets a matrix cell's register: its commit value and, for a cheat, its target."""
     config = cell.config
     return config.commit_value, config.reveal_value if config.strategy is Strategy.CHEAT else None
+
+
+def _passes(experiment, cfg):
+    """Whether ``cfg``'s acceptance matrix, or its cheat or honest run, passes."""
+    if experiment == "matrix":
+        return acceptance_matrix(cfg).passed()
+    strategy = Strategy.CHEAT if experiment == "cheat" else Strategy.HONEST
+    return run_experiment(replace(cfg, strategy=strategy)).acceptance_rate == 1.0
 
 
 ENGINE_KINDS = {
@@ -322,33 +369,29 @@ class TestBatchedEngine:
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
 
         # every state measured and every draw it is sampled from, on both paths
-        measured = {"engine": [], "reference": []}
+        measured = {"engine": {}, "reference": {}}
         monkeypatch.setattr(harness, "measure_bell_pairs",
                             _recording(measured["engine"], harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(measured["reference"], protocol.measure_bell_pairs))
         want = _reference_stats(cfg)
-        # the engine's draws alone: the reference has made its own
-        draws = _counting(monkeypatch, (harness, "_trial_generator"))
+        # the engine's work alone: the reference has done its own
+        work = _work(monkeypatch)
         assert run_experiment(cfg) == want  # accepts and min_outcome_probability compared with ==
 
         if _is_certain(cfg):
             # a certain run measures nothing and makes no draws, and the
             # reference's outcomes could not have been others
-            assert draws == {"_trial_generator": 0}
-            assert measured["engine"] == []
+            assert (work["generators"], work["measured"]) == (0, 0)
+            assert measured["engine"] == {}
             _assert_certain(measured["reference"])
             return
-        rows = [states.shape[0] for states, *_ in measured["engine"]]
-        chunk = cfg.trials if per_chunk == "all" else per_chunk
-        assert rows == [n_pairs * min(chunk, cfg.trials - first)
-                        for first in range(0, cfg.trials, chunk)]
+        # every pair of every trial, once
+        assert work["measured"] == n_pairs * cfg.trials
         # bytes, not values: the flip commutes with the undo exactly, so only
         # the signs of zero amplitudes show the steps in the wrong order
         for position in (0, 1):
-            engine = np.concatenate([record[position] for record in measured["engine"]])
-            reference = np.concatenate([record[position] for record in measured["reference"]])
-            assert engine.tobytes() == reference.tobytes()
+            assert _joined(measured["engine"][0], position) == _joined(measured["reference"][0], position)
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
     @pytest.mark.parametrize("policy,m", POLICY_GRID)
@@ -356,20 +399,23 @@ class TestBatchedEngine:
         cfg = _config(bc_policy=policy, m_ancillas=m, trials=9, master_seed=3)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
 
-        engine, reference = [], []
+        # the engine measures chunk by chunk, all distinct registers in one
+        # call: the cheats' first, each in the order the cells first prepare it
+        engine, reference = {}, {}
         monkeypatch.setattr(harness, "measure_bell_pairs",
-                            _recording(engine, harness.measure_bell_pairs))
+                            _recording(engine, harness.measure_bell_pairs, registers=8))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
-        draws = _counting(monkeypatch, (harness, "_trial_generator"))
+        work = _work(monkeypatch)
         cells = acceptance_matrix(cfg).cells
         certain = _is_certain(*(cell.config for cell in cells))
         if certain:
             # a certain run measures nothing and makes no draws
-            assert draws == {"_trial_generator": 0}
-            assert engine == []
-        # the engine measures chunk by chunk, every distinct register in
-        # turn, in the order the cells first prepare it
+            assert (work["generators"], work["measured"]) == (0, 0)
+            assert engine == {}
+        else:
+            # each of the 8 registers measures every pair of every trial, once
+            assert work["measured"] == 8 * cfg.n_pairs * cfg.trials
         registers = list(dict.fromkeys(map(_register, cells)))
         assert len(registers) == 8
         for cell in cells:
@@ -379,11 +425,9 @@ class TestBatchedEngine:
                 _assert_certain(reference)
                 continue
             # each cell's states and draws must be its own reference's, bit for bit
-            measured = engine[registers.index(_register(cell)) :: len(registers)]
+            measured = engine[registers.index(_register(cell))]
             for position in (0, 1):
-                got = np.concatenate([record[position] for record in measured])
-                want = np.concatenate([record[position] for record in reference])
-                assert got.tobytes() == want.tobytes()
+                assert _joined(measured, position) == _joined(reference[0], position)
 
     # a trial accepts only if every pair measures the announced label: with
     # one pair of every trial off, no cell accepts a trial
@@ -401,17 +445,51 @@ class TestBatchedEngine:
             assert cell.stats.accepts == 0
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
-    def test_draws_one_stack_per_chunk(self, per_chunk, monkeypatch):
+    def test_draws_one_matrix_per_pair_and_trial(self, per_chunk, monkeypatch):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS, n_pairs=3, trials=9,
                       bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
         want = _reference_stats(cfg)
         # the engine's draws alone: the reference has made its own
-        calls = _counting(monkeypatch, (harness, "random_unitaries"), (qcore, "random_unitary"))
+        work = _work(monkeypatch)
         assert run_experiment(cfg) == want
-        # one Haar matrix per pair and trial, all of a chunk's in one call
+        assert (work["drawn"], work["generators"]) == (cfg.n_pairs * cfg.trials, cfg.trials)
+
+    # The one test that pins the chunk loop's calls: per chunk one Haar stack
+    # (none without receiver operations), one apply, one flip if any register
+    # is a cheat's, one undo and one measurement, however many registers.
+    @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
+    @pytest.mark.parametrize("experiment", ["matrix", "cheat", "honest"])
+    @pytest.mark.parametrize("policy,m", [(BCPolicy.NONE, 1), (BCPolicy.RANDOM_LOCAL, 0),
+                                          (BCPolicy.RANDOM_ENTANGLED, 1)])
+    def test_each_chunk_makes_one_call_per_step(self, policy, m, experiment, per_chunk, monkeypatch):
+        if policy is BCPolicy.NONE:
+            _force_a_residue(monkeypatch)
+        cfg = _config(bc_policy=policy, m_ancillas=m, n_pairs=3, trials=9)
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
+        calls = _counting(monkeypatch, (harness, "random_unitaries"), (harness, "apply_rows"),
+                          (harness, "measure_bell_pairs"))
+        assert _passes(experiment, cfg)
         chunks = {1: 9, 7: 2, "all": 1}[per_chunk]
-        assert calls == {"random_unitaries": chunks, "random_unitary": cfg.n_pairs * cfg.trials}
+        flips = int(experiment != "honest")
+        haar = int(policy is not BCPolicy.NONE)
+        # without receiver operations the certainty check flips the cheats' rows first
+        assert calls == {"random_unitaries": haar * chunks, "measure_bell_pairs": chunks,
+                         "apply_rows": (1 - haar) * flips + (2 + flips) * chunks}
+
+    # The one test that pins the certain path's calls: one flip of the cheats'
+    # rows (none for an honest run) and one probability table, and no draw,
+    # generator or measurement.
+    @pytest.mark.parametrize("experiment", ["matrix", "cheat", "honest"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_a_certain_run_makes_one_flip_and_no_draw(self, m, experiment, monkeypatch):
+        cfg = _config(m_ancillas=m, trials=9)
+        calls = _counting(monkeypatch, (harness, "apply_rows"), (harness, "bell_pair_probabilities"),
+                          (harness, "measure_bell_pairs"), (harness, "random_unitaries"),
+                          (harness, "_trial_generator"))
+        assert _passes(experiment, cfg)
+        assert calls == {"apply_rows": int(experiment != "honest"), "bell_pair_probabilities": 1,
+                         "measure_bell_pairs": 0, "random_unitaries": 0, "_trial_generator": 0}
 
     @pytest.mark.parametrize("policy,m", HAAR_GRID)
     def test_a_draw_off_unitarity_in_the_last_trial_of_a_chunk_is_refused(self, policy, m, monkeypatch):
@@ -427,21 +505,21 @@ class TestBatchedEngine:
     def test_matrix_measures_each_distinct_register_once(self, policy, m, monkeypatch):
         cfg = _config(bc_policy=policy, m_ancillas=m, trials=9)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "apply_rows"),
-                          (harness, "_trial_generator"))
+        work = _work(monkeypatch)
         matrix = acceptance_matrix(cfg)
         assert matrix.passed()
-        chunks = 2  # 9 trials, 7 to a chunk
-        # a receiver-free run builds its four flipped registers once to see
-        # whether their outcomes are certain
+        # a receiver-free run builds its four flipped registers once, one row
+        # each, to see whether their outcomes are certain
         built = 4 if policy is BCPolicy.NONE else 0
         if _is_certain(*(cell.config for cell in matrix.cells)):
             # certain outcomes need no draw and no measurement
-            assert calls == {"measure_bell_pairs": 0, "apply_rows": built, "_trial_generator": 0}
+            assert work == {"measured": 0, "applied": built, "drawn": 0, "generators": 0, "stepwise": 0}
         else:
-            # per chunk: eight applies, four flips, eight undos
-            assert calls == {"measure_bell_pairs": 8 * chunks, "apply_rows": built + 20 * chunks,
-                             "_trial_generator": cfg.trials}
+            # per pair of each trial: eight applies, four flips, eight undos,
+            # eight measurements, and one Haar matrix shared by all
+            rows = cfg.n_pairs * cfg.trials
+            assert work == {"measured": 8 * rows, "applied": built + 20 * rows, "drawn": rows,
+                            "generators": cfg.trials, "stepwise": 0}
 
     # the receiver's unitaries are ones, so the chunk loop draws no Haar
     # matrix and each trial's generator makes only its measurement draws
@@ -450,12 +528,13 @@ class TestBatchedEngine:
         _force_a_residue(monkeypatch)
         cfg = _config(m_ancillas=m, trials=9)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"),
-                          (harness, "random_unitaries"), (harness, "_trial_generator"))
+        work = _work(monkeypatch)
         matrix = acceptance_matrix(cfg)
-        chunks = 2  # 9 trials, 7 to a chunk
-        assert calls == {"measure_bell_pairs": 8 * chunks, "_execute_trial": 0, "random_unitaries": 0,
-                         "_trial_generator": cfg.trials}
+        # the four flipped registers once, one row each, then per pair of each
+        # trial eight applies of ones, four flips, eight undos and eight measurements
+        rows = cfg.n_pairs * cfg.trials
+        assert work == {"measured": 8 * rows, "applied": 4 + 20 * rows, "drawn": 0, "generators": cfg.trials,
+                        "stepwise": 0}
         assert matrix.passed()
         for cell in matrix.cells:
             assert cell.stats == _reference_stats(cell.config)
@@ -467,16 +546,16 @@ class TestBatchedEngine:
         _mix_rows(monkeypatch)
         cfg = _config(n_pairs=3, trials=9, m_ancillas=m, master_seed=seed)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
-        chunks = {1: 9, 7: 2, "all": 1}[per_chunk]
-        calls = _counting(monkeypatch, (harness, "measure_bell_pairs"), (harness, "_execute_trial"),
-                          (harness, "random_unitaries"), (harness, "_trial_generator"))
+        rows = cfg.n_pairs * cfg.trials
+        work = _work(monkeypatch)
         cells = acceptance_matrix(cfg).cells
-        assert calls == {"measure_bell_pairs": 8 * chunks, "_execute_trial": 0, "random_unitaries": 0,
-                         "_trial_generator": cfg.trials}
+        assert work == {"measured": 8 * rows, "applied": 4 + 20 * rows, "drawn": 0, "generators": cfg.trials,
+                        "stepwise": 0}
         cheat = replace(cfg, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
         got = [cell.stats for cell in cells] + [run_experiment(cheat)]
-        assert calls == {"measure_bell_pairs": 9 * chunks, "_execute_trial": 0, "random_unitaries": 0,
-                         "_trial_generator": 2 * cfg.trials}
+        # the cheat run adds one register: one flipped row, then an apply, a flip and an undo per pair
+        assert work == {"measured": 9 * rows, "applied": 5 + 23 * rows, "drawn": 0,
+                        "generators": 2 * cfg.trials, "stepwise": 0}
         want = [_reference_stats(config) for config in [cell.config for cell in cells] + [cheat]]
         assert got == want
         assert any(0 < stats.accepts < cfg.trials for stats in want)
@@ -503,23 +582,21 @@ class TestBatchedEngine:
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS, trials=9,
                       bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1, master_seed=seed)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
-        engine, reference = [], []
+        engine, reference = {}, {}
         monkeypatch.setattr(harness, "measure_bell_pairs",
                             _recording(engine, harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
         assert run_experiment(cfg) == _reference_stats(cfg)
         for position in (0, 1):
-            got = np.concatenate([record[position] for record in engine])
-            want = np.concatenate([record[position] for record in reference])
-            assert got.tobytes() == want.tobytes()
+            assert _joined(engine[0], position) == _joined(reference[0], position)
 
     def test_matrix_draws_each_trial_once(self, monkeypatch):
         # all cells share each trial's generator and Haar draws
-        calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
+        work = _work(monkeypatch)
         matrix = acceptance_matrix(_config(bc_policy=BCPolicy.RANDOM_LOCAL, n_pairs=3, trials=11))
         assert matrix.passed()
-        assert calls == {"_trial_generator": 11, "random_unitary": 33}
+        assert (work["generators"], work["drawn"]) == (11, 33)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -569,7 +646,7 @@ class TestBatchedEngine:
 
     # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
     # names one: Haswell is an AVX2 kernel, Prescott SSE3. Each child checks
-    # 4 bases x 2 chunk sizes x 20 cells against the reference.
+    # 4 bases x 2 chunk sizes x (20 cells + 2 runs) against the reference.
     @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
     def test_equals_the_reference_on_every_kernel(self, coretype):
         env = _child_env()
@@ -579,27 +656,32 @@ class TestBatchedEngine:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                                 timeout=120)
         assert (result.returncode, result.stderr) == (0, "")
-        assert json.loads(result.stdout) == [160, []]
+        assert json.loads(result.stdout) == [176, []]
 
 
 def _cells_off_the_reference():
-    """How many Haar matrix cells were checked, and which differ from their reference.
+    """How many Haar results were checked, and which differ from their reference.
 
     The bases are 3 pairs and 9 trials at the largest seed, under
     random-local with 0 or 2 ancillas and random-entangled with 1 or 2, each
-    run in chunks of 1 and of 7 trials.
+    run in chunks of 1 and of 7 trials: the 20 cells of its matrix, and a
+    cheat run and an honest run, one register each, with a flip and without.
     """
     budget, checked, off = harness._CHUNK_ENTRIES, 0, []
     try:
         for policy, m in [(BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_LOCAL, 2),
                           (BCPolicy.RANDOM_ENTANGLED, 1), (BCPolicy.RANDOM_ENTANGLED, 2)]:
             cfg = _config(bc_policy=policy, m_ancillas=m, n_pairs=3, trials=9, master_seed=2**64 - 1)
+            runs = [replace(cfg, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS),
+                    replace(cfg, commit_value=CommitValue.PLUS, reveal_value=CommitValue.PLUS)]
             for per_chunk in (1, 7):
                 harness._CHUNK_ENTRIES = _chunk_budget(cfg, per_chunk)
-                for cell in acceptance_matrix(cfg).cells:
+                results = [(cell.config, cell.stats) for cell in acceptance_matrix(cfg).cells]
+                results += [(run, run_experiment(run)) for run in runs]
+                for config, stats in results:
                     checked += 1
-                    if cell.stats != _reference_stats(cell.config):
-                        off.append(f"{policy.value} m={m} chunk={per_chunk}: {cell.config}")
+                    if stats != _reference_stats(config):
+                        off.append(f"{policy.value} m={m} chunk={per_chunk}: {config}")
     finally:
         harness._CHUNK_ENTRIES = budget
     return checked, off
@@ -740,10 +822,10 @@ class TestHidingReport:
     def test_draws_nothing(self, monkeypatch):
         # trace distance is unitarily invariant, so the receiver's operations
         # change no distance, and none is drawn
-        calls = _counting(monkeypatch, (harness, "_trial_generator"), (qcore, "random_unitary"))
+        work = _work(monkeypatch, harness, protocol)
         for m in range(MAX_ANCILLAS + 1):
             hiding_report(m)
-        assert calls == {"_trial_generator": 0, "random_unitary": 0}
+        assert work == dict.fromkeys(work, 0)
 
     @pytest.mark.parametrize("m", [MAX_ANCILLAS + 1, -1])
     def test_ancillas_out_of_range_raise_the_configs_message(self, m):

@@ -648,6 +648,31 @@ class TestApplyRows:
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
 
+    # the engine steps a stack of registers through each step in one call:
+    # every register's rows must be the bytes of a call of its own
+    @pytest.mark.parametrize("registers", [1, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_row_stack_against_a_stack_equals_a_call_per_row(self, k, registers):
+        rng = np.random.default_rng(10 * k + registers)
+        rows = np.stack([random_state(4, rng).amplitudes for _ in range(registers)])[:, None]
+        stack = random_unitaries(k, 5, rng)
+        got = apply_rows(rows, stack, 1)
+        want = np.stack([apply_rows(row, stack, 1) for row in rows])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((registers, 5, 16), np.complex128)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("registers", [1, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flips_on_a_register_stack_equal_a_call_per_register(self, k, registers):
+        rng = np.random.default_rng(10 * k + registers)
+        rows = np.stack([random_state(4, rng).amplitudes for _ in range(registers)])[:, None]
+        states = apply_rows(rows, random_unitaries(k, 5, rng), 1)
+        flips = np.stack([list(PauliOp)[register % 4].matrix() for register in range(registers)])[:, None]
+        got = apply_rows(states, flips, 0)
+        want = np.stack([apply_rows(block, flip, 0) for block, flip in zip(states, flips[:, 0])])
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((registers, 5, 16), np.complex128)
+        assert got.tobytes() == want.tobytes()
+
     # the undo's adjoint reaches apply_rows as a transposed view, whose
     # matmul would round otherwise than a C-contiguous copy's
     @pytest.mark.parametrize("rows", [1, 7, 48])
