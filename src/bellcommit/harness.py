@@ -171,12 +171,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 # A chunk has as many trials (at least one) as fit this many complex entries
 # of one register's rows plus the receiver unitaries. It holds every
 # register's rows, a fixed multiple of that, so memory stays flat in trials.
+# Kept until a committed benchmark file backs a change: 2**14 ran
+# cheat-entangled 7-9% faster in cold runs on a 2-core x86-64 host, for
+# 0.9 MiB more peak memory.
 _CHUNK_ENTRIES = 2**12
 
 
 def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
-    """Per chunk of trials: the receiver unitaries and the ``(count, n_pairs)``
-    measurement draws, in the reference's order.
+    """Per chunk of trials: the ``(count, n_pairs, d, d)`` receiver unitaries
+    and the ``(count, n_pairs)`` measurement draws, in the reference's order.
 
     Each trial draws from its own generator: its Haar unitaries, then one
     uniform per pair. A chunk's unitaries are one stack, drawn and checked in
@@ -190,7 +193,7 @@ def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
         draws = np.empty((len(rngs), n))
         for t, rng in enumerate(rngs):
             rng.random(out=draws[t])
-        yield matrices, draws
+        yield matrices.reshape(*draws.shape, *matrices.shape[1:]), draws
 
 
 # configs run in one pass agree on what their draws depend on
@@ -204,15 +207,16 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     bit for bit. A register before measurement is set by the commit value and
     the cheat's flip alone, so configs that agree on both share one register,
     and every config reads its own announced label from that register's
-    measurement. The registers' committed rows are one ``(registers, 1, dim)``
+    measurement. The registers' committed rows are one ``(registers, 1, 1, dim)``
     stack, the cheats' first, and each step runs once over all of them.
     Without receiver operations each register is one row, flipped once per
     run; if every one has exactly one nonzero outcome probability, the run
     makes no draws and no chunks: those probabilities are its smallest ones,
     and its one label accepts every trial. Otherwise each chunk runs one
-    apply, which broadcasts every register to every pair, one flip of the
-    cheats' rows, one undo and one measurement with its draws tiled per
-    register. Without receiver operations the unitaries are ones.
+    apply, which broadcasts every register to every pair of every trial, one
+    flip of the cheats' rows, one undo and one measurement of the whole
+    ``(registers, trials, pairs, dim)`` stack against the chunk's draws.
+    Without receiver operations the unitaries are ones.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -226,8 +230,8 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     registers = list(dict.fromkeys(sorted(keys, key=lambda key: key[1] is None)))
     cells = [(registers.index(key), BELL_LABELS.index(commit_label(c.reveal_value)))
              for key, c in zip(keys, configs)]
-    committed = np.stack([alice_commit(value, 1, config.m_ancillas).states for value, _ in registers])
-    flips = np.array([flip.matrix() for _, flip in registers if flip is not None]).reshape(-1, 1, 2, 2)
+    committed = np.stack([alice_commit(value, 1, config.m_ancillas).states[None] for value, _ in registers])
+    flips = np.array([flip.matrix() for _, flip in registers if flip is not None]).reshape(-1, 1, 1, 2, 2)
 
     def flipped(states: np.ndarray) -> np.ndarray:
         # only the cheats flip: an identity flip changes the sign of zero amplitudes
@@ -238,7 +242,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     # per register and Bell label: accepted trials, smallest probability
     accepts = np.zeros((len(registers), len(BELL_LABELS)), dtype=np.int64)
     if not width:
-        probs = bell_pair_probabilities(flipped(committed.copy())[:, 0])
+        probs = bell_pair_probabilities(flipped(committed.copy())[:, 0, 0])
         certain = probs != 0
         if (certain.sum(axis=1) == 1).all():
             # Every draw measures the one label k with nonzero p, so no draw
@@ -251,18 +255,15 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     per_trial = config.n_pairs * (committed.shape[-1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
     low = np.full(accepts.shape, math.inf)
-    offsets = np.arange(0, accepts.size, len(BELL_LABELS))[:, None]  # register g's labels: bins 4g to 4g + 3
+    labels = np.arange(len(BELL_LABELS))
     for ops, draws in _chunk_draws(config, width, chunk):
         states = flipped(apply_rows(committed, ops, 1))
-        states = apply_rows(states, ops.conj().swapaxes(1, 2), 1)
-        outcomes, probs = measure_bell_pairs(states.reshape(-1, states.shape[-1]),
-                                             np.tile(draws.reshape(-1), len(registers)))
-        outcomes = outcomes.reshape(len(registers), *draws.shape)
+        states = apply_rows(states, ops.conj().swapaxes(-1, -2), 1)
+        outcomes, probs = measure_bell_pairs(states, np.broadcast_to(draws, states.shape[:-1]))
         # a trial accepts only the label that every one of its pairs measured
-        unanimous = (outcomes == outcomes[:, :, :1]).all(axis=2)
-        accepted = np.bincount((outcomes[:, :, 0] + offsets)[unanimous], minlength=accepts.size)
-        accepts += accepted.reshape(accepts.shape)
-        np.minimum(low, probs.reshape(len(registers), -1, len(BELL_LABELS)).min(axis=1), out=low)
+        unanimous = (outcomes == outcomes[..., :1]).all(axis=-1)
+        accepts += ((outcomes[..., 0, None] == labels) & unanimous[..., None]).sum(axis=1)
+        np.minimum(low, probs.min(axis=(1, 2)), out=low)
         # so that the next chunk's draws are made without this chunk's arrays
         del draws, states, outcomes, probs, unanimous
     return _cell_stats(config, cells, accepts, low)
@@ -397,7 +398,8 @@ def hiding_report(m_ancillas: int) -> HidingReport:
     """Trace-distance table of the receiving side's views with ``m_ancillas`` ancillas.
 
     It draws nothing. Every pair of a commitment holds the same row, so one
-    committed row per value decides the table for any number of pairs.
+    committed row per value decides the table for any number of pairs: one
+    stack of four reduced states, compared all against all in one call.
     Whatever the receiver does while the commitment is pending is a unitary
     U on its own qubits, and D(U rho U^dagger, U sigma U^dagger) =
     D(rho, sigma), so the distances between the views before it acts are
@@ -405,8 +407,8 @@ def hiding_report(m_ancillas: int) -> HidingReport:
     threshold would mean the commitment leaks before the reveal. An ancilla
     count outside ``0 .. MAX_ANCILLAS`` raises ``ValueError``.
     """
-    reduced = [receiver_states(alice_commit(value, 1, m_ancillas).states) for value in COMMIT_VALUES]
-    return HidingReport(tuple(tuple(trace_distances(a, b).item() for b in reduced) for a in reduced))
+    reduced = receiver_states(np.concatenate([alice_commit(v, 1, m_ancillas).states for v in COMMIT_VALUES]))
+    return HidingReport(tuple(map(tuple, trace_distances(reduced[:, None], reduced).tolist())))
 
 
 @dataclass(frozen=True)
@@ -435,7 +437,7 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
 
     def fidelity_defect(states: np.ndarray, targets: np.ndarray) -> float:
         # largest 1 - |<state|target>|**2 over the rows
-        overlaps = np.einsum("ij,ij->i", states.conj(), targets)
+        overlaps = np.einsum("...j,...j->...", states.conj(), targets)
         return float((1.0 - np.minimum(1.0, np.abs(overlaps) ** 2)).max())
 
     # Bell basis is orthonormal.
@@ -443,13 +445,10 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
     record("bell-orthonormality", worst <= ATOL_EXACT, f"max deviation {worst:.3e}")
 
     # Pauli flips permute labels as advertised (Z flips u_i, X flips u_j).
-    worst = 0.0
-    for flip in PauliOp:
-        dst = [
-            BELL_LABELS.index(BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component))
-            for src in BELL_LABELS
-        ]
-        worst = max(worst, fidelity_defect(apply_rows(BELL, flip.matrix(), 0), BELL[dst]))
+    dst = [[BELL_LABELS.index(BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component))
+            for src in BELL_LABELS] for flip in PauliOp]
+    flips = np.stack([flip.matrix() for flip in PauliOp])[:, None]
+    worst = fidelity_defect(apply_rows(BELL, flips, 0), BELL[dst])
     record("pauli-label-flips", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The committer's flip commutes with receiver-side unitaries: the
@@ -486,10 +485,8 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
         record(name, all(cell.passed() for cell in cells if cell.config.strategy is strategy))
 
     # The closed-form flip chooser reaches every label from every label.
-    worst = 0.0
-    for index, dst in enumerate(BELL_LABELS):
-        flips = np.stack([pauli_for_flip(src, dst).matrix() for src in BELL_LABELS])
-        worst = max(worst, fidelity_defect(apply_rows(BELL, flips, 0), BELL[[index] * 4]))
+    flips = np.array([[pauli_for_flip(src, dst).matrix() for src in BELL_LABELS] for dst in BELL_LABELS])
+    worst = fidelity_defect(apply_rows(BELL, flips, 0), BELL[:, None])
     record("flip-chooser", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The receiving side's view is independent of the committed value.

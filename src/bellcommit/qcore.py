@@ -4,8 +4,11 @@ Everything operates on exact complex amplitudes (double precision), which is
 all the commitment protocol needs: registers stay tiny and every identity the
 protocol relies on holds exactly up to rounding.
 
-The kernel works on plain arrays, one register per row, and ``(d, d)``
-matrices, with leading axes that broadcast as in NumPy. It is the
+The kernel works on plain arrays: ``(..., dim)`` rows, one register per row,
+and ``(..., d, d)`` matrices. Every kernel function that takes rows or
+matrices takes any leading axes and broadcasts them as NumPy does, so a
+stack such as ``(registers, trials, pairs, dim)`` goes through each step as
+it is, and each row comes out with the bytes of a call of its own. It is the
 ``BELL`` table, :func:`apply_rows`, :func:`bell_pair_probabilities`,
 :func:`measure_bell_pairs`, :func:`receiver_states`, :func:`trace_distances`,
 :func:`random_unitary`, :func:`random_unitaries` and :meth:`PauliOp.matrix`.
@@ -143,10 +146,9 @@ BELL.setflags(write=False)
 def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarray:
     """Apply ``(..., d, d)`` matrices to qubits ``first ..`` of ``(..., dim)`` rows.
 
-    The leading axes broadcast as in NumPy: one row against a ``(k, d, d)``
-    stack gives ``k`` rows, and ``(r, 1, dim)`` rows against it give
-    ``(r, k, dim)``, each row as a call on its own would give it.
-    ``matrices`` is made C-contiguous first, as matmul rounds by its strides.
+    One row against a ``(k, d, d)`` stack gives ``k`` rows, and ``(r, 1, dim)``
+    rows against it give ``(r, k, dim)``. ``matrices`` is made C-contiguous
+    first, as matmul rounds by its strides.
     Raises ValueError if any row's norm leaves 1 by more than ATOL_EXACT.
     """
     matrices = np.ascontiguousarray(matrices)
@@ -160,22 +162,21 @@ def apply_rows(states: np.ndarray, matrices: np.ndarray, first: int) -> np.ndarr
 
 
 def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
-    """The ``(rows, 4)`` Bell outcome probabilities of qubits (0, 1) of every row.
+    """The ``(..., 4)`` Bell outcome probabilities of qubits (0, 1) of every row.
 
     Each row is as :func:`bell_probabilities` would give it: both contract
     with ``BELL`` itself, which is real and so its own conjugate. Raises
     ValueError if any row's probabilities leave a sum of 1 by more than
     ATOL_ACCUM.
     """
-    rows = states.shape[0]
-    amplitudes = np.einsum("lk,rka->rla", BELL, states.reshape(rows, 4, -1))
-    probs = (np.abs(amplitudes) ** 2).sum(axis=2)
+    amplitudes = np.einsum("lk,...ka->...la", BELL, states.reshape(*states.shape[:-1], 4, -1))
+    probs = (np.abs(amplitudes) ** 2).sum(axis=-1)
     # summed in label order, as the inverse-CDF walk sums them
-    totals = probs.cumsum(axis=1)[:, -1]
+    totals = probs.cumsum(axis=-1)[..., -1]
     deviation = np.abs(totals - 1.0)
     # written so that NaN fails too
     if not deviation.max() <= ATOL_ACCUM:
-        total = float(totals[deviation.argmax()])
+        total = float(totals.flat[deviation.argmax()])
         raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
     return probs
 
@@ -183,34 +184,34 @@ def bell_pair_probabilities(states: np.ndarray) -> np.ndarray:
 def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective Bell-basis measurement of qubits (0, 1) of every row of ``states``, one draw each.
 
-    ``states`` holds one register's amplitudes per row, and ``draws`` one
-    uniform draw in [0, 1) per row. Each draw is sampled by inverse CDF in
-    BELL_LABELS order. Returns the outcome indices into BELL_LABELS, one per
-    row, and the ``(rows, 4)`` outcome probabilities they were sampled from,
-    each row as :func:`bell_probabilities` would give it.
+    ``draws`` holds one uniform draw in [0, 1) per row, so its shape is the
+    rows' leading shape; a broadcast view serves. Each draw is sampled by
+    inverse CDF in BELL_LABELS order. Returns the outcome indices into
+    BELL_LABELS, one per row, and the ``(..., 4)`` outcome probabilities they
+    were sampled from, each row as :func:`bell_probabilities` would give it.
     """
-    if draws.shape != states.shape[:1]:
-        raise ValueError(f"expected one draw for each of {states.shape[0]} rows, got {draws.shape}")
+    if draws.shape != states.shape[:-1]:
+        rows = "x".join(map(str, states.shape[:-1]))
+        raise ValueError(f"expected one draw for each of {rows} rows, got {draws.shape}")
     probs = bell_pair_probabilities(states)
-    cdf = probs.cumsum(axis=1)
+    cdf = probs.cumsum(axis=-1)
     # the first label whose cumulative probability exceeds the draw
-    outcomes = (cdf <= draws[:, None]).sum(axis=1)
+    outcomes = (cdf <= draws[..., None]).sum(axis=-1)
     if outcomes.max() == 4:
         # a draw landed in the rounding slack above the last cumulative step
-        outcomes = np.where(outcomes == 4, probs.argmax(axis=1), outcomes)
+        outcomes = np.where(outcomes == 4, probs.argmax(axis=-1), outcomes)
     return outcomes, probs
 
 
 def receiver_states(states: np.ndarray) -> np.ndarray:
-    """Reduced states of qubits ``1 ..`` of every row (qubit 0 traced out), ``(rows, d, d)``."""
-    n = states.shape[0]
-    psi = states.reshape(n, 2, -1).swapaxes(1, 2)
-    return psi @ psi.conj().swapaxes(1, 2)
+    """Reduced states of qubits ``1 ..`` of every row (qubit 0 traced out), ``(..., d, d)``."""
+    psi = states.reshape(*states.shape[:-1], 2, -1).swapaxes(-1, -2)
+    return psi @ psi.conj().swapaxes(-1, -2)
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``0.5 * sum |eig(a - b)|`` per matrix of two equally shaped stacks of density matrices."""
-    if a.shape != b.shape:
+    """``0.5 * sum |eig(a - b)|`` per pair of matrices of two stacks of ``(d, d)`` density matrices."""
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 

@@ -193,13 +193,15 @@ def _chunk_budget(config, per_chunk):
 def _recording(measured, measure, registers=1):
     """``measure`` that also appends a copy of its states, draws and outcomes to ``measured[register]``.
 
-    A call measures whole registers, one block of rows after another: the
-    reference one register a call, the engine ``registers`` a call. So each
-    register's records hold its own states and draws however the engine batches.
+    A call measures whole registers, one block of rows after another once its
+    leading axes are flattened: the reference one register a call, the engine
+    ``registers`` a call. So each register's records hold its own states and
+    draws however the engine batches and shapes them.
     """
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
-        blocks = zip(*(np.split(array, registers) for array in (states, draws, outcomes)))
+        rows = (states.reshape(-1, states.shape[-1]), draws.reshape(-1), outcomes.reshape(-1))
+        blocks = zip(*(np.split(array, registers) for array in rows))
         for register, block in enumerate(blocks):
             measured.setdefault(register, []).append(tuple(array.copy() for array in block))
         return outcomes, probs
@@ -294,7 +296,7 @@ def _counting(monkeypatch, *functions):
 # the engine's work, by unit, however it batches: rows measured, rows
 # applied, Haar matrices drawn, generators built and trials run step by step
 _WORK = {
-    "measure_bell_pairs": ("measured", lambda args, result: len(args[1])),
+    "measure_bell_pairs": ("measured", lambda args, result: args[1].size),
     "apply_rows": ("applied", lambda args, result: result.size // result.shape[-1]),
     "random_unitaries": ("drawn", lambda args, result: len(result)),
     "_trial_generator": ("generators", lambda args, result: 1),
@@ -321,15 +323,16 @@ def _work(monkeypatch, *modules):
 def _one_pair_off(measure, n_pairs):
     """``measure`` whose outcomes name the next label at the last pair of every trial.
 
-    Both callers measure trial by trial, pair by pair: the reference one
-    trial's pairs per call, the engine a chunk of whole trials per register.
-    So every trial measures at least two labels, and the verifier must reject it.
+    Both callers measure trial by trial, pair by pair, once the leading axes
+    are flattened: the reference one trial's pairs per call, the engine a
+    chunk of whole trials per register. So every trial measures at least two
+    labels, and the verifier must reject it.
     """
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
-        outcomes = outcomes.copy()
-        outcomes[n_pairs - 1 :: n_pairs] = (outcomes[n_pairs - 1 :: n_pairs] + 1) % len(qcore.BELL_LABELS)
-        return outcomes, probs
+        flat = outcomes.reshape(-1).copy()
+        flat[n_pairs - 1 :: n_pairs] = (flat[n_pairs - 1 :: n_pairs] + 1) % len(qcore.BELL_LABELS)
+        return flat.reshape(outcomes.shape), probs
     return wrapper
 
 
@@ -865,15 +868,15 @@ class TestHidingReport:
 _DEFECT = 2 * ATOL_EXACT
 
 
-def _tilt_bell_flips(ndim):
-    """``apply_rows`` that turns each row of a flip of ``BELL`` by an ``ndim`` array
+def _tilt_bell_flips(shape):
+    """``apply_rows`` that turns each row of a flip of ``BELL`` by a stack of ``shape``
     toward the next Bell row, for a fidelity defect of twice ATOL_EXACT."""
     theta = np.sqrt(_DEFECT)
 
     def tilted(states, matrices, first):
         out = qcore.apply_rows(states, matrices, first)
-        if states is qcore.BELL and matrices.ndim == ndim:
-            labels = np.abs(out @ qcore.BELL.conj().T).argmax(axis=1)
+        if states is qcore.BELL and matrices.shape == shape:
+            labels = np.abs(out @ qcore.BELL.conj().T).argmax(axis=-1)
             out = np.cos(theta) * out + np.sin(theta) * qcore.BELL[(labels + 1) % 4]
         return out
 
@@ -890,8 +893,9 @@ def _tilt_receiver_applies(states, matrices, first):
 
 
 _TILTED_APPLIES = {
-    "pauli-label-flips": _tilt_bell_flips(2),
-    "flip-chooser": _tilt_bell_flips(3),
+    # every Pauli on every Bell row; every (destination, source) flip on its source row
+    "pauli-label-flips": _tilt_bell_flips((4, 1, 2, 2)),
+    "flip-chooser": _tilt_bell_flips((4, 4, 2, 2)),
     "flip-commutation": _tilt_receiver_applies,
 }
 

@@ -732,6 +732,23 @@ class TestInnerProduct:
 # Bell measurement
 
 
+def _bell_rows(source, m):
+    """Rows on ``2 + m`` qubits: 9 random ones, the 4 committed Bell⊗ancilla
+    rows, or the 32 rows of four 8-pair cheats after a Haar receiver."""
+    rng = np.random.default_rng(m)
+    if source == "random":
+        return np.stack([random_state(2 + m, rng).amplitudes for _ in range(9)])
+    if source == "bell":
+        return np.concatenate([alice_commit(value, 1, m).states for value in COMMIT_VALUES])
+    policy = BCPolicy.RANDOM_ENTANGLED if m else BCPolicy.RANDOM_LOCAL
+    registers = []
+    for value in COMMIT_VALUES:
+        session = bc_apply_operations(alice_commit_cheating(8, m), policy, rng)
+        alice_reveal_cheat(session, value)
+        registers.append(session.states)
+    return np.concatenate(registers)
+
+
 class TestBellMeasurement:
     def test_prepared_bell_state_yields_its_label_with_certainty(self):
         for index, label in enumerate(BELL_LABELS):
@@ -773,6 +790,10 @@ class TestBellMeasurement:
         outcomes, probs = measure_bell_pairs(amps[None], np.array([0.9999999999999999]))
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
         assert outcomes.tolist() == [2]
+        # in a stack, among rows whose walk passes the draw
+        stack = np.stack([[amps, BELL[0], amps], [BELL[3], amps, amps]])
+        outcomes, _ = measure_bell_pairs(stack, np.full((2, 3), 0.9999999999999999))
+        assert outcomes.tolist() == [[2, 0, 2], [3, 2, 2]]
 
     @pytest.mark.parametrize("index", range(len(BELL_LABELS)))
     def test_a_bell_row_yields_its_label_for_every_draw(self, index):
@@ -821,19 +842,7 @@ class TestBellMeasurement:
     @pytest.mark.parametrize("source", ["random", "bell", "cheat"])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_probabilities_equal_the_conjugate_table_contraction_bytewise(self, m, source):
-        rng = np.random.default_rng(m)
-        if source == "random":
-            states = np.stack([random_state(2 + m, rng).amplitudes for _ in range(9)])
-        elif source == "bell":
-            states = np.concatenate([alice_commit(value, 1, m).states for value in COMMIT_VALUES])
-        else:
-            policy = BCPolicy.RANDOM_ENTANGLED if m else BCPolicy.RANDOM_LOCAL
-            registers = []
-            for value in COMMIT_VALUES:
-                session = bc_apply_operations(alice_commit_cheating(8, m), policy, rng)
-                alice_reveal_cheat(session, value)
-                registers.append(session.states)
-            states = np.concatenate(registers)
+        states = _bell_rows(source, m)
         amplitudes = np.einsum("lk,rka->rla", BELL.conj(), states.reshape(len(states), 4, -1))
         want = (np.abs(amplitudes) ** 2).sum(axis=2)
         assert bell_pair_probabilities(states).tobytes() == want.tobytes()
@@ -850,12 +859,34 @@ class TestBellMeasurement:
         for index, label in enumerate(BELL_LABELS):
             assert bell_probabilities(make_bell(label), (1, 0))[index] >= 1 - 1e-9
 
-    @pytest.mark.parametrize("count", [0, 2, 4])
-    @pytest.mark.parametrize("rows", [1, 3])
+    # the rows' leading axes are only a shape: a (registers, trials, pairs)
+    # stack measures as its rows do flattened, against the draws of one
+    # register broadcast to every register, as the engine measures
+    @pytest.mark.parametrize("source", ["random", "bell", "cheat"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_a_stack_measures_as_its_rows_flattened_bytewise(self, m, source):
+        rows = _bell_rows(source, m)
+        pairs = {"random": 3, "bell": 2, "cheat": 8}[source]
+        stack = np.stack([rows, rows[::-1], np.roll(rows, 1, axis=0)]).reshape(3, -1, pairs, rows.shape[-1])
+        draws = np.broadcast_to(np.random.default_rng(m).random(stack.shape[1:-1]), stack.shape[:-1])
+        outcomes, probs = measure_bell_pairs(stack, draws)
+        assert (outcomes.shape, probs.shape) == (stack.shape[:-1], (*stack.shape[:-1], 4))
+        flat_outcomes, flat_probs = measure_bell_pairs(stack.reshape(-1, rows.shape[-1]), draws.reshape(-1))
+        assert outcomes.reshape(-1).tobytes() == flat_outcomes.tobytes()
+        assert probs.reshape(-1, 4).tobytes() == flat_probs.tobytes()
+        assert bell_pair_probabilities(stack).tobytes() == probs.tobytes()
+
+    # one row against several draws too: every draw needs its own row; a
+    # stack's draws must have its leading shape, not another shape of as many
+    # draws, such as (6,) for 2x3 rows, nor one that broadcasts, such as (2,)
+    # for 3x2
+    @pytest.mark.parametrize("count", [0, 2, 4, 6])
+    @pytest.mark.parametrize("rows", [1, 3, (2, 3), (3, 2)])
     def test_one_draw_per_row_is_required(self, rows, count):
-        # one row against several draws too: every draw needs its own row
-        states = np.stack([basis_state(2, 0).amplitudes] * rows)
-        with pytest.raises(ValueError, match=f"^expected one draw for each of {rows} rows, got"):
+        leading = rows if isinstance(rows, tuple) else (rows,)
+        states = np.broadcast_to(basis_state(2, 0).amplitudes, (*leading, 4))
+        shown = "x".join(map(str, leading))
+        with pytest.raises(ValueError, match=f"^expected one draw for each of {shown} rows, got"):
             measure_bell_pairs(states, np.full(count, 0.5))
 
     def test_invalid_pair(self):
@@ -919,6 +950,16 @@ class TestReducedDensity:
                 want = partial_trace_oracle(row, n, tuple(range(1, n)))
                 assert np.abs(rho - want).max() <= ATOL_EXACT
 
+    # a (registers, pairs, dim) stack gives each row's state with the bytes of a call on that row
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_stack_gives_each_rows_state_bytewise(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.stack([[random_state(n, rng).amplitudes for _ in range(3)] for _ in range(2)])
+        got = receiver_states(stack)
+        assert got.shape == (2, 3, 2 ** (n - 1), 2 ** (n - 1))
+        want = np.stack([[receiver_states(row[None])[0] for row in rows] for rows in stack])
+        assert got.tobytes() == want.tobytes()
+
     def test_reference_matches_double_loop_oracle(self):
         rng = np.random.default_rng(41)
         for n, keep in ((2, (0,)), (3, (1, 2)), (3, (2, 0)), (4, (1, 3))):
@@ -968,6 +1009,23 @@ class TestTraceDistance:
         b = reduced_density(basis_state(2, 0), (0, 1))
         with pytest.raises(ValueError):
             distance(a, b)
+        # a 1x1 matrix would broadcast against any other
+        with pytest.raises(ValueError):
+            distance(np.ones((1, 1)), a)
+
+
+class TestTraceDistanceStacks:
+    # all against all, as hiding_report compares its views: (4, 1, d, d)
+    # against (4, d, d) gives the (4, 4) table of a call per pair, bytewise
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_broadcast_stacks_equal_a_call_per_pair(self, n):
+        rng = np.random.default_rng(59 + n)
+        rhos = receiver_states(np.stack([random_state(n, rng).amplitudes for _ in range(4)]))
+        got = trace_distances(rhos[:, None], rhos)
+        want = np.array([[trace_distances(a[None], b[None])[0] for b in rhos] for a in rhos])
+        assert got.shape == (4, 4)
+        assert got.tobytes() == want.tobytes()
+        assert np.diagonal(got).tolist() == [0.0] * 4
 
 
 # ---------------------------------------------------------------------------
