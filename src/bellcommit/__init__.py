@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 from .attack import (
     CHEAT_START_LABEL,

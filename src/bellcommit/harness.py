@@ -171,29 +171,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 # A chunk has as many trials (at least one) as fit this many complex entries
 # of one register's rows plus the receiver unitaries. It holds every
 # register's rows, a fixed multiple of that, so memory stays flat in trials.
-# Kept until a committed benchmark file backs a change: 2**14 ran
-# cheat-entangled 7-9% faster in cold runs on a 2-core x86-64 host, for
-# 0.9 MiB more peak memory.
+# Kept until a committed benchmark file backs a change: in cold runs of
+# cheat-entangled on a 2-core x86-64 host, 2**14 took 0.91-1.01x the time,
+# never ahead in 9 of 10 pairs, for 0.7 MiB more peak memory.
 _CHUNK_ENTRIES = 2**12
-
-
-def _chunk_draws(config: ExperimentConfig, width: int, chunk: int):
-    """Per chunk of trials: the ``(count, n_pairs, d, d)`` receiver unitaries
-    and the ``(count, n_pairs)`` measurement draws, in the reference's order.
-
-    Each trial draws from its own generator: its Haar unitaries, then one
-    uniform per pair. A chunk's unitaries are one stack, drawn and checked in
-    one call. Width 0 draws none: its stack holds ``1``, the receiver's
-    no-op, once per pair.
-    """
-    seed, n, trials = config.master_seed, config.n_pairs, config.trials
-    for first in range(0, trials, chunk):
-        rngs = [_trial_generator(seed, trial) for trial in range(first, min(first + chunk, trials))]
-        matrices = random_unitaries(width, n, *rngs) if width else np.ones((len(rngs) * n, 1, 1), complex)
-        draws = np.empty((len(rngs), n))
-        for t, rng in enumerate(rngs):
-            rng.random(out=draws[t])
-        yield matrices.reshape(*draws.shape, *matrices.shape[1:]), draws
 
 
 # configs run in one pass agree on what their draws depend on
@@ -212,11 +193,15 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
     Without receiver operations each register is one row, flipped once per
     run; if every one has exactly one nonzero outcome probability, the run
     makes no draws and no chunks: those probabilities are its smallest ones,
-    and its one label accepts every trial. Otherwise each chunk runs one
-    apply, which broadcasts every register to every pair of every trial, one
-    flip of the cheats' rows, one undo and one measurement of the whole
+    and its one label accepts every trial. Otherwise each chunk first makes
+    the reference's draws in the reference's order: each trial draws from its
+    own generator, its Haar unitaries, then one uniform per pair. The chunk's
+    unitaries are one ``(trials, pairs, d, d)`` stack, drawn and checked in
+    one call; without receiver operations they are ones, the receiver's
+    no-op, and only the uniforms are drawn. Then the chunk runs one apply,
+    which broadcasts every register to every pair of every trial, one flip
+    of the cheats' rows, one undo and one measurement of the whole
     ``(registers, trials, pairs, dim)`` stack against the chunk's draws.
-    Without receiver operations the unitaries are ones.
     """
     config = configs[0]
     if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
@@ -252,11 +237,18 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             # reference gets these stats under any seed.
             accepts[certain] = config.trials
             return _cell_stats(config, cells, accepts, probs)
-    per_trial = config.n_pairs * (committed.shape[-1] + 4**width)
-    chunk = min(max(1, _CHUNK_ENTRIES // per_trial), config.trials)
+    n, trials = config.n_pairs, config.trials
+    per_trial = n * (committed.shape[-1] + 4**width)
+    chunk = min(max(1, _CHUNK_ENTRIES // per_trial), trials)
     low = np.full(accepts.shape, math.inf)
     labels = np.arange(len(BELL_LABELS))
-    for ops, draws in _chunk_draws(config, width, chunk):
+    for first in range(0, trials, chunk):
+        rngs = [_trial_generator(config.master_seed, trial) for trial in range(first, min(first + chunk, trials))]
+        ops = random_unitaries(width, n, *rngs) if width else np.ones(len(rngs) * n, complex)
+        ops = ops.reshape(len(rngs), n, 2**width, 2**width)
+        draws = np.empty((len(rngs), n))
+        for t, rng in enumerate(rngs):
+            rng.random(out=draws[t])
         states = flipped(apply_rows(committed, ops, 1))
         states = apply_rows(states, ops.conj().swapaxes(-1, -2), 1)
         outcomes, probs = measure_bell_pairs(states, np.broadcast_to(draws, states.shape[:-1]))
@@ -264,8 +256,9 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
         unanimous = (outcomes == outcomes[..., :1]).all(axis=-1)
         accepts += ((outcomes[..., 0, None] == labels) & unanimous[..., None]).sum(axis=1)
         np.minimum(low, probs.min(axis=(1, 2)), out=low)
-        # so that the next chunk's draws are made without this chunk's arrays
-        del draws, states, outcomes, probs, unanimous
+        # the next chunk is drawn only after every array of this one, its
+        # generators and unitaries included, has been freed
+        del rngs, rng, ops, draws, states, outcomes, probs, unanimous
     return _cell_stats(config, cells, accepts, low)
 
 

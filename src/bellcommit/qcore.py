@@ -229,8 +229,8 @@ def random_unitary(ginibre: np.ndarray, out: np.ndarray) -> None:
     Ginibre matrices, moves R's diagonal phases onto each Q and checks the
     stack.
     """
-    tau = _umath_linalg.qr_r_raw(ginibre, signature="D->D")
-    _umath_linalg.qr_reduced(ginibre, tau, signature="DD->D", out=out)
+    tau = _umath_linalg.qr_r_raw(ginibre)
+    _umath_linalg.qr_reduced(ginibre, tau, out=out)
 
 
 def random_unitaries(num_target_qubits: int, count: int, *rngs: np.random.Generator) -> np.ndarray:
