@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -21,7 +21,6 @@ from .attack import (
 from .harness import (
     HIDING_THRESHOLD,
     OUTCOME_TOLERANCE,
-    AcceptanceMatrix,
     Cell,
     CheckResult,
     ConfigError,
@@ -65,7 +64,6 @@ __all__ = [
     "ExperimentConfig",
     "HIDING_THRESHOLD",
     "OUTCOME_TOLERANCE",
-    "AcceptanceMatrix",
     "HidingReport",
     "MAX_ANCILLAS",
     "PauliOp",

@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: too large to run: {exc}", file=sys.stderr)
         return 2
     rendered = report.render(args.format)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", newline="") as handle:
                 handle.write(rendered)

@@ -28,7 +28,8 @@ measures in one call.
 One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
 at the fixed slack :data:`OUTCOME_TOLERANCE`. ``run``, ``matrix`` and
 selftest's protocol checks all read it; ``hiding`` compares trace distances
-with :data:`HIDING_THRESHOLD` instead.
+with :data:`HIDING_THRESHOLD` instead. The acceptance matrix is a tuple of
+cells, and :mod:`.reports` alone derives what a report shows of them.
 """
 
 from __future__ import annotations
@@ -91,10 +92,11 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment: a fixed scenario replayed over independent trials.
 
-    A config is checked when it is built: an inconsistent combination raises
-    :class:`ConfigError`, and pairs or trials of 2**63 or more raise
-    ``OverflowError``. An honest committer reveals what it committed, a
-    control announces another value, and a cheat prepares bit0.
+    A config is checked when it is built: a field that is not a member of its
+    enum, or an inconsistent combination, raises :class:`ConfigError`, and
+    pairs or trials of 2**63 or more raise ``OverflowError``. An honest
+    committer reveals what it committed, a control announces another value,
+    and a cheat prepares bit0.
     """
 
     strategy: Strategy
@@ -107,6 +109,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        # a string such as "cheat" equals no member, so every rule below would silently miss it
+        for name, kind in (("strategy", Strategy), ("commit_value", CommitValue),
+                           ("reveal_value", CommitValue), ("bc_policy", BCPolicy)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.n_pairs < 1:
             raise ConfigError("n_pairs must be at least 1")
         if self.trials < 1:
@@ -278,10 +286,11 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 
 @dataclass(frozen=True)
 class Cell:
-    """One experiment and its statistics: one row of a report table.
+    """One experiment and its statistics, as experiments return them.
 
     Its kind is ``config.strategy``: a cheat, an honest commit or a control.
-    :meth:`passed` is the one verdict on an acceptance experiment.
+    :meth:`passed` is the one verdict on an acceptance experiment; a report
+    shows cells as rows of a table.
     """
 
     config: ExperimentConfig
@@ -300,43 +309,11 @@ class Cell:
         return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - OUTCOME_TOLERANCE
 
 
-@dataclass(frozen=True)
-class AcceptanceMatrix:
-    """Every cell at the same base settings: cheat row, honest diagonal, controls.
+def acceptance_matrix(base: ExperimentConfig) -> tuple[Cell, ...]:
+    """Every (strategy, commit, reveal) cell at ``base``'s shared settings.
 
-    Rows and columns follow :data:`.protocol.COMMIT_VALUES`. It passes when
-    every cell does, each by :meth:`Cell.passed`.
-    """
-
-    cells: tuple[Cell, ...]
-
-    def rates(self, strategy: Strategy) -> list[float]:
-        """The acceptance rates of the cells of ``strategy``, in cell order.
-
-        Raises TypeError unless ``strategy`` is a :class:`Strategy`, so that
-        a string such as ``"control"`` cannot silently match no cell.
-        """
-        if not isinstance(strategy, Strategy):
-            raise TypeError(f"expected a Strategy, got {strategy!r}")
-        return [cell.stats.acceptance_rate for cell in self.cells if cell.config.strategy is strategy]
-
-    def grid_rates(self) -> list[list[float]]:
-        """Honest and control rates, indexed ``[commit][announce]``."""
-        grid = {
-            (cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
-            for cell in self.cells
-            if cell.config.strategy is not Strategy.CHEAT
-        }
-        return [[grid[(commit, announce)] for announce in COMMIT_VALUES] for commit in COMMIT_VALUES]
-
-    def passed(self) -> bool:
-        """Every cell matches the exact prediction."""
-        return all(cell.passed() for cell in self.cells)
-
-
-def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
-    """Acceptance rates for every (strategy, commit, reveal) cell.
-
+    The 4 cheats come first, then the 4 honest commits, then the 12
+    controls, each group in :data:`.protocol.COMMIT_VALUES` order.
     Every cell is ``base`` with its own strategy, commit and reveal, so only
     ``base``'s shared fields are read: pairs, trials, policy, ancillas and
     seed. The cheat row prepares the fixed label and steers to each
@@ -362,7 +339,7 @@ def acceptance_matrix(base: ExperimentConfig) -> AcceptanceMatrix:
         for announce in COMMIT_VALUES
         if commit is not announce
     ]
-    return AcceptanceMatrix(tuple(map(Cell, configs, _run_many(*configs))))
+    return tuple(map(Cell, configs, _run_many(*configs)))
 
 
 @dataclass(frozen=True)
@@ -468,7 +445,7 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
     cells = [
         cell
         for policy, m in ((BCPolicy.NONE, 0), (BCPolicy.RANDOM_LOCAL, 0), (BCPolicy.RANDOM_ENTANGLED, 1))
-        for cell in acceptance_matrix(replace(base, bc_policy=policy, m_ancillas=m)).cells
+        for cell in acceptance_matrix(replace(base, bc_policy=policy, m_ancillas=m))
     ]
     for name, strategy in (
         ("honest-completeness", Strategy.HONEST),

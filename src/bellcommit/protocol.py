@@ -144,8 +144,11 @@ def bc_apply_operations(
     side's pair half; RANDOM_ENTANGLED draws one Haar-random unitary on that
     qubit together with all ancillas. Draws are consumed from ``rng`` in pair
     order, and each pair's draw count is fixed, so the whole step is a pure
-    function of the generator's seed.
+    function of the generator's seed. A ``policy`` that is not a
+    :class:`BCPolicy` raises ``TypeError``.
     """
+    if not isinstance(policy, BCPolicy):
+        raise TypeError(f"expected a BCPolicy, got {policy!r}")
     if session.revealed:
         raise ProtocolError("receiver-side operations only apply while committed")
     if policy is BCPolicy.NONE:

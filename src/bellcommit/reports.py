@@ -21,7 +21,10 @@ byte-identical files. The top-level JSON shape is::
 
 ``run`` and ``matrix`` both report a table of :class:`~.harness.Cell` rows,
 one row per (strategy, commit, reveal, policy) experiment with its
-acceptance rate; ``run`` is a one-row table.
+acceptance rate; ``run`` is a one-row table. :func:`build_matrix` derives
+everything else the matrix report shows from its cells alone: the
+per-strategy summary, the cheat row, the ``[commit][announce]`` grid of the
+honest and control rates, and the verdict that every cell passes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from . import __version__
 from .harness import (
     HIDING_THRESHOLD,
     OUTCOME_TOLERANCE,
-    AcceptanceMatrix,
     Cell,
     CheckResult,
     DetectionStats,
@@ -138,19 +140,24 @@ def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
     )
 
 
-def build_matrix(config: ExperimentConfig, matrix: AcceptanceMatrix) -> Report:
-    ok = matrix.passed()
-    rows = cell_rows(matrix.cells)
+def build_matrix(config: ExperimentConfig, cells: tuple[Cell, ...]) -> Report:
+    ok = all(cell.passed() for cell in cells)
+    rows = cell_rows(cells)
+    rates = {strategy: [cell.stats.acceptance_rate for cell in cells if cell.config.strategy is strategy]
+             for strategy in Strategy}
+    # honest and control rates by (commit, announce)
+    grid = {(cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
+            for cell in cells if cell.config.strategy is not Strategy.CHEAT}
     summary = {
-        "cheat_min_rate": min(matrix.rates(Strategy.CHEAT)),
-        "honest_min_rate": min(matrix.rates(Strategy.HONEST)),
-        "control_max_rate": max(matrix.rates(Strategy.CONTROL)),
+        "cheat_min_rate": min(rates[Strategy.CHEAT]),
+        "honest_min_rate": min(rates[Strategy.HONEST]),
+        "control_max_rate": max(rates[Strategy.CONTROL]),
         "passed": ok,
     }
     section = {
         "values": [value.value for value in COMMIT_VALUES],
-        "cheat_rates": matrix.rates(Strategy.CHEAT),
-        "grid_rates": matrix.grid_rates(),
+        "cheat_rates": rates[Strategy.CHEAT],
+        "grid_rates": [[grid[commit, announce] for announce in COMMIT_VALUES] for commit in COMMIT_VALUES],
         "rows": [dict(zip(_CELL_FIELDS, row)) for row in rows],
         "passed": ok,
     }

@@ -132,7 +132,7 @@ def test_criterion_4_cheat_acceptance_sweep():
                 master_seed=20260819,
             )
             # the matrix's cheat row: bit0 prepared, steered to each target
-            for cell in acceptance_matrix(base).cells:
+            for cell in acceptance_matrix(base):
                 if cell.config.strategy is not Strategy.CHEAT:
                     continue
                 perfect = perfect and cell.stats.acceptance_rate == 1.0
@@ -158,7 +158,8 @@ def test_criterion_5_control_rejection_sweep():
                 master_seed=20260820,
             )
             # every mismatched (commit, announce) pair, all 12 of them
-            rates = acceptance_matrix(base).rates(Strategy.CONTROL)
+            rates = [cell.stats.acceptance_rate for cell in acceptance_matrix(base)
+                     if cell.config.strategy is Strategy.CONTROL]
             max_rate = max(max_rate, *rates)
             cells += len(rates)
     _verdict(5, max_rate == 0.0 and cells == 288,

@@ -140,6 +140,11 @@ class TestInvalidConfigurations:
         code, out, err = _run(["run", *FAST, "--out", str(tmp_path)], capsys)
         _assert_one_line_error(code, out, err)
 
+    def test_an_empty_out_exits_two(self, capsys):
+        # an empty path names no file: it must not fall back to stdout
+        code, out, err = _run(["run", *FAST, "--out", ""], capsys)
+        _assert_one_line_error(code, out, err)
+
     def test_out_in_a_missing_directory_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
         code, out, err = _run(["run", *FAST, "--out", str(target)], capsys)

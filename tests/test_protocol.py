@@ -157,6 +157,17 @@ class TestBCOperations:
         with pytest.raises(ValueError):
             bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng())
 
+    # a policy's name equals no member: "none" would run a Haar step
+    @pytest.mark.parametrize("name", [policy.value for policy in BCPolicy])
+    def test_refuses_a_policy_name(self, name):
+        session = alice_commit(CommitValue.BIT0, 2)
+        rng = _rng(5)
+        state0 = rng.bit_generator.state
+        with pytest.raises(TypeError, match=f"^expected a BCPolicy, got '{name}'$"):
+            bc_apply_operations(session, name, rng)
+        assert session.ops == []
+        assert rng.bit_generator.state == state0
+
     def test_deterministic_given_seed(self):
         a = alice_commit(CommitValue.PLUS, 2)
         b = alice_commit(CommitValue.PLUS, 2)

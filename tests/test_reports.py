@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from bellcommit import __version__
+from bellcommit import __version__, harness
 from bellcommit.harness import (
+    DetectionStats,
     ExperimentConfig,
     Strategy,
     acceptance_matrix,
@@ -21,6 +23,19 @@ def _config(**overrides):
     base = dict(strategy=Strategy.HONEST, n_pairs=2, trials=10, master_seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+VALUES = ["bit0", "bit1", "plus", "minus"]
+# a matrix's cells in order: the cheat row, the honest diagonal, then the controls by commit
+CELL_ORDER = ([("cheat", "bit0", value) for value in VALUES] + [("honest", value, value) for value in VALUES]
+              + [("control", commit, announce) for commit in VALUES for announce in VALUES if commit != announce])
+
+
+def _verdicts(cfg, cells):
+    """The matrix report's three statements of its verdict: ``ok`` and the JSON's two ``passed``."""
+    report = reports.build_matrix(cfg, tuple(cells))
+    doc = json.loads(report.render("json"))
+    return report.ok, doc["stats"]["passed"], doc["matrix"]["passed"]
 
 
 class TestJsonReports:
@@ -118,6 +133,69 @@ class TestTextReports:
         checks = selftest(master_seed=2)
         lines = reports.build_selftest(2, checks).render("text").strip().splitlines()
         assert sum(1 for line in lines if line.startswith("PASS")) == len(checks)
+
+
+class TestMatrixLayout:
+    # cell i accepts K[i] of 20 trials: every rate distinct, so a grid read
+    # as [announce][commit], or a summary taking the wrong extreme, shows
+    K = [(13 * i + 5) % 20 for i in range(20)]
+
+    def test_every_number_comes_from_its_own_cell(self):
+        cfg = _config(trials=20)
+        cells = [replace(cell, stats=DetectionStats(20, k, k / 20, 1.0))
+                 for cell, k in zip(acceptance_matrix(cfg), self.K)]
+        report = reports.build_matrix(cfg, tuple(cells))
+        doc = json.loads(report.render("json"))
+        assert doc["matrix"]["cheat_rates"] == [0.25, 0.9, 0.55, 0.2]
+        # [commit][announce]: the honest diagonal, each control off it
+        assert doc["matrix"]["grid_rates"] == [[k / 20 for k in row] for row in
+                                               [[17, 9, 2, 15], [8, 10, 1, 14], [7, 0, 3, 13], [6, 19, 12, 16]]]
+        assert doc["stats"] == {"cheat_min_rate": 0.2, "honest_min_rate": 0.15, "control_max_rate": 0.95,
+                                "passed": False}
+        rows = list(csv.reader(io.StringIO(report.render("csv"))))
+        assert rows[1:] == [[*key, "none", repr(k / 20)] for key, k in zip(CELL_ORDER, self.K)]
+        text = report.render("text").splitlines()
+        assert text[3:23] == [f"{s:<8}  {c:<6}  {r:<6}  {k / 20:.6f}" for (s, c, r), k in zip(CELL_ORDER, self.K)]
+        assert text[23:] == ["", "result  FAIL"]
+
+
+class TestMatrixVerdict:
+    def test_passed_flags_a_bad_cell(self):
+        cfg = _config(trials=5)
+        bad = DetectionStats(trials=5, accepts=4, acceptance_rate=0.8,
+                             min_outcome_probability=0.5)
+        cells = list(acceptance_matrix(cfg))
+        assert _verdicts(cfg, cells) == (True, True, True)
+        cells[2] = replace(cells[2], stats=bad)  # the cheat cell revealing plus
+        assert _verdicts(cfg, cells) == (False, False, False)
+
+    def test_passed_flags_an_accepting_control(self):
+        cfg = _config(trials=5)
+        cells = list(acceptance_matrix(cfg))
+        kinds = [cell.config.strategy for cell in cells]
+        assert kinds == [Strategy.CHEAT] * 4 + [Strategy.HONEST] * 4 + [Strategy.CONTROL] * 12
+        one_accept = DetectionStats(trials=5, accepts=1, acceptance_rate=0.2,
+                                    min_outcome_probability=0.0)
+        cells[-1] = replace(cells[-1], stats=one_accept)
+        assert _verdicts(cfg, cells) == (False, False, False)
+
+    def test_passed_checks_outcome_probabilities(self):
+        cfg = _config(trials=5)
+        sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
+                                min_outcome_probability=0.99)
+        cells = list(acceptance_matrix(cfg))
+        cells[0] = replace(cells[0], stats=sloppy)
+        assert _verdicts(cfg, cells) == (False, False, False)
+
+    def test_every_cell_is_judged_at_the_fixed_tolerance(self, monkeypatch):
+        cfg = _config(trials=5)
+        sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
+                                min_outcome_probability=0.99)
+        cells = list(acceptance_matrix(cfg))
+        cells[0] = replace(cells[0], stats=sloppy)
+        assert _verdicts(cfg, cells) == (False, False, False)
+        monkeypatch.setattr(harness, "OUTCOME_TOLERANCE", 0.5)
+        assert _verdicts(cfg, cells) == (True, True, True)
 
 
 class TestRender:
