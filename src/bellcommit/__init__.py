@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -24,7 +24,6 @@ from .harness import (
     Cell,
     CheckResult,
     ConfigError,
-    DetectionStats,
     ExperimentConfig,
     HidingReport,
     Strategy,
@@ -60,7 +59,6 @@ __all__ = [
     "CommitValue",
     "CommitmentSession",
     "ConfigError",
-    "DetectionStats",
     "ExperimentConfig",
     "HIDING_THRESHOLD",
     "OUTCOME_TOLERANCE",

@@ -97,10 +97,9 @@ def _report(args: argparse.Namespace) -> reports.Report:
         strategy, reveal = Strategy(args.strategy), CommitValue(args.reveal)
         commit = reveal if strategy is Strategy.HONEST else CommitValue.BIT0
         config = ExperimentConfig(strategy, commit, reveal, **_shared(args))
-        return reports.build_run(config, run_experiment(config))
+        return reports.build_run(run_experiment(config))
     if args.command == "matrix":
-        config = ExperimentConfig(Strategy.HONEST, **_shared(args))
-        return reports.build_matrix(config, acceptance_matrix(config))
+        return reports.build_matrix(acceptance_matrix(ExperimentConfig(Strategy.HONEST, **_shared(args))))
     if args.command == "hiding":
         return reports.build_hiding(args.ancillas, hiding_report(args.ancillas))
     return reports.build_selftest(args.seed, selftest(master_seed=args.seed))
@@ -129,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", newline="") as handle:
                 handle.write(rendered)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            print(f"error: cannot write {args.out!r}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(rendered)

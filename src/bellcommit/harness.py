@@ -25,11 +25,12 @@ hold the same register, set by the commit value and the cheat's flip, share
 its rows, so the matrix's 20 cells hold 8 registers, which each chunk
 measures in one call.
 
-One verdict serves every acceptance experiment: :meth:`Cell.passed`, judged
-at the fixed slack :data:`OUTCOME_TOLERANCE`. ``run``, ``matrix`` and
-selftest's protocol checks all read it; ``hiding`` compares trace distances
-with :data:`HIDING_THRESHOLD` instead. The acceptance matrix is a tuple of
-cells, and :mod:`.reports` alone derives what a report shows of them.
+Every acceptance experiment returns a :class:`Cell` of counts, judged by one
+verdict, :meth:`Cell.passed`, with the fixed slack :data:`OUTCOME_TOLERANCE`
+on probabilities. ``run``, ``matrix`` and selftest's protocol checks all
+read it; ``hiding`` compares trace distances with :data:`HIDING_THRESHOLD`
+instead. The acceptance matrix is a tuple of cells, and :mod:`.reports`
+alone derives what a report shows of them.
 """
 
 from __future__ import annotations
@@ -138,13 +139,33 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class DetectionStats:
-    """Aggregate over the trials of one experiment."""
+class Cell:
+    """One experiment and its counts, as experiments return them.
 
-    trials: int
+    Its kind is ``config.strategy``: a cheat, an honest commit or a control.
+    :meth:`passed` is the one verdict on an acceptance experiment; a report
+    shows cells as rows of a table.
+    """
+
+    config: ExperimentConfig
     accepts: int
-    acceptance_rate: float
     min_outcome_probability: float
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepts / self.config.trials
+
+    def passed(self) -> bool:
+        """The verdict, on counts and judged at :data:`OUTCOME_TOLERANCE`.
+
+        A control must reject every trial. Any other cell must accept every
+        trial, and every pair's announced outcome must have had probability
+        within the tolerance of 1 before it was sampled. Counts, not the
+        rate, decide: one rejected trial in 2**60 rounds the rate to 1.0.
+        """
+        if self.config.strategy is Strategy.CONTROL:
+            return self.accepts == 0
+        return self.accepts == self.config.trials and self.min_outcome_probability >= 1 - OUTCOME_TOLERANCE
 
 
 def _trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -179,9 +200,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 # A chunk has as many trials (at least one) as fit this many complex entries
 # of one register's rows plus the receiver unitaries. It holds every
 # register's rows, a fixed multiple of that, so memory stays flat in trials.
-# Kept until a committed benchmark file backs a change: in cold runs of
-# cheat-entangled on a 2-core x86-64 host, 2**14 took 0.91-1.01x the time,
-# never ahead in 9 of 10 pairs, for 0.7 MiB more peak memory.
+# Kept until a committed benchmark file backs a change: in 12 alternating
+# cold pairs of cheat-entangled on a 2-core x86-64 host, 2**14 took a median
+# 0.955x the work time, ahead in 7 of 12, for 0.73 MiB more peak memory.
 _CHUNK_ENTRIES = 2**12
 
 
@@ -189,10 +210,10 @@ _CHUNK_ENTRIES = 2**12
 _SHARED_FIELDS = ("master_seed", "trials", "n_pairs", "bc_policy", "m_ancillas")
 
 
-def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
+def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
     """All trials of every config, in one pass over the draws they share.
 
-    One ``DetectionStats`` per config; the same results as ``_execute_trial``,
+    One :class:`Cell` per config; the same counts as ``_execute_trial``,
     bit for bit. A register before measurement is set by the commit value and
     the cheat's flip alone, so configs that agree on both share one register,
     and every config reads its own announced label from that register's
@@ -221,7 +242,7 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
                for c in configs if c.strategy is Strategy.CHEAT}
     keys = [(c.commit_value, flip_of.get(c)) for c in configs]
     registers = list(dict.fromkeys(sorted(keys, key=lambda key: key[1] is None)))
-    cells = [(registers.index(key), BELL_LABELS.index(commit_label(c.reveal_value)))
+    slots = [(registers.index(key), BELL_LABELS.index(commit_label(c.reveal_value)))
              for key, c in zip(keys, configs)]
     committed = np.stack([alice_commit(value, 1, config.m_ancillas).states[None] for value, _ in registers])
     flips = np.array([flip.matrix() for _, flip in registers if flip is not None]).reshape(-1, 1, 1, 2, 2)
@@ -234,6 +255,11 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
 
     # per register and Bell label: accepted trials, smallest probability
     accepts = np.zeros((len(registers), len(BELL_LABELS)), dtype=np.int64)
+
+    def cells(low: np.ndarray) -> tuple[Cell, ...]:
+        # each config's cell, read at its (register, label) slot of the tables
+        return tuple(Cell(c, accepts[g, a].item(), low[g, a].item()) for c, (g, a) in zip(configs, slots))
+
     if not width:
         probs = bell_pair_probabilities(flipped(committed.copy())[:, 0, 0])
         certain = probs != 0
@@ -242,9 +268,9 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
             # is made. The cumulative walk is 0 before k and p from k on, so a
             # draw u in [0, 1) passes the k zeros and stops at k, or, if
             # u >= p, passes all four and the slack rule takes argmax = k. The
-            # reference gets these stats under any seed.
+            # reference gets these counts under any seed.
             accepts[certain] = config.trials
-            return _cell_stats(config, cells, accepts, probs)
+            return cells(probs)
     n, trials = config.n_pairs, config.trials
     per_trial = n * (committed.shape[-1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), trials)
@@ -267,46 +293,12 @@ def _run_many(*configs: ExperimentConfig) -> list[DetectionStats]:
         # the next chunk is drawn only after every array of this one, its
         # generators and unitaries included, has been freed
         del rngs, rng, ops, draws, states, outcomes, probs, unanimous
-    return _cell_stats(config, cells, accepts, low)
+    return cells(low)
 
 
-def _cell_stats(config: ExperimentConfig, cells, accepts: np.ndarray, low: np.ndarray) -> list[DetectionStats]:
-    """One ``DetectionStats`` per ``(register, label)`` cell, from the per-register tables."""
-    accepts, low = accepts.tolist(), low.tolist()
-    return [
-        DetectionStats(config.trials, accepts[g][a], accepts[g][a] / config.trials, low[g][a])
-        for g, a in cells
-    ]
-
-
-def run_experiment(config: ExperimentConfig) -> DetectionStats:
-    """Aggregate ``config.trials`` independent trials."""
+def run_experiment(config: ExperimentConfig) -> Cell:
+    """``config``'s cell: its counts over ``config.trials`` independent trials."""
     return _run_many(config)[0]
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One experiment and its statistics, as experiments return them.
-
-    Its kind is ``config.strategy``: a cheat, an honest commit or a control.
-    :meth:`passed` is the one verdict on an acceptance experiment; a report
-    shows cells as rows of a table.
-    """
-
-    config: ExperimentConfig
-    stats: DetectionStats
-
-    def passed(self) -> bool:
-        """The verdict, judged at :data:`OUTCOME_TOLERANCE`.
-
-        A control must reject every trial. Any other cell must accept every
-        trial, and every pair's announced outcome must have had probability
-        within the tolerance of 1 before it was sampled.
-        """
-        stats = self.stats
-        if self.config.strategy is Strategy.CONTROL:
-            return stats.accepts == 0
-        return stats.acceptance_rate == 1.0 and stats.min_outcome_probability >= 1 - OUTCOME_TOLERANCE
 
 
 def acceptance_matrix(base: ExperimentConfig) -> tuple[Cell, ...]:
@@ -339,7 +331,7 @@ def acceptance_matrix(base: ExperimentConfig) -> tuple[Cell, ...]:
         for announce in COMMIT_VALUES
         if commit is not announce
     ]
-    return tuple(map(Cell, configs, _run_many(*configs)))
+    return _run_many(*configs)
 
 
 @dataclass(frozen=True)

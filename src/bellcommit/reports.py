@@ -21,10 +21,11 @@ byte-identical files. The top-level JSON shape is::
 
 ``run`` and ``matrix`` both report a table of :class:`~.harness.Cell` rows,
 one row per (strategy, commit, reveal, policy) experiment with its
-acceptance rate; ``run`` is a one-row table. :func:`build_matrix` derives
-everything else the matrix report shows from its cells alone: the
-per-strategy summary, the cheat row, the ``[commit][announce]`` grid of the
-honest and control rates, and the verdict that every cell passes.
+acceptance rate; ``run`` is a one-row table. The builders take the cells
+that experiments return and derive everything else from them alone: a
+run's ``stats`` are its cell's counts, and a matrix report's settings,
+per-strategy summary, cheat row, ``[commit][announce]`` grid of the honest
+and control rates, and verdict that every cell passes come from its cells.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .harness import (
@@ -40,7 +41,6 @@ from .harness import (
     OUTCOME_TOLERANCE,
     Cell,
     CheckResult,
-    DetectionStats,
     ExperimentConfig,
     HidingReport,
     Strategy,
@@ -106,15 +106,14 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
             cell.config.commit_value.value,
             cell.config.reveal_value.value,
             cell.config.bc_policy.value,
-            cell.stats.acceptance_rate,
+            cell.acceptance_rate,
         )
         for cell in cells
     ]
 
 
-def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
-    cell = Cell(config, stats)
-    ok = cell.passed()
+def build_run(cell: Cell) -> Report:
+    config, ok = cell.config, cell.passed()
     # the run's own settings; the rest it shares with a matrix
     values = {"strategy": config.strategy.value, "commit": config.commit_value.value,
               "reveal": config.reveal_value.value}
@@ -125,28 +124,30 @@ def build_run(config: ExperimentConfig, stats: DetectionStats) -> Report:
         ("bc policy", config.bc_policy.value),
         ("ancillas", config.m_ancillas),
         ("seed", config.master_seed),
-        ("accepts", f"{stats.accepts}/{stats.trials}"),
-        ("acceptance rate", stats.acceptance_rate),
-        ("min outcome probability", stats.min_outcome_probability),
+        ("accepts", f"{cell.accepts}/{config.trials}"),
+        ("acceptance rate", cell.acceptance_rate),
+        ("min outcome probability", cell.min_outcome_probability),
         ("result", _verdict(ok)),
     ]
+    stats = {"trials": config.trials, "accepts": cell.accepts, "acceptance_rate": cell.acceptance_rate,
+             "min_outcome_probability": cell.min_outcome_probability}
     width = max(len(key) for key, _ in items)
     return Report(
         ok=ok,
-        body=_body({**values, **config_dict(config)}, asdict(stats)),
+        body=_body({**values, **config_dict(config)}, stats),
         csv_header=_CELL_FIELDS,
         csv_rows=cell_rows((cell,)),
         text="".join(f"{key.ljust(width)}  {value}\n" for key, value in items),
     )
 
 
-def build_matrix(config: ExperimentConfig, cells: tuple[Cell, ...]) -> Report:
-    ok = all(cell.passed() for cell in cells)
+def build_matrix(cells: tuple[Cell, ...]) -> Report:
+    config, ok = cells[0].config, all(cell.passed() for cell in cells)
     rows = cell_rows(cells)
-    rates = {strategy: [cell.stats.acceptance_rate for cell in cells if cell.config.strategy is strategy]
+    rates = {strategy: [cell.acceptance_rate for cell in cells if cell.config.strategy is strategy]
              for strategy in Strategy}
     # honest and control rates by (commit, announce)
-    grid = {(cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
+    grid = {(cell.config.commit_value, cell.config.reveal_value): cell.acceptance_rate
             for cell in cells if cell.config.strategy is not Strategy.CHEAT}
     summary = {
         "cheat_min_rate": min(rates[Strategy.CHEAT]),

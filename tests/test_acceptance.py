@@ -12,7 +12,7 @@ import numpy as np
 from bellcommit import cli
 from bellcommit.attack import pauli_for_flip
 from bellcommit.harness import (
-    DetectionStats,
+    Cell,
     ExperimentConfig,
     Strategy,
     _execute_trial,
@@ -135,8 +135,8 @@ def test_criterion_4_cheat_acceptance_sweep():
             for cell in acceptance_matrix(base):
                 if cell.config.strategy is not Strategy.CHEAT:
                     continue
-                perfect = perfect and cell.stats.acceptance_rate == 1.0
-                min_prob = min(min_prob, cell.stats.min_outcome_probability)
+                perfect = perfect and cell.acceptance_rate == 1.0
+                min_prob = min(min_prob, cell.min_outcome_probability)
                 cells += 1
     elapsed = time.perf_counter() - start
     _verdict(4, perfect and min_prob >= 1 - 1e-9 and elapsed < 60.0 and cells == 96,
@@ -158,7 +158,7 @@ def test_criterion_5_control_rejection_sweep():
                 master_seed=20260820,
             )
             # every mismatched (commit, announce) pair, all 12 of them
-            rates = [cell.stats.acceptance_rate for cell in acceptance_matrix(base)
+            rates = [cell.acceptance_rate for cell in acceptance_matrix(base)
                      if cell.config.strategy is Strategy.CONTROL]
             max_rate = max(max_rate, *rates)
             cells += len(rates)
@@ -182,9 +182,9 @@ def test_criterion_6_honest_completeness():
                     m_ancillas=m,
                     master_seed=seed,
                 )
-                stats = run_experiment(cfg)
-                perfect = perfect and stats.acceptance_rate == 1.0
-                perfect = perfect and stats.min_outcome_probability >= 1 - 1e-9
+                cell = run_experiment(cfg)
+                perfect = perfect and cell.acceptance_rate == 1.0
+                perfect = perfect and cell.min_outcome_probability >= 1 - 1e-9
                 cells += 1
     _verdict(6, perfect, f"{cells} honest experiments all at acceptance rate 1.0")
 
@@ -235,11 +235,9 @@ def test_criterion_9_deterministic_reports(tmp_path):
     )
     # trials own their generators, so running them backwards changes nothing
     backwards = [_execute_trial(cfg, index) for index in reversed(range(cfg.trials))]
-    accepts = sum(accept for accept, _ in backwards)
-    reordered = DetectionStats(
-        trials=cfg.trials,
-        accepts=accepts,
-        acceptance_rate=accepts / cfg.trials,
+    reordered = Cell(
+        cfg,
+        accepts=sum(accept for accept, _ in backwards),
         min_outcome_probability=min(probability for _, probability in backwards),
     )
     order_independent = run_experiment(cfg) == reordered

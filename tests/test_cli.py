@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from bellcommit import cli, reports
-from bellcommit.harness import DetectionStats, ExperimentConfig, Strategy, run_experiment
+from bellcommit.harness import Cell, ExperimentConfig, Strategy, run_experiment
 from bellcommit.protocol import BCPolicy, CommitValue
 
 FAST = ["--pairs", "2", "--trials", "10"]
@@ -93,7 +93,7 @@ class TestRunCommand:
             Strategy(strategy), CommitValue(value if strategy == "honest" else "bit0"), CommitValue(value),
             n_pairs=2, trials=10, bc_policy=BCPolicy.RANDOM_LOCAL, master_seed=seed,
         )
-        assert out == reports.build_run(config, run_experiment(config)).render("json")
+        assert out == reports.build_run(run_experiment(config)).render("json")
 
     def test_csv_format(self, capsys):
         code, out, _ = _run(["run", *FAST, "--format", "csv"], capsys)
@@ -139,11 +139,13 @@ class TestInvalidConfigurations:
     def test_out_naming_a_directory_exits_two(self, tmp_path, capsys):
         code, out, err = _run(["run", *FAST, "--out", str(tmp_path)], capsys)
         _assert_one_line_error(code, out, err)
+        assert repr(str(tmp_path)) in err
 
     def test_an_empty_out_exits_two(self, capsys):
         # an empty path names no file: it must not fall back to stdout
         code, out, err = _run(["run", *FAST, "--out", ""], capsys)
         _assert_one_line_error(code, out, err)
+        assert "''" in err
 
     def test_out_in_a_missing_directory_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
@@ -332,10 +334,8 @@ class TestSelftestCommand:
 
 class TestExitCodeOne:
     def test_failed_assertion_maps_to_one(self, capsys, monkeypatch):
-        # a rate below 1.0 cannot be produced honestly, so fake one
-        broken = DetectionStats(trials=10, accepts=9, acceptance_rate=0.9,
-                                min_outcome_probability=1.0)
-        monkeypatch.setattr(cli, "run_experiment", lambda config: broken)
+        # a rejected trial cannot be produced honestly, so fake one
+        monkeypatch.setattr(cli, "run_experiment", lambda config: Cell(config, 9, 1.0))
         code, out, _ = _run(["run", *FAST], capsys)
         assert code == 1
         assert "FAIL" in out

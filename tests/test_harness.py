@@ -14,7 +14,6 @@ from bellcommit.harness import (
     Cell,
     CheckResult,
     ConfigError,
-    DetectionStats,
     ExperimentConfig,
     HidingReport,
     Strategy,
@@ -57,14 +56,11 @@ def _config(**overrides):
     return ExperimentConfig(**base)
 
 
-_STATS = DetectionStats(trials=1, accepts=1, acceptance_rate=1.0, min_outcome_probability=1.0)
-
-
 # a config is checked when it is built, and a result is what was computed,
 # so neither can be changed afterwards
 @pytest.mark.parametrize(
     "value",
-    [_config(), _STATS, Cell(_config(), _STATS), HidingReport(((0.0,),)), CheckResult("check", True)],
+    [_config(), Cell(_config(), 1, 1.0), HidingReport(((0.0,),)), CheckResult("check", True)],
     ids=lambda value: type(value).__name__,
 )
 def test_configs_and_results_are_frozen(value):
@@ -150,19 +146,19 @@ class TestRunTrial:
 
 class TestRunExperiment:
     def test_honest_rate_is_one(self):
-        stats = run_experiment(_config(bc_policy=BCPolicy.RANDOM_LOCAL))
-        assert stats.trials == 25
-        assert stats.accepts == 25
-        assert stats.acceptance_rate == 1.0
-        assert stats.min_outcome_probability >= 1 - 1e-9
+        cell = run_experiment(_config(bc_policy=BCPolicy.RANDOM_LOCAL))
+        assert cell.config.trials == 25
+        assert cell.accepts == 25
+        assert cell.acceptance_rate == 1.0
+        assert cell.min_outcome_probability >= 1 - 1e-9
 
     def test_cheat_rate_is_one(self):
         for value in COMMIT_VALUES:
-            stats = run_experiment(
+            cell = run_experiment(
                 _config(strategy=Strategy.CHEAT, reveal_value=value,
                         bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1)
             )
-            assert stats.acceptance_rate == 1.0
+            assert cell.acceptance_rate == 1.0
 
     def test_outcomes_do_not_depend_on_trial_order(self):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.PLUS,
@@ -171,24 +167,18 @@ class TestRunExperiment:
         assert [accept for accept, _ in backwards.values()] == [
             run_trial(cfg, i) for i in reversed(range(cfg.trials))
         ]
-        stats = run_experiment(cfg)
-        assert stats.accepts == sum(accept for accept, _ in backwards.values())
-        assert stats.min_outcome_probability == min(p for _, p in backwards.values())
+        cell = run_experiment(cfg)
+        assert cell.accepts == sum(accept for accept, _ in backwards.values())
+        assert cell.min_outcome_probability == min(p for _, p in backwards.values())
 
     def test_repeated_runs_are_identical(self):
         cfg = _config(bc_policy=BCPolicy.RANDOM_LOCAL)
         assert run_experiment(cfg) == run_experiment(cfg)
 
 
-def _reference_stats(config):
+def _reference_cell(config):
     outcomes = [harness._execute_trial(config, i) for i in range(config.trials)]
-    accepts = sum(accept for accept, _ in outcomes)
-    return DetectionStats(
-        trials=config.trials,
-        accepts=accepts,
-        acceptance_rate=accepts / config.trials,
-        min_outcome_probability=min(p for _, p in outcomes),
-    )
+    return Cell(config, sum(accept for accept, _ in outcomes), min(p for _, p in outcomes))
 
 
 def _per_trial(config):
@@ -403,7 +393,7 @@ class TestBatchedEngine:
                             _recording(measured["engine"], harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(measured["reference"], protocol.measure_bell_pairs))
-        want = _reference_stats(cfg)
+        want = _reference_cell(cfg)
         # the engine's work alone: the reference has done its own
         work = _work(monkeypatch)
         assert run_experiment(cfg) == want  # accepts and min_outcome_probability compared with ==
@@ -449,7 +439,7 @@ class TestBatchedEngine:
         assert len(registers) == 8
         for cell in cells:
             reference.clear()
-            assert cell.stats == _reference_stats(cell.config)
+            assert cell == _reference_cell(cell.config)
             if certain:
                 _assert_certain(reference)
                 continue
@@ -470,15 +460,15 @@ class TestBatchedEngine:
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _one_pair_off(protocol.measure_bell_pairs, cfg.n_pairs))
         for cell in acceptance_matrix(cfg):
-            assert cell.stats == _reference_stats(cell.config)
-            assert cell.stats.accepts == 0
+            assert cell == _reference_cell(cell.config)
+            assert cell.accepts == 0
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
     def test_draws_one_matrix_per_pair_and_trial(self, per_chunk, monkeypatch):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS, n_pairs=3, trials=9,
                       bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1)
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, per_chunk))
-        want = _reference_stats(cfg)
+        want = _reference_cell(cfg)
         # the engine's draws alone: the reference has made its own
         work = _work(monkeypatch)
         assert run_experiment(cfg) == want
@@ -566,7 +556,7 @@ class TestBatchedEngine:
                         "stepwise": 0}
         assert all(cell.passed() for cell in cells)
         for cell in cells:
-            assert cell.stats == _reference_stats(cell.config)
+            assert cell == _reference_cell(cell.config)
 
     @pytest.mark.parametrize("per_chunk", [1, 7, "all"])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -581,13 +571,13 @@ class TestBatchedEngine:
         assert work == {"measured": 8 * rows, "applied": 4 + 20 * rows, "drawn": 0, "generators": cfg.trials,
                         "stepwise": 0}
         cheat = replace(cfg, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
-        got = [cell.stats for cell in cells] + [run_experiment(cheat)]
+        got = [*cells, run_experiment(cheat)]
         # the cheat run adds one register: one flipped row, then an apply, a flip and an undo per pair
         assert work == {"measured": 9 * rows, "applied": 5 + 23 * rows, "drawn": 0,
                         "generators": 2 * cfg.trials, "stepwise": 0}
-        want = [_reference_stats(config) for config in [cell.config for cell in cells] + [cheat]]
+        want = [_reference_cell(config) for config in [cell.config for cell in cells] + [cheat]]
         assert got == want
-        assert any(0 < stats.accepts < cfg.trials for stats in want)
+        assert any(0 < cell.accepts < cfg.trials for cell in want)
 
     def test_an_uncertain_receiver_free_run_keeps_memory_flat(self, monkeypatch):
         _force_a_residue(monkeypatch)
@@ -609,7 +599,7 @@ class TestBatchedEngine:
                             _recording(engine, harness.measure_bell_pairs))
         monkeypatch.setattr(protocol, "measure_bell_pairs",
                             _recording(reference, protocol.measure_bell_pairs))
-        assert run_experiment(cfg) == _reference_stats(cfg)
+        assert run_experiment(cfg) == _reference_cell(cfg)
         for position in (0, 1):
             assert _joined(engine[0], position) == _joined(reference[0], position)
 
@@ -702,12 +692,10 @@ def _cells_off_the_reference():
                     replace(cfg, commit_value=CommitValue.PLUS, reveal_value=CommitValue.PLUS)]
             for per_chunk in (1, 7):
                 harness._CHUNK_ENTRIES = _chunk_budget(cfg, per_chunk)
-                results = [(cell.config, cell.stats) for cell in acceptance_matrix(cfg)]
-                results += [(run, run_experiment(run)) for run in runs]
-                for config, stats in results:
+                for cell in [*acceptance_matrix(cfg), *map(run_experiment, runs)]:
                     checked += 1
-                    if stats != _reference_stats(config):
-                        off.append(f"{policy.value} m={m} chunk={per_chunk}: {config}")
+                    if cell != _reference_cell(cell.config):
+                        off.append(f"{policy.value} m={m} chunk={per_chunk}: {cell.config}")
     finally:
         harness._CHUNK_ENTRIES = budget
     return checked, off
@@ -716,7 +704,7 @@ def _cells_off_the_reference():
 class TestAcceptanceMatrix:
     def test_small_matrix_matches_predictions(self):
         cells = acceptance_matrix(_config(trials=10))
-        rates = {(cell.config.strategy, cell.config.commit_value, cell.config.reveal_value): cell.stats.acceptance_rate
+        rates = {(cell.config.strategy, cell.config.commit_value, cell.config.reveal_value): cell.acceptance_rate
                  for cell in cells}
         assert [rates[Strategy.CHEAT, CommitValue.BIT0, value] for value in COMMIT_VALUES] == [1.0, 1.0, 1.0, 1.0]
         for commit in COMMIT_VALUES:
@@ -727,7 +715,7 @@ class TestAcceptanceMatrix:
 
     @pytest.mark.parametrize("strategy, cells", [(Strategy.CHEAT, 4), (Strategy.HONEST, 4), (Strategy.CONTROL, 12)])
     def test_rates_of_each_strategy(self, strategy, cells):
-        rates = [cell.stats.acceptance_rate for cell in acceptance_matrix(_config(trials=5))
+        rates = [cell.acceptance_rate for cell in acceptance_matrix(_config(trials=5))
                  if cell.config.strategy is strategy]
         assert rates == [0.0 if strategy is Strategy.CONTROL else 1.0] * cells
 
@@ -737,11 +725,11 @@ class TestAcceptanceMatrix:
         # a cheat base revealing minus has no valid honest copy: each cell comes from the base
         cheat = replace(base, strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
         assert acceptance_matrix(cheat) == cells
-        # a control run alone gives the stats it has in the matrix
+        # a control run alone gives the cell it has in the matrix
         controls = [cell for cell in cells if cell.config.strategy is Strategy.CONTROL]
         assert len(controls) == 12
         for cell in controls:
-            assert run_experiment(cell.config) == cell.stats
+            assert run_experiment(cell.config) == cell
 
 
 class TestCellVerdict:
@@ -751,8 +739,7 @@ class TestCellVerdict:
         edge = 1 - harness.OUTCOME_TOLERANCE
 
         def cell(low):
-            return Cell(config, DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
-                                               min_outcome_probability=low))
+            return Cell(config, config.trials, low)
 
         assert cell(edge).passed()
         assert not cell(float(np.nextafter(edge, 0))).passed()

@@ -7,7 +7,6 @@ import pytest
 
 from bellcommit import __version__, harness
 from bellcommit.harness import (
-    DetectionStats,
     ExperimentConfig,
     Strategy,
     acceptance_matrix,
@@ -31,9 +30,9 @@ CELL_ORDER = ([("cheat", "bit0", value) for value in VALUES] + [("honest", value
               + [("control", commit, announce) for commit in VALUES for announce in VALUES if commit != announce])
 
 
-def _verdicts(cfg, cells):
+def _verdicts(cells):
     """The matrix report's three statements of its verdict: ``ok`` and the JSON's two ``passed``."""
-    report = reports.build_matrix(cfg, tuple(cells))
+    report = reports.build_matrix(tuple(cells))
     doc = json.loads(report.render("json"))
     return report.ok, doc["stats"]["passed"], doc["matrix"]["passed"]
 
@@ -41,8 +40,7 @@ def _verdicts(cfg, cells):
 class TestJsonReports:
     def test_run_report_shape(self):
         cfg = _config()
-        stats = run_experiment(cfg)
-        parsed = json.loads(reports.build_run(cfg, stats).render("json"))
+        parsed = json.loads(reports.build_run(run_experiment(cfg)).render("json"))
         assert parsed["version"] == __version__
         assert parsed["config"]["strategy"] == "honest"
         assert parsed["config"]["seed"] == 5
@@ -52,20 +50,20 @@ class TestJsonReports:
 
     def test_rendering_is_deterministic(self):
         cfg = _config()
-        a = reports.build_run(cfg, run_experiment(cfg)).render("json")
-        b = reports.build_run(cfg, run_experiment(cfg)).render("json")
+        a = reports.build_run(run_experiment(cfg)).render("json")
+        b = reports.build_run(run_experiment(cfg)).render("json")
         assert a == b
 
     def test_no_timestamps_or_environment_leaks(self):
         cfg = _config()
-        text = reports.build_run(cfg, run_experiment(cfg)).render("json").lower()
+        text = reports.build_run(run_experiment(cfg)).render("json").lower()
         for needle in ("time", "date", "host", "path"):
             assert needle not in text
 
     def test_matrix_report_includes_rows_and_grid(self):
         cfg = _config(trials=5)
         matrix = acceptance_matrix(cfg)
-        parsed = json.loads(reports.build_matrix(cfg, matrix).render("json"))
+        parsed = json.loads(reports.build_matrix(matrix).render("json"))
         assert parsed["matrix"]["values"] == ["bit0", "bit1", "plus", "minus"]
         assert len(parsed["matrix"]["rows"]) == 20  # 4 cheat + 4 honest + 12 control
         assert parsed["matrix"]["cheat_rates"] == [1.0, 1.0, 1.0, 1.0]
@@ -83,8 +81,7 @@ class TestJsonReports:
 class TestCsvReports:
     def test_run_csv_single_row(self):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS)
-        stats = run_experiment(cfg)
-        rows = list(csv.reader(io.StringIO(reports.build_run(cfg, stats).render("csv"))))
+        rows = list(csv.reader(io.StringIO(reports.build_run(run_experiment(cfg)).render("csv"))))
         assert rows[0] == ["strategy", "commit", "reveal", "policy", "acceptance_rate"]
         assert rows[1] == ["cheat", "bit0", "minus", "none", "1.0"]
         assert len(rows) == 2
@@ -92,7 +89,7 @@ class TestCsvReports:
     def test_matrix_csv_has_a_row_per_cell(self):
         cfg = _config(trials=5)
         matrix = acceptance_matrix(cfg)
-        rows = list(csv.reader(io.StringIO(reports.build_matrix(cfg, matrix).render("csv"))))
+        rows = list(csv.reader(io.StringIO(reports.build_matrix(matrix).render("csv"))))
         assert len(rows) == 21  # header + 20 cells
         strategies = {row[0] for row in rows[1:]}
         assert strategies == {"cheat", "honest", "control"}
@@ -117,14 +114,13 @@ class TestCsvReports:
 class TestTextReports:
     def test_run_text_mentions_the_verdict(self):
         cfg = _config()
-        stats = run_experiment(cfg)
-        text = reports.build_run(cfg, stats).render("text")
+        text = reports.build_run(run_experiment(cfg)).render("text")
         assert "PASS" in text
         assert "acceptance rate" in text
 
     def test_matrix_text_lists_all_cells(self):
         cfg = _config(trials=5)
-        text = reports.build_matrix(cfg, acceptance_matrix(cfg)).render("text")
+        text = reports.build_matrix(acceptance_matrix(cfg)).render("text")
         assert text.count("cheat") >= 4
         assert text.count("control") == 12
         assert "PASS" in text
@@ -142,9 +138,9 @@ class TestMatrixLayout:
 
     def test_every_number_comes_from_its_own_cell(self):
         cfg = _config(trials=20)
-        cells = [replace(cell, stats=DetectionStats(20, k, k / 20, 1.0))
+        cells = [replace(cell, accepts=k, min_outcome_probability=1.0)
                  for cell, k in zip(acceptance_matrix(cfg), self.K)]
-        report = reports.build_matrix(cfg, tuple(cells))
+        report = reports.build_matrix(tuple(cells))
         doc = json.loads(report.render("json"))
         assert doc["matrix"]["cheat_rates"] == [0.25, 0.9, 0.55, 0.2]
         # [commit][announce]: the honest diagonal, each control off it
@@ -162,44 +158,51 @@ class TestMatrixLayout:
 class TestMatrixVerdict:
     def test_passed_flags_a_bad_cell(self):
         cfg = _config(trials=5)
-        bad = DetectionStats(trials=5, accepts=4, acceptance_rate=0.8,
-                             min_outcome_probability=0.5)
         cells = list(acceptance_matrix(cfg))
-        assert _verdicts(cfg, cells) == (True, True, True)
-        cells[2] = replace(cells[2], stats=bad)  # the cheat cell revealing plus
-        assert _verdicts(cfg, cells) == (False, False, False)
+        assert _verdicts(cells) == (True, True, True)
+        # the cheat cell revealing plus
+        cells[2] = replace(cells[2], accepts=4, min_outcome_probability=0.5)
+        assert _verdicts(cells) == (False, False, False)
 
     def test_passed_flags_an_accepting_control(self):
         cfg = _config(trials=5)
         cells = list(acceptance_matrix(cfg))
         kinds = [cell.config.strategy for cell in cells]
         assert kinds == [Strategy.CHEAT] * 4 + [Strategy.HONEST] * 4 + [Strategy.CONTROL] * 12
-        one_accept = DetectionStats(trials=5, accepts=1, acceptance_rate=0.2,
-                                    min_outcome_probability=0.0)
-        cells[-1] = replace(cells[-1], stats=one_accept)
-        assert _verdicts(cfg, cells) == (False, False, False)
+        cells[-1] = replace(cells[-1], accepts=1, min_outcome_probability=0.0)
+        assert _verdicts(cells) == (False, False, False)
+
+    # one trial off the count: a cheat or honest cell that rejects one trial,
+    # a control that accepts one; at 2**60 trials the first two rates still read 1.0
+    @pytest.mark.parametrize("trials", [10, 2**60])
+    @pytest.mark.parametrize("index", [0, 4, 19], ids=["cheat", "honest", "control"])
+    def test_one_trial_off_the_count_fails(self, index, trials):
+        cells = list(acceptance_matrix(_config(trials=trials)))
+        control = cells[index].config.strategy is Strategy.CONTROL
+        cells[index] = replace(cells[index], accepts=1 if control else trials - 1)
+        assert not cells[index].passed()
+        run = reports.build_run(cells[index])
+        assert not run.ok
+        assert run.render("text").splitlines()[-1].split() == ["result", "FAIL"]
+        assert _verdicts(cells) == (False, False, False)
 
     def test_passed_checks_outcome_probabilities(self):
         cfg = _config(trials=5)
-        sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
-                                min_outcome_probability=0.99)
         cells = list(acceptance_matrix(cfg))
-        cells[0] = replace(cells[0], stats=sloppy)
-        assert _verdicts(cfg, cells) == (False, False, False)
+        cells[0] = replace(cells[0], accepts=5, min_outcome_probability=0.99)
+        assert _verdicts(cells) == (False, False, False)
 
     def test_every_cell_is_judged_at_the_fixed_tolerance(self, monkeypatch):
         cfg = _config(trials=5)
-        sloppy = DetectionStats(trials=5, accepts=5, acceptance_rate=1.0,
-                                min_outcome_probability=0.99)
         cells = list(acceptance_matrix(cfg))
-        cells[0] = replace(cells[0], stats=sloppy)
-        assert _verdicts(cfg, cells) == (False, False, False)
+        cells[0] = replace(cells[0], accepts=5, min_outcome_probability=0.99)
+        assert _verdicts(cells) == (False, False, False)
         monkeypatch.setattr(harness, "OUTCOME_TOLERANCE", 0.5)
-        assert _verdicts(cfg, cells) == (True, True, True)
+        assert _verdicts(cells) == (True, True, True)
 
 
 class TestRender:
     def test_unknown_format_is_rejected(self):
         cfg = _config()
         with pytest.raises(ValueError):
-            reports.build_run(cfg, run_experiment(cfg)).render("xml")
+            reports.build_run(run_experiment(cfg)).render("xml")
