@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -47,11 +47,9 @@ from .protocol import (
     commit_label,
     verify,
 )
-from .qcore import BellLabel, PauliOp
 
 __all__ = [
     "BCPolicy",
-    "BellLabel",
     "CHEAT_START_LABEL",
     "COMMIT_VALUES",
     "Cell",
@@ -64,7 +62,6 @@ __all__ = [
     "OUTCOME_TOLERANCE",
     "HidingReport",
     "MAX_ANCILLAS",
-    "PauliOp",
     "ProtocolError",
     "Strategy",
     "VerificationReport",

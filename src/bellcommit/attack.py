@@ -18,18 +18,19 @@ from .protocol import (
     alice_commit,
     commit_label,
 )
-from .qcore import BellLabel, PauliOp, apply_rows
+from .qcore import PAULI, apply_rows
 
 # The scripted attack always starts from this preparation, bit0's coding.
-CHEAT_START_LABEL = commit_label(CommitValue.BIT0)
+CHEAT_START_LABEL = 0
 
 
-def pauli_for_flip(src: BellLabel, dst: BellLabel) -> PauliOp:
-    """The unique Pauli (up to global phase) mapping bell(src) onto bell(dst).
+def pauli_for_flip(src: int, dst: int) -> int:
+    """The unique Pauli (up to global phase) mapping ``BELL[src]`` onto ``BELL[dst]``.
 
-    A Z component flips the first label bit, an X component flips the second.
+    A Z component flips the first label bit, an X component flips the second,
+    so the Pauli is the two labels' XOR.
     """
-    return PauliOp.from_components(src.u_i ^ dst.u_i, src.u_j ^ dst.u_j)
+    return src ^ dst
 
 
 def alice_commit_cheating(n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
@@ -41,7 +42,7 @@ def alice_commit_cheating(n_pairs: int, m_ancillas: int = 0) -> CommitmentSessio
     return alice_commit(CommitValue.BIT0, n_pairs, m_ancillas)
 
 
-def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> BellLabel:
+def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> int:
     """Steer the pending session to ``target`` with local flips; return its label.
 
     The flip is computed from the fixed (0, 0) preparation and applied to the
@@ -51,7 +52,7 @@ def alice_reveal_cheat(session: CommitmentSession, target: CommitValue) -> BellL
     if session.revealed:
         raise ProtocolError("session was already revealed")
     # the committer's qubit is qubit 0 of every pair, where the flip acts
-    flip = pauli_for_flip(CHEAT_START_LABEL, commit_label(target)).matrix()
+    flip = PAULI[pauli_for_flip(CHEAT_START_LABEL, commit_label(target))]
     session.states = apply_rows(session.states, flip, 0)
     session.revealed = True
     return commit_label(target)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from . import reports
 from .harness import (
@@ -67,8 +68,15 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # a rejected argument prints one error line, without the usage block;
+    # subparsers are made of the same class, so they print it the same way
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellcommit",
         description="Simulate a Bell-pair commitment scheme and its retroactive-flip attack.",
     )

@@ -62,9 +62,7 @@ from .protocol import (
 from .qcore import (
     ATOL_EXACT,
     BELL,
-    BELL_LABELS,
-    BellLabel,
-    PauliOp,
+    PAULI,
     apply_rows,
     bell_pair_probabilities,
     measure_bell_pairs,
@@ -242,10 +240,9 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
                for c in configs if c.strategy is Strategy.CHEAT}
     keys = [(c.commit_value, flip_of.get(c)) for c in configs]
     registers = list(dict.fromkeys(sorted(keys, key=lambda key: key[1] is None)))
-    slots = [(registers.index(key), BELL_LABELS.index(commit_label(c.reveal_value)))
-             for key, c in zip(keys, configs)]
+    slots = [(registers.index(key), commit_label(c.reveal_value)) for key, c in zip(keys, configs)]
     committed = np.stack([alice_commit(value, 1, config.m_ancillas).states[None] for value, _ in registers])
-    flips = np.array([flip.matrix() for _, flip in registers if flip is not None]).reshape(-1, 1, 1, 2, 2)
+    flips = PAULI[[flip for _, flip in registers if flip is not None]].reshape(-1, 1, 1, 2, 2)
 
     def flipped(states: np.ndarray) -> np.ndarray:
         # only the cheats flip: an identity flip changes the sign of zero amplitudes
@@ -254,7 +251,7 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
         return states
 
     # per register and Bell label: accepted trials, smallest probability
-    accepts = np.zeros((len(registers), len(BELL_LABELS)), dtype=np.int64)
+    accepts = np.zeros((len(registers), len(BELL)), dtype=np.int64)
 
     def cells(low: np.ndarray) -> tuple[Cell, ...]:
         # each config's cell, read at its (register, label) slot of the tables
@@ -275,7 +272,7 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
     per_trial = n * (committed.shape[-1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), trials)
     low = np.full(accepts.shape, math.inf)
-    labels = np.arange(len(BELL_LABELS))
+    labels = np.arange(len(BELL))
     for first in range(0, trials, chunk):
         rngs = [_trial_generator(config.master_seed, trial) for trial in range(first, min(first + chunk, trials))]
         ops = random_unitaries(width, n, *rngs) if width else np.ones(len(rngs) * n, complex)
@@ -406,11 +403,10 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
     worst = float(np.abs(BELL.conj() @ BELL.T - np.eye(4)).max())
     record("bell-orthonormality", worst <= ATOL_EXACT, f"max deviation {worst:.3e}")
 
-    # Pauli flips permute labels as advertised (Z flips u_i, X flips u_j).
-    dst = [[BELL_LABELS.index(BellLabel(src.u_i ^ flip.z_component, src.u_j ^ flip.x_component))
-            for src in BELL_LABELS] for flip in PauliOp]
-    flips = np.stack([flip.matrix() for flip in PauliOp])[:, None]
-    worst = fidelity_defect(apply_rows(BELL, flips, 0), BELL[dst])
+    # Pauli flips permute labels as advertised (Z flips u_i, X flips u_j):
+    # Pauli p on qubit 0 takes label k to k ^ p.
+    labels = np.arange(len(BELL))
+    worst = fidelity_defect(apply_rows(BELL, PAULI[:, None], 0), BELL[labels[:, None] ^ labels])
     record("pauli-label-flips", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The committer's flip commutes with receiver-side unitaries: the
@@ -421,7 +417,7 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
         states.append(vec / np.linalg.norm(vec))
         ops.append(random_unitaries(2, 1, rng))
     states, ops = np.stack(states), np.concatenate(ops)
-    flip = PauliOp.ZX.matrix()
+    flip = PAULI[3]
     a = apply_rows(apply_rows(states, flip, 0), ops, 1)
     b = apply_rows(apply_rows(states, ops, 1), flip, 0)
     worst = float(np.abs(a - b).max())
@@ -447,8 +443,7 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
         record(name, all(cell.passed() for cell in cells if cell.config.strategy is strategy))
 
     # The closed-form flip chooser reaches every label from every label.
-    flips = np.array([[pauli_for_flip(src, dst).matrix() for src in BELL_LABELS] for dst in BELL_LABELS])
-    worst = fidelity_defect(apply_rows(BELL, flips, 0), BELL[:, None])
+    worst = fidelity_defect(apply_rows(BELL, PAULI[pauli_for_flip(labels, labels[:, None])], 0), BELL[:, None])
     record("flip-chooser", worst <= ATOL_EXACT, f"max fidelity defect {worst:.3e}")
 
     # The receiving side's view is independent of the committed value.

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import BELL, BELL_LABELS, BellLabel, apply_rows, measure_bell_pairs, random_unitaries
+from .qcore import BELL, apply_rows, measure_bell_pairs, random_unitaries
 
 
 class CommitValue(Enum):
@@ -39,13 +39,6 @@ class CommitValue(Enum):
 
 
 COMMIT_VALUES: tuple[CommitValue, ...] = tuple(CommitValue)
-
-_VALUE_TO_LABEL = {
-    CommitValue.BIT0: BellLabel(0, 0),
-    CommitValue.BIT1: BellLabel(0, 1),
-    CommitValue.PLUS: BellLabel(1, 0),
-    CommitValue.MINUS: BellLabel(1, 1),
-}
 
 # Ancilla count per pair is a session parameter: default 0, at most 2.
 MAX_ANCILLAS = 2
@@ -63,22 +56,22 @@ class ProtocolError(RuntimeError):
     """An operation was invoked in the wrong protocol phase."""
 
 
-def commit_label(value: CommitValue) -> BellLabel:
-    """Coding table: the Bell label prepared for ``value``."""
-    return _VALUE_TO_LABEL[value]
+def commit_label(value: CommitValue) -> int:
+    """Coding table: the Bell label prepared for ``value``, its place in ``COMMIT_VALUES``."""
+    return COMMIT_VALUES.index(value)
 
 
 @dataclass
 class VerificationReport:
     """Outcome of the verifier's check.
 
-    ``per_pair`` holds one measured label per pair. ``announced_probabilities``
+    ``per_pair`` holds one measured label, 0 to 3, per pair. ``announced_probabilities``
     holds, per pair, the probability that the measurement yields the announced
     label, recorded just before sampling; useful as a numerical soundness
     diagnostic.
     """
 
-    per_pair: list[BellLabel]
+    per_pair: list[int]
     accept: bool
     announced_probabilities: list[float]
 
@@ -109,10 +102,10 @@ class CommitmentSession:
 
 
 @lru_cache(maxsize=None)
-def _initial_row(label: BellLabel, m_ancillas: int) -> np.ndarray:
+def _initial_row(label: int, m_ancillas: int) -> np.ndarray:
     # read-only, so sessions can share it: every step replaces the array
     ancillas = np.eye(2**m_ancillas, dtype=np.complex128)[0]
-    row = np.kron(BELL[BELL_LABELS.index(label)], ancillas)
+    row = np.kron(BELL[label], ancillas)
     row.setflags(write=False)
     return row
 
@@ -161,7 +154,7 @@ def bc_apply_operations(
     return session
 
 
-def alice_reveal_honest(session: CommitmentSession) -> BellLabel:
+def alice_reveal_honest(session: CommitmentSession) -> int:
     """Reveal phase: hand over the kept qubits; return the announced, committed label."""
     if session.revealed:
         raise ProtocolError("session was already revealed")
@@ -170,7 +163,7 @@ def alice_reveal_honest(session: CommitmentSession) -> BellLabel:
 
 
 def verify(
-    session: CommitmentSession, announced: BellLabel, rng: np.random.Generator
+    session: CommitmentSession, announced: int, rng: np.random.Generator
 ) -> VerificationReport:
     """Verifier's acceptance test after the reveal.
 
@@ -179,16 +172,17 @@ def verify(
     Accept iff every measured label equals ``announced``, the label a reveal
     returns. Measurements consume one draw from ``rng`` per pair, in pair
     order. The session is left as it was, so verifying it again with an
-    equally seeded generator gives the same report.
+    equally seeded generator gives the same report. An ``announced`` that is
+    not an integer label 0 to 3 raises ``ValueError``.
     """
+    # True and 2.0 equal labels but index the probabilities as no label does
+    if isinstance(announced, bool) or not isinstance(announced, (int, np.integer)) or announced not in range(4):
+        raise ValueError(f"a Bell label is 0 to 3, got {announced!r}")
     if not session.revealed:
         raise ProtocolError("verification requires a revealed session")
     states = session.states
     for ops in reversed(session.ops):
         states = apply_rows(states, ops.conj().swapaxes(1, 2), 1)
     outcomes, probs = measure_bell_pairs(states, rng.random(session.n_pairs))
-    indices = outcomes.tolist()
-    announced_index = BELL_LABELS.index(announced)
-    accept = set(indices) == {announced_index}
-    per_pair = [BELL_LABELS[k] for k in indices]
-    return VerificationReport(per_pair, accept, probs[:, announced_index].tolist())
+    per_pair = outcomes.tolist()
+    return VerificationReport(per_pair, set(per_pair) == {announced}, probs[:, announced].tolist())

@@ -11,7 +11,7 @@ stack such as ``(registers, trials, pairs, dim)`` goes through each step as
 it is, and each row comes out with the bytes of a call of its own. It is the
 ``BELL`` table, :func:`apply_rows`, :func:`bell_pair_probabilities`,
 :func:`measure_bell_pairs`, :func:`receiver_states`, :func:`trace_distances`,
-:func:`random_unitary`, :func:`random_unitaries` and :meth:`PauliOp.matrix`.
+:func:`random_unitary`, :func:`random_unitaries` and the ``PAULI`` table.
 :func:`measure_bell_pairs` samples the probabilities that
 :func:`bell_pair_probabilities` computes and checks, one draw per row. The
 engine's certain path needs no samples: it reads each register's
@@ -46,14 +46,17 @@ Conventions:
   amplitude index, so ``|q0 q1 ... q_{n-1}>`` lives at index
   ``q0 * 2**(n-1) + q1 * 2**(n-2) + ... + q_{n-1}``.
 * Bell states are indexed by a pair of bits ``(u_i, u_j)`` via
-  ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)``; ``BELL_LABELS`` fixes
-  the order ``(0,0), (0,1), (1,0), (1,1)`` used for sampling and reporting.
+  ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)``. Label ``2*u_i + u_j``,
+  0 to 3, is the state's row of ``BELL`` and the order used for sampling and
+  reporting.
+* Pauli ``2*z + x`` is ``PAULI[2*z + x]``, the matrix ``Z**z @ X**x``. On
+  qubit 0 it flips ``u_i`` by ``z`` and ``u_j`` by ``x``, so it maps label
+  ``k`` to label ``k ^ (2*z + x)``, up to a global phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -67,76 +70,17 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT1_2 = 1.0 / _SQRT2
 
 
-class PauliOp(Enum):
-    """Single-qubit Pauli operators modulo global phase.
-
-    Each member carries its (z, x) components; composition adds components
-    mod 2, so the four members form the group Z2 x Z2. ``ZX`` is the matrix
-    product Z @ X (apply X first, then Z).
-    """
-
-    IDENTITY = (0, 0)
-    X = (0, 1)
-    Z = (1, 0)
-    ZX = (1, 1)
-
-    @property
-    def z_component(self) -> int:
-        return self.value[0]
-
-    @property
-    def x_component(self) -> int:
-        return self.value[1]
-
-    @classmethod
-    def from_components(cls, z: int, x: int) -> "PauliOp":
-        return cls((int(bool(z)), int(bool(x))))
-
-    def matrix(self) -> np.ndarray:
-        """2x2 matrix; a shared read-only constant."""
-        return _PAULI_MATRICES[self]
-
-
 def _frozen(rows) -> np.ndarray:
-    matrix = np.array(rows, dtype=np.complex128)
-    matrix.setflags(write=False)
-    return matrix
+    table = np.array(rows, dtype=np.complex128)
+    table.setflags(write=False)
+    return table
 
 
-_PAULI_MATRICES = {
-    PauliOp.IDENTITY: _frozen([[1, 0], [0, 1]]),
-    PauliOp.X: _frozen([[0, 1], [1, 0]]),
-    PauliOp.Z: _frozen([[1, 0], [0, -1]]),
-    PauliOp.ZX: _frozen([[0, 1], [-1, 0]]),
-}
+# Pauli p = 2*z + x is the matrix Z**z @ X**x (apply X first, then Z); read-only.
+PAULI = _frozen([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [-1, 0]]])
 
-
-@dataclass(frozen=True)
-class BellLabel:
-    """Pair of bits naming one of the four Bell states."""
-
-    u_i: int
-    u_j: int
-
-    def __post_init__(self) -> None:
-        if self.u_i not in (0, 1) or self.u_j not in (0, 1):
-            raise ValueError(f"label bits must be 0 or 1, got ({self.u_i!r}, {self.u_j!r})")
-        object.__setattr__(self, "u_i", int(self.u_i))
-        object.__setattr__(self, "u_j", int(self.u_j))
-
-
-BELL_LABELS: tuple[BellLabel, ...] = (
-    BellLabel(0, 0),
-    BellLabel(0, 1),
-    BellLabel(1, 0),
-    BellLabel(1, 1),
-)
-
-# Bell amplitudes, one row per label in BELL_LABELS order; read-only.
-BELL = np.array(
-    [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=np.complex128
-) * _SQRT1_2
-BELL.setflags(write=False)
+# Bell amplitudes, one row per label 2*u_i + u_j; read-only.
+BELL = _frozen(np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]]) * _SQRT1_2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +130,9 @@ def measure_bell_pairs(states: np.ndarray, draws: np.ndarray) -> tuple[np.ndarra
 
     ``draws`` holds one uniform draw in [0, 1) per row, so its shape is the
     rows' leading shape; a broadcast view serves. Each draw is sampled by
-    inverse CDF in BELL_LABELS order. Returns the outcome indices into
-    BELL_LABELS, one per row, and the ``(..., 4)`` outcome probabilities they
-    were sampled from, each row as :func:`bell_probabilities` would give it.
+    inverse CDF over labels 0 to 3 in order. Returns the outcome labels, one
+    per row, and the ``(..., 4)`` outcome probabilities they were sampled
+    from, each row as :func:`bell_probabilities` would give it.
     """
     if draws.shape != states.shape[:-1]:
         rows = "x".join(map(str, states.shape[:-1]))
@@ -377,7 +321,7 @@ def apply_unitary(state: StateVector, u: Unitary) -> StateVector:
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
-    """Probabilities of the four Bell outcomes on ``pair``, in BELL_LABELS order."""
+    """Probabilities of the four Bell outcomes on ``pair``, for labels 0 to 3."""
     i, j = pair
     n = state.num_qubits
     if i == j or not 0 <= i < n or not 0 <= j < n:

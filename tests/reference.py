@@ -7,12 +7,12 @@ tests can check the kernel against them. Density matrices are plain arrays.
 
 import numpy as np
 
-from bellcommit.qcore import BELL, BELL_LABELS, BellLabel, StateVector
+from bellcommit.qcore import BELL, StateVector
 
 
-def make_bell(label: BellLabel) -> StateVector:
-    """Two-qubit Bell state ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)``."""
-    return StateVector(2, BELL[BELL_LABELS.index(label)])
+def make_bell(label: int) -> StateVector:
+    """Two-qubit Bell state ``(|0>|u_j> + (-1)**u_i |1>|1 xor u_j>) / sqrt(2)`` of label ``2*u_i + u_j``."""
+    return StateVector(2, BELL[label])
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:

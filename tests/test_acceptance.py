@@ -28,9 +28,8 @@ from bellcommit.protocol import (
     alice_commit,
 )
 from bellcommit.qcore import (
-    BELL_LABELS,
-    BellLabel,
-    PauliOp,
+    BELL,
+    PAULI,
     StateVector,
     Unitary,
     apply_unitary,
@@ -69,12 +68,12 @@ def test_criterion_1_bell_constructor_and_orthonormality():
     }
     worst = 0.0
     for (ui, uj), want in expected.items():
-        got = make_bell(BellLabel(ui, uj)).amplitudes
+        got = make_bell(2 * ui + uj).amplitudes
         worst = max(worst, float(np.abs(got - want).max()))
-    for i, a in enumerate(BELL_LABELS):
-        for j, b in enumerate(BELL_LABELS):
+    for a in range(len(BELL)):
+        for b in range(len(BELL)):
             ip = inner_product(make_bell(a), make_bell(b))
-            worst = max(worst, abs(ip - (1.0 if i == j else 0.0)))
+            worst = max(worst, abs(ip - (1.0 if a == b else 0.0)))
     _verdict(1, worst <= 1e-12, f"amplitudes and 16 inner products, max deviation {worst:.3e}")
 
 
@@ -83,13 +82,13 @@ def test_criterion_2_flip_identities_amplitude_by_amplitude():
     count = 0
     for ui in (0, 1):
         for uj in (0, 1):
-            state = make_bell(BellLabel(ui, uj))
-            z_got = apply_unitary(state, Unitary(PauliOp.Z.matrix(), (0,))).amplitudes
-            z_want = make_bell(BellLabel(1 - ui, uj)).amplitudes
+            state = make_bell(2 * ui + uj)
+            z_got = apply_unitary(state, Unitary(PAULI[2], (0,))).amplitudes
+            z_want = make_bell(2 * (1 - ui) + uj).amplitudes
             worst = max(worst, float(np.abs(z_got - z_want).max()))
             count += 1
-            x_got = apply_unitary(state, Unitary(PauliOp.X.matrix(), (0,))).amplitudes
-            x_want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
+            x_got = apply_unitary(state, Unitary(PAULI[1], (0,))).amplitudes
+            x_want = (-1.0) ** ui * make_bell(2 * ui + 1 - uj).amplitudes
             worst = max(worst, float(np.abs(x_got - x_want).max()))
             count += 1
     _verdict(2, worst <= 1e-12 and count == 8,
@@ -103,11 +102,11 @@ def test_criterion_3_commutation_on_200_random_triples():
     for index in range(200):
         n = 2 + index % 3  # registers of 2, 3, 4 qubits
         state = random_state(n, rng)
-        flip = list(PauliOp)[int(rng.integers(0, 4))]
+        flip = PAULI[int(rng.integers(0, 4))]
         k = int(rng.integers(1, n))
         targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
         u = Unitary(random_unitaries(k, 1, rng)[0], targets)
-        pauli = Unitary(flip.matrix(), (0,))
+        pauli = Unitary(flip, (0,))
         a = apply_unitary(apply_unitary(state, pauli), u)
         b = apply_unitary(apply_unitary(state, u), pauli)
         worst = max(worst, float(np.abs(a.amplitudes - b.amplitudes).max()))
@@ -206,12 +205,12 @@ def test_criterion_7_hiding():
 
 def test_criterion_8_closed_form_flip_equals_exhaustive_search():
     agree = True
-    for src in BELL_LABELS:
-        for dst in BELL_LABELS:
+    for src in range(len(BELL)):
+        for dst in range(len(BELL)):
             matches = [
                 op
-                for op in PauliOp
-                if abs(fidelity(apply_unitary(make_bell(src), Unitary(op.matrix(), (0,))), make_bell(dst)) - 1.0)
+                for op in range(len(PAULI))
+                if abs(fidelity(apply_unitary(make_bell(src), Unitary(PAULI[op], (0,))), make_bell(dst)) - 1.0)
                 <= 1e-12
             ]
             agree = agree and matches == [pauli_for_flip(src, dst)]

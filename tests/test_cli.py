@@ -215,15 +215,18 @@ class TestInvalidConfigurations:
         [["run", "--strategy", "sneaky"], ["run", "--strategy", "control"],
          ["hiding", "--bc-ops", "none"], ["hiding", "--seed", "3"], ["hiding", "--pairs", "2"],
          ["run", "--commit", "bit1"], ["run", "--tolerance", "1e-9"], ["matrix", "--tolerance", "1e-9"],
-         ["selftest", "--tolerance", "1e-9"]],
+         ["selftest", "--tolerance", "1e-9"], ["run", "--pairs", "1x"]],
         ids=["sneaky", "control", "hiding-bc-ops", "hiding-seed", "hiding-pairs", "run-commit",
-             "run-tolerance", "matrix-tolerance", "selftest-tolerance"],
+             "run-tolerance", "matrix-tolerance", "selftest-tolerance", "malformed-int"],
     )
     def test_unknown_flag_value_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        # one error line, without argparse's usage block
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_a_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

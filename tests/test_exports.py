@@ -12,7 +12,7 @@ QCORE_ONLY = (
     "ATOL_ACCUM",
     "ATOL_EXACT",
     "BELL",
-    "BELL_LABELS",
+    "PAULI",
     "StateVector",
     "Unitary",
     "apply_rows",
@@ -42,13 +42,13 @@ def test_every_public_name_is_exported():
 
 
 def test_the_top_level_exports_only_the_protocol():
-    # verify's report and pauli_for_flip return these two qcore types
+    # labels and Paulis are plain ints, so no qcore name is needed at the top level
     from_qcore = {
         name
         for name, value in vars(bellcommit).items()
         if not name.startswith("_") and vars(qcore).get(name, object()) is value
     }
-    assert from_qcore == {"BellLabel", "PauliOp"}
+    assert from_qcore == set()
     assert [name for name in QCORE_ONLY if not hasattr(qcore, name)] == []
 
 

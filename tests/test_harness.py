@@ -32,7 +32,7 @@ from bellcommit.protocol import (
     bc_apply_operations,
     commit_label,
 )
-from bellcommit.qcore import ATOL_ACCUM, ATOL_EXACT, PauliOp, StateVector, Unitary, receiver_states
+from bellcommit.qcore import ATOL_ACCUM, ATOL_EXACT, StateVector, Unitary, receiver_states
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
 from test_cli import _child_env
@@ -287,8 +287,8 @@ def _mix_rows(monkeypatch):
     initial_row = protocol._initial_row
 
     def mixed(label, m_ancillas):
-        flipped = qcore.BellLabel(label.u_i, label.u_j ^ 1)
-        row = 0.8 * initial_row(label, m_ancillas) + 0.6 * initial_row(flipped, m_ancillas)
+        # label 2*u_i + u_j, so u_j is its last bit
+        row = 0.8 * initial_row(label, m_ancillas) + 0.6 * initial_row(label ^ 1, m_ancillas)
         row.setflags(write=False)
         return row
 
@@ -347,7 +347,7 @@ def _one_pair_off(measure, n_pairs):
     def wrapper(states, draws):
         outcomes, probs = measure(states, draws)
         flat = outcomes.reshape(-1).copy()
-        flat[n_pairs - 1 :: n_pairs] = (flat[n_pairs - 1 :: n_pairs] + 1) % len(qcore.BELL_LABELS)
+        flat[n_pairs - 1 :: n_pairs] = (flat[n_pairs - 1 :: n_pairs] + 1) % len(qcore.BELL)
         return flat.reshape(outcomes.shape), probs
     return wrapper
 
@@ -882,7 +882,7 @@ class TestSelftest:
         assert len(names) == len(set(names))
 
     def test_a_broken_flip_fails_exactly_its_checks(self, monkeypatch):
-        monkeypatch.setattr(harness, "pauli_for_flip", lambda src, dst: PauliOp.IDENTITY)
+        monkeypatch.setattr(harness, "pauli_for_flip", lambda src, dst: 0)
         failures = {check.name for check in selftest() if not check.passed}
         assert failures == {"cheat-undetectability", "flip-chooser"}
         assert cli.main(["selftest"]) == 1

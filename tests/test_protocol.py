@@ -18,9 +18,8 @@ from bellcommit.protocol import (
     verify,
 )
 from bellcommit.qcore import (
-    BELL_LABELS,
-    BellLabel,
-    PauliOp,
+    BELL,
+    PAULI,
     StateVector,
     Unitary,
     apply_rows,
@@ -52,7 +51,7 @@ def _pair_states(session):
 class TestCoding:
     def test_labels_match_frozen_table(self):
         for value, (ui, uj) in CODING:
-            assert commit_label(value) == BellLabel(ui, uj)
+            assert commit_label(value) == 2 * ui + uj
 
     def test_all_labels_distinct(self):
         assert len({commit_label(v) for v in COMMIT_VALUES}) == 4
@@ -72,7 +71,7 @@ class TestCommit:
 
     def test_ancillas_start_in_zero(self):
         session = alice_commit(CommitValue.PLUS, 1, m_ancillas=2)
-        want = tensor(make_bell(BellLabel(1, 0)), basis_state(2, 0)).amplitudes
+        want = tensor(make_bell(2), basis_state(2, 0)).amplitudes
         assert np.abs(session.states[0] - want).max() <= 1e-12
         assert session.states.shape == (1, 2**4)
         assert session.m_ancillas == 2
@@ -82,8 +81,8 @@ class TestCommit:
         second = alice_commit(CommitValue.MINUS, 2, m_ancillas=1)
         assert not first.states.flags.writeable
         # so is the cached row under every session's view
-        assert not protocol._initial_row(BellLabel(1, 1), 1).flags.writeable
-        template = np.tile(tensor(make_bell(BellLabel(1, 1)), basis_state(1, 0)).amplitudes, (2, 1))
+        assert not protocol._initial_row(3, 1).flags.writeable
+        template = np.tile(tensor(make_bell(3), basis_state(1, 0)).amplitudes, (2, 1))
         bc_apply_operations(first, BCPolicy.RANDOM_ENTANGLED, _rng(3))
         assert not np.array_equal(first.states, template)
         assert second.states.shape == template.shape
@@ -94,7 +93,7 @@ class TestCommit:
         # the receiver's ancillas in |00>
         session = alice_commit(CommitValue.BIT0, 1, m_ancillas=2)
         (state,) = _pair_states(session)
-        index = BELL_LABELS.index(commit_label(CommitValue.BIT0))
+        index = commit_label(CommitValue.BIT0)
         assert bell_probabilities(state, (0, 1))[index] >= 1 - 1e-12
         assert abs(reduced_density(state, (2, 3))[0, 0] - 1) <= 1e-12
         # the receiver's step acts on qubits 1, 2 and 3 only: the committer's
@@ -231,13 +230,12 @@ class TestRevealAndVerify:
     @pytest.mark.parametrize("flips", [(0, 1, 2, 3), (0, 0, 0, 3), (2, 0)])
     @pytest.mark.parametrize("m", [0, 1])
     def test_pairs_holding_different_labels_fail_every_announcement(self, flips, m):
-        paulis = [list(PauliOp)[index] for index in flips]
         session = alice_commit(CommitValue.BIT0, len(flips), m_ancillas=m)
-        # a flip at qubit 0 turns bit0's label (0, 0) into (z, x), pair by pair
-        session.states = apply_rows(session.states, np.stack([p.matrix() for p in paulis]), 0)
+        # a flip p = 2*z + x at qubit 0 turns bit0's label 0 into 0 ^ p, (z, x), pair by pair
+        session.states = apply_rows(session.states, PAULI[list(flips)], 0)
         alice_reveal_honest(session)
-        held = [BellLabel(p.z_component, p.x_component) for p in paulis]
-        for announced in BELL_LABELS:
+        held = [commit_label(CommitValue.BIT0) ^ p for p in flips]
+        for announced in range(len(BELL)):
             report = verify(session, announced, _rng(4))
             assert report.per_pair == held
             assert not report.accept
@@ -263,6 +261,15 @@ class TestRevealAndVerify:
         with pytest.raises(ProtocolError):
             verify(session, commit_label(CommitValue.BIT0), _rng())
 
+    # -1 would otherwise read label 3's probability, 4 and 2.0 fail as an
+    # IndexError, and True index the probabilities as a mask
+    @pytest.mark.parametrize("announced", [4, -1, True, 2.0])
+    def test_an_announced_label_outside_0_to_3_is_rejected(self, announced):
+        session = alice_commit(CommitValue.BIT0, 1)
+        alice_reveal_honest(session)
+        with pytest.raises(ValueError, match="a Bell label is 0 to 3"):
+            verify(session, announced, _rng())
+
     def test_verification_is_seed_reproducible(self):
         reports = []
         for _ in range(2):
@@ -286,7 +293,6 @@ class TestRevealAndVerify:
     @pytest.mark.parametrize("kind", ["cheat", "honest", "control"])
     def test_announced_probabilities_match_the_undone_state(self, kind):
         announced = commit_label(CommitValue.PLUS if kind == "honest" else CommitValue.MINUS)
-        announced_index = BELL_LABELS.index(announced)
         cases = [
             ((BCPolicy.NONE,), 0),
             ((BCPolicy.RANDOM_LOCAL,), 2),
@@ -323,8 +329,8 @@ class TestRevealAndVerify:
                         cdf += float(probs[k])
                         if outcome is None and draw < cdf:
                             outcome = k
-                    labels.append(BELL_LABELS[int(np.argmax(probs)) if outcome is None else outcome])
-                    probabilities.append(float(probs[announced_index]))
+                    labels.append(int(np.argmax(probs)) if outcome is None else outcome)
+                    probabilities.append(float(probs[announced]))
                 report = verify(session, announced, rng)
                 case = (policies, m, n_pairs)
                 assert report.per_pair == labels, case

@@ -25,9 +25,7 @@ from bellcommit.qcore import (
     ATOL_ACCUM,
     ATOL_EXACT,
     BELL,
-    BELL_LABELS,
-    BellLabel,
-    PauliOp,
+    PAULI,
     StateVector,
     Unitary,
     apply_rows,
@@ -63,11 +61,12 @@ EXPECTED_BELL = {
     (1, 1): [0, S, -S, 0],
 }
 
+# Pauli 2*z + x, hand-written, frozen.
 PAULI_MATS = {
-    PauliOp.IDENTITY: np.eye(2, dtype=complex),
-    PauliOp.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliOp.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    PauliOp.ZX: np.array([[0, 1], [-1, 0]], dtype=complex),
+    0: np.eye(2, dtype=complex),
+    1: np.array([[0, 1], [1, 0]], dtype=complex),
+    2: np.array([[1, 0], [0, -1]], dtype=complex),
+    3: np.array([[0, 1], [-1, 0]], dtype=complex),
 }
 
 
@@ -119,9 +118,10 @@ def partial_trace_oracle(amps: np.ndarray, n: int, keep) -> np.ndarray:
     return rho
 
 
-def projector_probability_oracle(state: StateVector, pair, label: BellLabel) -> float:
+def projector_probability_oracle(state: StateVector, pair, label: int) -> float:
     """Outcome probability via an explicitly embedded rank-1 projector."""
-    bell = np.asarray(EXPECTED_BELL[(label.u_i, label.u_j)], dtype=complex)
+    # label 2*u_i + u_j
+    bell = np.asarray(EXPECTED_BELL[divmod(label, 2)], dtype=complex)
     proj = expand_full(np.outer(bell, bell.conj()), pair, state.num_qubits)
     amps = state.amplitudes
     return float(np.real(amps.conj() @ proj @ amps))
@@ -134,28 +134,25 @@ def projector_probability_oracle(state: StateVector, pair, label: BellLabel) -> 
 class TestMakeBell:
     def test_amplitudes_match_frozen_table(self):
         for (ui, uj), expected in EXPECTED_BELL.items():
-            row = BELL[BELL_LABELS.index(BellLabel(ui, uj))]
+            row = BELL[2 * ui + uj]
             assert np.abs(row - np.asarray(expected)).max() <= ATOL_EXACT
-            assert np.array_equal(make_bell(BellLabel(ui, uj)).amplitudes, row)
+            assert np.array_equal(make_bell(2 * ui + uj).amplitudes, row)
         with pytest.raises(ValueError):
             BELL[0, 0] = 0.0
 
     def test_orthonormality_all_sixteen_inner_products(self):
-        for i, a in enumerate(BELL_LABELS):
-            for j, b in enumerate(BELL_LABELS):
+        for a in range(len(BELL)):
+            for b in range(len(BELL)):
                 ip = inner_product(make_bell(a), make_bell(b))
-                expected = 1.0 if i == j else 0.0
+                expected = 1.0 if a == b else 0.0
                 assert abs(ip - expected) <= ATOL_EXACT
 
-    def test_label_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BellLabel(2, 0)
-        with pytest.raises(ValueError):
-            BellLabel(0, -1)
-
     def test_labels_are_hashable_and_ordered(self):
-        assert len(set(BELL_LABELS)) == 4
-        assert BELL_LABELS[2] == BellLabel(1, 0)
+        # label 2*u_i + u_j: the frozen table's bit pairs, in order, are 0 to 3
+        labels = [2 * ui + uj for ui, uj in EXPECTED_BELL]
+        assert len(set(labels)) == 4
+        assert labels == list(range(len(BELL)))
+        assert list(EXPECTED_BELL)[2] == (1, 0)
 
 
 class TestStateVector:
@@ -215,7 +212,7 @@ class TestStateVector:
         assert tensor(left, right).amplitudes[0b100] == 1.0
 
     def test_tensor_of_bell_pairs_matches_kron_oracle(self):
-        a = make_bell(BellLabel(0, 0))
+        a = make_bell(0)
         joint = tensor(a, a).amplitudes
         for index in (0, 3, 12, 15):
             assert abs(joint[index] - 0.5) <= ATOL_EXACT
@@ -230,15 +227,15 @@ class TestApplyPauli:
     def test_z_flips_first_label_bit_exactly(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_unitary(make_bell(BellLabel(ui, uj)), Unitary(PauliOp.Z.matrix(), (0,)))
-                want = make_bell(BellLabel(1 - ui, uj))
+                got = apply_unitary(make_bell(2 * ui + uj), Unitary(PAULI[2], (0,)))
+                want = make_bell(2 * (1 - ui) + uj)
                 assert np.abs(got.amplitudes - want.amplitudes).max() <= ATOL_EXACT
 
     def test_x_flips_second_label_bit_with_sign(self):
         for ui in (0, 1):
             for uj in (0, 1):
-                got = apply_unitary(make_bell(BellLabel(ui, uj)), Unitary(PauliOp.X.matrix(), (0,)))
-                want = (-1.0) ** ui * make_bell(BellLabel(ui, 1 - uj)).amplitudes
+                got = apply_unitary(make_bell(2 * ui + uj), Unitary(PAULI[1], (0,)))
+                want = (-1.0) ** ui * make_bell(2 * ui + 1 - uj).amplitudes
                 assert np.abs(got.amplitudes - want).max() <= ATOL_EXACT
 
     def test_matches_embedded_operator_oracle(self):
@@ -246,24 +243,26 @@ class TestApplyPauli:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             target = int(rng.integers(0, n))
-            op = list(PauliOp)[int(rng.integers(0, 4))]
+            op = int(rng.integers(0, 4))
             state = random_state(n, rng)
-            got = apply_unitary(state, Unitary(op.matrix(), (0,)).on(target)).amplitudes
+            got = apply_unitary(state, Unitary(PAULI[op], (0,)).on(target)).amplitudes
             want = expand_full(PAULI_MATS[op], (target,), n) @ state.amplitudes
             assert np.abs(got - want).max() <= ATOL_EXACT
 
     def test_zx_is_x_then_z(self):
         rng = np.random.default_rng(3)
         state = random_state(2, rng)
-        z, x, zx = (Unitary(op.matrix(), (0,)) for op in (PauliOp.Z, PauliOp.X, PauliOp.ZX))
+        z, x, zx = (Unitary(PAULI[op], (0,)) for op in (2, 1, 3))
         combined = apply_unitary(state, zx)
         stepwise = apply_unitary(apply_unitary(state, x), z)
         assert np.abs(combined.amplitudes - stepwise.amplitudes).max() <= ATOL_EXACT
 
     def test_matrices_are_frozen_constants(self):
-        assert np.array_equal(PauliOp.ZX.matrix(), np.array([[0, 1], [-1, 0]]))
+        assert np.array_equal(PAULI[3], np.array([[0, 1], [-1, 0]]))
+        for op, matrix in PAULI_MATS.items():
+            assert np.array_equal(PAULI[op], matrix)
         with pytest.raises(ValueError):
-            PauliOp.X.matrix()[0, 0] = 5.0
+            PAULI[1][0, 0] = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +666,7 @@ class TestApplyRows:
         rng = np.random.default_rng(10 * k + registers)
         rows = np.stack([random_state(4, rng).amplitudes for _ in range(registers)])[:, None]
         states = apply_rows(rows, random_unitaries(k, 5, rng), 1)
-        flips = np.stack([list(PauliOp)[register % 4].matrix() for register in range(registers)])[:, None]
+        flips = PAULI[np.arange(registers) % 4][:, None]
         got = apply_rows(states, flips, 0)
         want = np.stack([apply_rows(block, flip, 0) for block, flip in zip(states, flips[:, 0])])
         assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((registers, 5, 16), np.complex128)
@@ -703,8 +702,8 @@ class TestApplyRows:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_the_norm_guard_sits_at_its_bound(self, sign):
         with pytest.raises(ValueError, match="no longer normalized"):
-            apply_rows(_off_norm(sign * 2 * ATOL_EXACT), PauliOp.X.matrix(), 0)
-        assert apply_rows(_off_norm(sign * 0.2 * ATOL_EXACT), PauliOp.X.matrix(), 0).shape == (2, 4)
+            apply_rows(_off_norm(sign * 2 * ATOL_EXACT), PAULI[1], 0)
+        assert apply_rows(_off_norm(sign * 0.2 * ATOL_EXACT), PAULI[1], 0).shape == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +718,7 @@ class TestInnerProduct:
         assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
 
     def test_fidelity_ignores_global_phase(self):
-        state = make_bell(BellLabel(1, 1))
+        state = make_bell(3)
         flipped = StateVector(2, -state.amplitudes)
         assert fidelity(state, flipped) == pytest.approx(1.0, abs=ATOL_EXACT)
 
@@ -751,28 +750,28 @@ def _bell_rows(source, m):
 
 class TestBellMeasurement:
     def test_prepared_bell_state_yields_its_label_with_certainty(self):
-        for index, label in enumerate(BELL_LABELS):
+        for label in range(len(BELL)):
             state = make_bell(label)
             probs = bell_probabilities(state, (0, 1))
-            assert probs[index] >= 1 - 1e-9
+            assert probs[label] >= 1 - 1e-9
             for k in range(4):
-                oracle = projector_probability_oracle(state, (0, 1), BELL_LABELS[k])
+                oracle = projector_probability_oracle(state, (0, 1), k)
                 assert abs(probs[k] - oracle) <= ATOL_EXACT
             outcomes, sampled = measure_bell_pairs(state.amplitudes[None], np.random.default_rng(0).random(1))
-            assert outcomes.tolist() == [index]
+            assert outcomes.tolist() == [label]
             assert np.array_equal(sampled[0], probs)
 
     def test_product_state_probabilities_match_projector_oracle(self):
         state = basis_state(2, 0)  # |00> overlaps two Bell states
         probs = bell_probabilities(state, (0, 1))
         assert np.abs(probs - np.array([0.5, 0.0, 0.5, 0.0])).max() <= ATOL_EXACT
-        for k, label in enumerate(BELL_LABELS):
-            oracle = projector_probability_oracle(state, (0, 1), label)
+        for k in range(len(BELL)):
+            oracle = projector_probability_oracle(state, (0, 1), k)
             assert abs(probs[k] - oracle) <= ATOL_EXACT
 
     def test_sampling_respects_distribution_bins(self):
         # |00> splits evenly between labels (0,0) and (1,0); the inverse-CDF
-        # walk visits labels in BELL_LABELS order, so draws below 0.5 must
+        # walk visits labels 0 to 3 in order, so draws below 0.5 must
         # yield the first and draws above it the second
         state = basis_state(2, 0).amplitudes[None]
         outcomes = set()
@@ -784,8 +783,8 @@ class TestBellMeasurement:
         assert outcomes == {0, 2}
 
     def test_draw_in_the_rounding_slack_yields_the_most_likely_label(self):
-        amps = np.sqrt(0.3) * make_bell(BellLabel(0, 1)).amplitudes
-        amps += np.sqrt(0.7) * make_bell(BellLabel(1, 0)).amplitudes
+        amps = np.sqrt(0.3) * make_bell(1).amplitudes
+        amps += np.sqrt(0.7) * make_bell(2).amplitudes
         amps *= np.sqrt(1 - 2e-14)  # the cumulative walk ends below the draw
         outcomes, probs = measure_bell_pairs(amps[None], np.array([0.9999999999999999]))
         assert np.cumsum(probs[0])[-1] < 0.9999999999999999
@@ -795,7 +794,7 @@ class TestBellMeasurement:
         outcomes, _ = measure_bell_pairs(stack, np.full((2, 3), 0.9999999999999999))
         assert outcomes.tolist() == [[2, 0, 2], [3, 2, 2]]
 
-    @pytest.mark.parametrize("index", range(len(BELL_LABELS)))
+    @pytest.mark.parametrize("index", range(len(BELL)))
     def test_a_bell_row_yields_its_label_for_every_draw(self, index):
         # the premise of the receiver-free engine: one nonzero probability p,
         # and every uniform in [0, 1), from 0 up to the largest, measures its
@@ -823,7 +822,7 @@ class TestBellMeasurement:
             alice_reveal_cheat(session, value)
             states = session.states
         probs = bell_pair_probabilities(states)
-        assert np.flatnonzero(probs).tolist() == [BELL_LABELS.index(commit_label(value))]
+        assert np.flatnonzero(probs).tolist() == [commit_label(value)]
         oracle = bell_probabilities(StateVector(2 + m, states[0]), (0, 1))
         assert oracle.tobytes() == probs[0].tobytes()
 
@@ -850,14 +849,14 @@ class TestBellMeasurement:
             assert bell_probabilities(StateVector(2 + m, state), (0, 1)).tobytes() == row.tobytes()
 
     def test_embedded_pair_with_offset(self):
-        state = tensor(basis_state(1, 0), make_bell(BellLabel(0, 1)))
+        state = tensor(basis_state(1, 0), make_bell(1))
         probs = bell_probabilities(state, (1, 2))
-        assert probs[BELL_LABELS.index(BellLabel(0, 1))] >= 1 - 1e-9
+        assert probs[1] >= 1 - 1e-9
 
     def test_reversed_pair_order(self):
         # every Bell state maps onto itself (up to phase) under qubit swap
-        for index, label in enumerate(BELL_LABELS):
-            assert bell_probabilities(make_bell(label), (1, 0))[index] >= 1 - 1e-9
+        for label in range(len(BELL)):
+            assert bell_probabilities(make_bell(label), (1, 0))[label] >= 1 - 1e-9
 
     # the rows' leading axes are only a shape: a (registers, trials, pairs)
     # stack measures as its rows do flattened, against the draws of one
@@ -904,7 +903,7 @@ class TestBellMeasurement:
 
     @pytest.mark.parametrize("scale", [1.1, np.nan])
     def test_unnormalized_register_is_rejected(self, scale):
-        states = np.stack([make_bell(BellLabel(0, 0)).amplitudes] * 2)
+        states = np.stack([make_bell(0).amplitudes] * 2)
         states[1] *= scale
         with pytest.raises(ValueError):
             measure_bell_pairs(states, np.random.default_rng(0).random(2))
@@ -926,7 +925,7 @@ class TestBellMeasurement:
 
 class TestReducedDensity:
     def test_bell_marginals_are_maximally_mixed(self):
-        for label in BELL_LABELS:
+        for label in range(len(BELL)):
             state = make_bell(label)
             for keep in ((0,), (1,)):
                 rho = reduced_density(state, keep)
@@ -989,7 +988,7 @@ def _batched_trace_distance(a, b):
 )
 class TestTraceDistance:
     def test_identical_states_have_zero_distance(self, distance):
-        rho = reduced_density(make_bell(BellLabel(0, 0)), (1,))
+        rho = reduced_density(make_bell(0), (1,))
         assert distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states_have_distance_one(self, distance):
@@ -1038,11 +1037,11 @@ def test_pauli_on_first_qubit_commutes_with_other_qubit_unitaries(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     state = random_state(n, rng)
-    op = list(PauliOp)[int(rng.integers(0, 4))]
+    op = int(rng.integers(0, 4))
     k = int(rng.integers(1, n))
     targets = tuple(int(t) for t in rng.choice(np.arange(1, n), size=k, replace=False))
     u = Unitary(random_unitaries(k, 1, rng)[0], targets)
-    flip = Unitary(op.matrix(), (0,))
+    flip = Unitary(PAULI[op], (0,))
     a = apply_unitary(apply_unitary(state, flip), u)
     b = apply_unitary(apply_unitary(state, u), flip)
     assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-12
@@ -1054,7 +1053,7 @@ def test_operations_preserve_normalization(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     state = random_state(n, rng)
-    state = apply_unitary(state, Unitary(PauliOp.ZX.matrix(), (int(rng.integers(0, n)),)))
+    state = apply_unitary(state, Unitary(PAULI[3], (int(rng.integers(0, n)),)))
     u = Unitary(random_unitaries(1, 1, rng)[0], (int(rng.integers(0, n)),))
     state = apply_unitary(state, u)
     norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
