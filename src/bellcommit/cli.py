@@ -27,7 +27,7 @@ from .harness import (
     run_experiment,
     selftest,
 )
-from .protocol import BCPolicy, CommitValue, ProtocolError
+from .protocol import BCPolicy, CommitValue
 
 _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
@@ -118,8 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _report(args)
-    except (ProtocolError, ValueError) as exc:
-        # ConfigError, plus bad combinations surfaced below the config layer
+    except ValueError as exc:
+        # ConfigError, and counts that protocol.alice_commit refuses, such as hiding's ancillas
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

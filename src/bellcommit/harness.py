@@ -26,7 +26,7 @@ its rows, so the matrix's 20 cells hold 8 registers, which each chunk
 measures in one call.
 
 Every acceptance experiment returns a :class:`Cell` of counts, judged by one
-verdict, :meth:`Cell.passed`, with the fixed slack :data:`OUTCOME_TOLERANCE`
+verdict, :attr:`Cell.passed`, with the fixed slack :data:`OUTCOME_TOLERANCE`
 on probabilities. ``run``, ``matrix`` and selftest's protocol checks all
 read it; ``hiding`` compares trace distances with :data:`HIDING_THRESHOLD`
 instead. The acceptance matrix is a tuple of cells, and :mod:`.reports`
@@ -92,7 +92,8 @@ class ExperimentConfig:
     """One experiment: a fixed scenario replayed over independent trials.
 
     A config is checked when it is built: a field that is not a member of its
-    enum, or an inconsistent combination, raises :class:`ConfigError`, and
+    enum, a count or seed that is not an integer (a ``bool`` is not one), or
+    an inconsistent combination, raises :class:`ConfigError`, and
     pairs or trials of 2**63 or more raise ``OverflowError``. An honest
     committer reveals what it committed, a control announces another value,
     and a cheat prepares bit0.
@@ -114,6 +115,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        # a float or a bool count would run, and a float one would round the verdict
+        for name in ("n_pairs", "trials", "m_ancillas", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_pairs < 1:
             raise ConfigError("n_pairs must be at least 1")
         if self.trials < 1:
@@ -141,7 +147,7 @@ class Cell:
     """One experiment and its counts, as experiments return them.
 
     Its kind is ``config.strategy``: a cheat, an honest commit or a control.
-    :meth:`passed` is the one verdict on an acceptance experiment; a report
+    :attr:`passed` is the one verdict on an acceptance experiment; a report
     shows cells as rows of a table.
     """
 
@@ -153,6 +159,7 @@ class Cell:
     def acceptance_rate(self) -> float:
         return self.accepts / self.config.trials
 
+    @property
     def passed(self) -> bool:
         """The verdict, on counts and judged at :data:`OUTCOME_TOLERANCE`.
 
@@ -440,7 +447,7 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
         ("cheat-undetectability", Strategy.CHEAT),
         ("control-rejection", Strategy.CONTROL),
     ):
-        record(name, all(cell.passed() for cell in cells if cell.config.strategy is strategy))
+        record(name, all(cell.passed for cell in cells if cell.config.strategy is strategy))
 
     # The closed-form flip chooser reaches every label from every label.
     worst = fidelity_defect(apply_rows(BELL, PAULI[pauli_for_flip(labels, labels[:, None])], 0), BELL[:, None])

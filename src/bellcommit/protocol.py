@@ -112,6 +112,9 @@ def _initial_row(label: int, m_ancillas: int) -> np.ndarray:
 
 def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
     """Commit phase: prepare ``n_pairs`` identical Bell pairs encoding ``value``."""
+    for name, count in (("n_pairs", n_pairs), ("m_ancillas", m_ancillas)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     if not 0 <= m_ancillas <= MAX_ANCILLAS:

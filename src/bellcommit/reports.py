@@ -94,7 +94,6 @@ def config_dict(config: ExperimentConfig) -> dict:
         "ancillas": config.m_ancillas,
         "seed": config.master_seed,
         "tolerance": OUTCOME_TOLERANCE,
-        "format": "json",
     }
 
 
@@ -113,7 +112,7 @@ def cell_rows(cells: tuple[Cell, ...]) -> list[tuple]:
 
 
 def build_run(cell: Cell) -> Report:
-    config, ok = cell.config, cell.passed()
+    config, ok = cell.config, cell.passed
     # the run's own settings; the rest it shares with a matrix
     values = {"strategy": config.strategy.value, "commit": config.commit_value.value,
               "reveal": config.reveal_value.value}
@@ -142,7 +141,7 @@ def build_run(cell: Cell) -> Report:
 
 
 def build_matrix(cells: tuple[Cell, ...]) -> Report:
-    config, ok = cells[0].config, all(cell.passed() for cell in cells)
+    config, ok = cells[0].config, all(cell.passed for cell in cells)
     rows = cell_rows(cells)
     rates = {strategy: [cell.acceptance_rate for cell in cells if cell.config.strategy is strategy]
              for strategy in Strategy}
@@ -155,8 +154,8 @@ def build_matrix(cells: tuple[Cell, ...]) -> Report:
         "control_max_rate": max(rates[Strategy.CONTROL]),
         "passed": ok,
     }
+    # cheat_rates, grid_rates and passed repeat rows and stats: perfbench/run.py's gate reads them
     section = {
-        "values": [value.value for value in COMMIT_VALUES],
         "cheat_rates": rates[Strategy.CHEAT],
         "grid_rates": [[grid[commit, announce] for announce in COMMIT_VALUES] for commit in COMMIT_VALUES],
         "rows": [dict(zip(_CELL_FIELDS, row)) for row in rows],
@@ -185,11 +184,7 @@ def build_hiding(m_ancillas: int, report: HidingReport) -> Report:
     ok = report.passed
     names = [value.value for value in COMMIT_VALUES]
     summary = {"max_distance": report.max_distance, "threshold": HIDING_THRESHOLD, "passed": ok}
-    section = {
-        "values": names,
-        "distances": [list(row) for row in report.distances],
-        **summary,
-    }
+    section = {"values": names, "distances": [list(row) for row in report.distances]}
     lines = [
         f"receiver-side trace distances (ancillas={m_ancillas})",
         "",
@@ -205,7 +200,7 @@ def build_hiding(m_ancillas: int, report: HidingReport) -> Report:
     ]
     return Report(
         ok=ok,
-        body=_body({"ancillas": m_ancillas, "format": "json"}, summary, hiding=section),
+        body=_body({"ancillas": m_ancillas}, summary, hiding=section),
         csv_header=("value_a", "value_b", "trace_distance"),
         csv_rows=[
             (a, b, value)
@@ -226,7 +221,7 @@ def build_selftest(master_seed: int, checks: list[CheckResult]) -> Report:
     return Report(
         ok=failures == 0,
         body=_body(
-            {"seed": master_seed, "tolerance": OUTCOME_TOLERANCE, "format": "json"},
+            {"seed": master_seed, "tolerance": OUTCOME_TOLERANCE},
             {"checks": len(checks), "failures": failures},
             selftest=[{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
         ),

@@ -67,7 +67,7 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["config"] == {
             "strategy": "honest", "commit": "bit0", "reveal": "bit0", "pairs": 8, "trials": 1000,
-            "bc_policy": "none", "ancillas": 0, "seed": 0, "tolerance": 1e-9, "format": "json",
+            "bc_policy": "none", "ancillas": 0, "seed": 0, "tolerance": 1e-9,
         }
 
     # the commit is derived: an honest committer commits what it reveals, and
@@ -290,7 +290,6 @@ class TestMatrixCommand:
         assert code == 0
         assert json.loads(out)["config"] == {
             "pairs": 2, "trials": 10, "bc_policy": "none", "ancillas": 0, "seed": 4, "tolerance": 1e-9,
-            "format": "json",
         }
 
     def test_csv_rows(self, capsys):
@@ -310,8 +309,8 @@ class TestHidingCommand:
         code, out, _ = _run(["hiding", "--ancillas", "2", "--format", "json"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["config"] == {"ancillas": 2, "format": "json"}
-        assert doc["hiding"]["passed"] is True
+        assert doc["config"] == {"ancillas": 2}
+        assert doc["stats"]["passed"] is True
         assert doc["stats"]["max_distance"] <= 1e-12
 
 
@@ -332,7 +331,7 @@ class TestSelftestCommand:
     def test_json_echoes_the_fixed_tolerance(self, capsys):
         code, out, _ = _run(["selftest", "--seed", "2", "--format", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["config"] == {"seed": 2, "tolerance": 1e-9, "format": "json"}
+        assert json.loads(out)["config"] == {"seed": 2, "tolerance": 1e-9}
 
 
 class TestExitCodeOne:

@@ -101,6 +101,17 @@ class TestConfigValidation:
             dict(reveal_value="bit0"),
             dict(bc_policy="none", m_ancillas=1),
             dict(bc_policy="random-local"),
+            # a count or seed that is not an integer: 2.5 trials would round a
+            # cheat's verdict to a fail, and 3.0 would reach range() under a policy
+            dict(strategy=Strategy.CHEAT, trials=2.5),
+            dict(bc_policy=BCPolicy.RANDOM_LOCAL, trials=3.0),
+            dict(trials=True),
+            dict(n_pairs=2.5),
+            dict(n_pairs=True),
+            dict(m_ancillas=1.0),
+            dict(m_ancillas=False),
+            dict(master_seed=0.5),
+            dict(master_seed=True),
         ],
     )
     def test_rejects_inconsistent_combinations(self, overrides):
@@ -123,6 +134,12 @@ class TestConfigValidation:
     def test_the_tolerance_is_no_setting(self, build):
         with pytest.raises(TypeError, match="tolerance"):
             build()
+
+    @pytest.mark.parametrize("field", ["n_pairs", "trials", "m_ancillas", "master_seed"])
+    def test_a_numpy_integer_count_is_an_integer(self, field):
+        base = _config(bc_policy=BCPolicy.RANDOM_ENTANGLED, m_ancillas=1)
+        config = replace(base, **{field: np.int64(getattr(base, field))})
+        assert run_experiment(config) == run_experiment(base)
 
     @pytest.mark.parametrize("field", ["n_pairs", "trials"])
     def test_counts_of_2_63_or_more_overflow(self, field):
@@ -361,7 +378,7 @@ def _register(cell):
 def _passes(experiment, cfg):
     """Whether ``cfg``'s acceptance matrix, or its cheat or honest run, passes."""
     if experiment == "matrix":
-        return all(cell.passed() for cell in acceptance_matrix(cfg))
+        return all(cell.passed for cell in acceptance_matrix(cfg))
     strategy = Strategy.CHEAT if experiment == "cheat" else Strategy.HONEST
     return run_experiment(replace(cfg, strategy=strategy)).acceptance_rate == 1.0
 
@@ -526,7 +543,7 @@ class TestBatchedEngine:
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", _chunk_budget(cfg, 7))
         work = _work(monkeypatch)
         cells = acceptance_matrix(cfg)
-        assert all(cell.passed() for cell in cells)
+        assert all(cell.passed for cell in cells)
         # a receiver-free run builds its four flipped registers once, one row
         # each, to see whether their outcomes are certain
         built = 4 if policy is BCPolicy.NONE else 0
@@ -554,7 +571,7 @@ class TestBatchedEngine:
         rows = cfg.n_pairs * cfg.trials
         assert work == {"measured": 8 * rows, "applied": 4 + 20 * rows, "drawn": 0, "generators": cfg.trials,
                         "stepwise": 0}
-        assert all(cell.passed() for cell in cells)
+        assert all(cell.passed for cell in cells)
         for cell in cells:
             assert cell == _reference_cell(cell.config)
 
@@ -607,7 +624,7 @@ class TestBatchedEngine:
         # all cells share each trial's generator and Haar draws
         work = _work(monkeypatch)
         cells = acceptance_matrix(_config(bc_policy=BCPolicy.RANDOM_LOCAL, n_pairs=3, trials=11))
-        assert all(cell.passed() for cell in cells)
+        assert all(cell.passed for cell in cells)
         assert (work["generators"], work["drawn"]) == (11, 33)
 
     @pytest.mark.parametrize(
@@ -711,7 +728,7 @@ class TestAcceptanceMatrix:
             for announce in COMMIT_VALUES:
                 strategy = Strategy.HONEST if commit is announce else Strategy.CONTROL
                 assert rates[strategy, commit, announce] == (1.0 if commit is announce else 0.0)
-        assert all(cell.passed() for cell in cells)
+        assert all(cell.passed for cell in cells)
 
     @pytest.mark.parametrize("strategy, cells", [(Strategy.CHEAT, 4), (Strategy.HONEST, 4), (Strategy.CONTROL, 12)])
     def test_rates_of_each_strategy(self, strategy, cells):
@@ -741,8 +758,8 @@ class TestCellVerdict:
         def cell(low):
             return Cell(config, config.trials, low)
 
-        assert cell(edge).passed()
-        assert not cell(float(np.nextafter(edge, 0))).passed()
+        assert cell(edge).passed
+        assert not cell(float(np.nextafter(edge, 0))).passed
 
 
 class TestHidingReport:
@@ -803,6 +820,11 @@ class TestHidingReport:
     @pytest.mark.parametrize("m", [MAX_ANCILLAS + 1, -1])
     def test_ancillas_out_of_range_raise_the_configs_message(self, m):
         with pytest.raises(ValueError, match=r"^ancillas must be between 0 and 2$"):
+            hiding_report(m)
+
+    @pytest.mark.parametrize("m", [1.0, True])
+    def test_an_ancilla_count_that_is_not_an_integer_is_refused(self, m):
+        with pytest.raises(ValueError, match=r"^m_ancillas must be an integer, got "):
             hiding_report(m)
 
     def test_every_pair_of_a_commitment_shares_one_row(self):

@@ -39,8 +39,8 @@ MUTANTS = [
     (
         "matrix-verdict-any",
         "reports.py",
-        "all(cell.passed() for cell in cells)",
-        "any(cell.passed() for cell in cells)",
+        "all(cell.passed for cell in cells)",
+        "any(cell.passed for cell in cells)",
         ["tests/test_reports.py::TestMatrixVerdict::test_passed_flags_a_bad_cell"],
     ),
     (
@@ -56,6 +56,20 @@ MUTANTS = [
         "return src ^ dst",
         "return src | dst",
         ["tests/test_attack.py::TestPauliForFlip::test_agrees_with_exhaustive_search_on_all_sixteen_pairs"],
+    ),
+    (
+        "selftest-receiver-on-qubit-0",
+        "harness.py",
+        "b = apply_rows(apply_rows(states, ops, 1), flip, 0)",
+        "b = apply_rows(apply_rows(states, ops, 0), flip, 0)",
+        ["tests/test_harness.py::TestSelftest::test_all_checks_pass"],
+    ),
+    (
+        "matrix-grid-transposed",
+        "reports.py",
+        "grid[commit, announce]",
+        "grid[announce, commit]",
+        ["tests/test_reports.py::TestMatrixLayout::test_every_number_comes_from_its_own_cell"],
     ),
 ]
 

@@ -111,6 +111,9 @@ class TestCommit:
             alice_commit(CommitValue.BIT0, 1, m_ancillas=MAX_ANCILLAS + 1)
         with pytest.raises(ValueError):
             alice_commit(CommitValue.BIT0, 1, m_ancillas=-1)
+        for n_pairs, m_ancillas in ((2.0, 0), (True, 0), (1, 1.0), (1, False)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                alice_commit(CommitValue.BIT0, n_pairs, m_ancillas)
 
 
 class TestBCRecord:
