@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -23,7 +23,6 @@ from .harness import (
     OUTCOME_TOLERANCE,
     Cell,
     CheckResult,
-    ConfigError,
     ExperimentConfig,
     HidingReport,
     Strategy,
@@ -39,6 +38,7 @@ from .protocol import (
     BCPolicy,
     CommitmentSession,
     CommitValue,
+    ConfigError,
     ProtocolError,
     VerificationReport,
     alice_commit,

@@ -33,19 +33,17 @@ _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
 
 
-# every flag, declared once; each subcommand takes only the flags it reads
+# every flag, declared once, with the config's defaults; each subcommand takes only the flags it reads
 _FLAGS = {
-    "--pairs": dict(type=int, default=8, help="Bell pairs per commitment"),
-    "--trials": dict(type=int, default=1000, help="independent trials (per cell in matrix)"),
+    "--pairs": dict(type=int, default=ExperimentConfig.n_pairs, help="Bell pairs per commitment"),
+    "--trials": dict(type=int, default=ExperimentConfig.trials, help="independent trials (per cell in matrix)"),
     "--strategy": dict(choices=["honest", "cheat"], default="honest"),
-    "--reveal": dict(choices=_VALUE_NAMES, default="bit0", help="revealed value (honest runs commit it too)"),
-    "--bc-ops": dict(
-        choices=_POLICY_NAMES,
-        default="none",
-        help="receiver-side operation policy during the commit phase",
-    ),
-    "--ancillas": dict(type=int, default=0, help="receiver-side ancillas per pair"),
-    "--seed": dict(type=int, default=0, help="master seed for all randomness"),
+    "--reveal": dict(choices=_VALUE_NAMES, default=ExperimentConfig.reveal_value.value,
+                     help="revealed value (honest runs commit it too)"),
+    "--bc-ops": dict(choices=_POLICY_NAMES, default=ExperimentConfig.bc_policy.value,
+                     help="receiver-side operation policy during the commit phase"),
+    "--ancillas": dict(type=int, default=ExperimentConfig.m_ancillas, help="receiver-side ancillas per pair"),
+    "--seed": dict(type=int, default=ExperimentConfig.master_seed, help="master seed for all randomness"),
     "--format": dict(choices=reports.FORMATS, default="text", help="report format"),
     "--out": dict(default=None, help="write the report to this file instead of stdout"),
 }
@@ -119,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = _report(args)
     except ValueError as exc:
-        # ConfigError, and counts that protocol.alice_commit refuses, such as hiding's ancillas
+        # ConfigError, from a config or from a register that protocol refuses, such as hiding's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -49,12 +49,13 @@ from .attack import (
 )
 from .protocol import (
     COMMIT_VALUES,
-    MAX_ANCILLAS,
     BCPolicy,
     CommitValue,
+    ConfigError,
     alice_commit,
     alice_reveal_honest,
     bc_apply_operations,
+    check_register,
     commit_label,
     op_width,
     verify,
@@ -83,20 +84,16 @@ class Strategy(Enum):
     CONTROL = "control"  # an honest commitment announced as another value
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exit code 2)."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a fixed scenario replayed over independent trials.
 
     A config is checked when it is built: a field that is not a member of its
-    enum, a count or seed that is not an integer (a ``bool`` is not one), or
-    an inconsistent combination, raises :class:`ConfigError`, and
-    pairs or trials of 2**63 or more raise ``OverflowError``. An honest
-    committer reveals what it committed, a control announces another value,
-    and a cheat prepares bit0.
+    enum, a register that :func:`.protocol.check_register` refuses, trials or
+    a seed that are not integers, or an inconsistent combination, raises
+    :class:`ConfigError`, and pairs or trials of 2**63 or more raise
+    ``OverflowError``. An honest committer reveals what it committed, a
+    control announces another value, and a cheat prepares bit0.
     """
 
     strategy: Strategy
@@ -116,24 +113,20 @@ class ExperimentConfig:
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
         # a float or a bool count would run, and a float one would round the verdict
-        for name in ("n_pairs", "trials", "m_ancillas", "master_seed"):
+        for name in ("trials", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_pairs < 1:
-            raise ConfigError("n_pairs must be at least 1")
+        check_register(self.n_pairs, self.m_ancillas)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not 0 <= self.m_ancillas <= MAX_ANCILLAS:
-            raise ConfigError(f"ancillas must be between 0 and {MAX_ANCILLAS}")
         if self.strategy is Strategy.HONEST and self.commit_value is not self.reveal_value:
             raise ConfigError("an honest committer can only reveal the committed value")
         if self.strategy is Strategy.CONTROL and self.commit_value is self.reveal_value:
             raise ConfigError("a control announces a value other than the committed one")
         if self.strategy is Strategy.CHEAT and self.commit_value is not CommitValue.BIT0:
             raise ConfigError("the cheating preparation is fixed to bit0")
-        if self.bc_policy is BCPolicy.RANDOM_ENTANGLED and self.m_ancillas < 1:
-            raise ConfigError("the random-entangled policy requires at least one ancilla")
+        op_width(self.bc_policy, self.m_ancillas)  # refuses a policy this register cannot run
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
         # accept counts are int64, and so is every index of pairs and trials on
@@ -211,36 +204,40 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
 _CHUNK_ENTRIES = 2**12
 
 
-# configs run in one pass agree on what their draws depend on
-_SHARED_FIELDS = ("master_seed", "trials", "n_pairs", "bc_policy", "m_ancillas")
+# acceptance_matrix's 20 cells as (strategy, commit, reveal), in its documented order
+_MATRIX_KINDS = (
+    *((Strategy.CHEAT, CommitValue.BIT0, value) for value in COMMIT_VALUES),
+    *((Strategy.HONEST, value, value) for value in COMMIT_VALUES),
+    *((Strategy.CONTROL, c, r) for c in COMMIT_VALUES for r in COMMIT_VALUES if c is not r),
+)
 
 
-def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
-    """All trials of every config, in one pass over the draws they share.
+def _run_many(base: ExperimentConfig, kinds: tuple[tuple, ...]) -> tuple[Cell, ...]:
+    """All trials of every (strategy, commit, reveal) kind, in one pass over their draws.
 
-    One :class:`Cell` per config; the same counts as ``_execute_trial``,
-    bit for bit. A register before measurement is set by the commit value and
-    the cheat's flip alone, so configs that agree on both share one register,
-    and every config reads its own announced label from that register's
-    measurement. The registers' committed rows are one ``(registers, 1, 1, dim)``
-    stack, the cheats' first, and each step runs once over all of them.
-    Without receiver operations each register is one row, flipped once per
-    run; if every one has exactly one nonzero outcome probability, the run
-    makes no draws and no chunks: those probabilities are its smallest ones,
-    and its one label accepts every trial. Otherwise each chunk first makes
-    the reference's draws in the reference's order: each trial draws from its
-    own generator, its Haar unitaries, then one uniform per pair. The chunk's
-    unitaries are one ``(trials, pairs, d, d)`` stack, drawn and checked in
-    one call; without receiver operations they are ones, the receiver's
-    no-op, and only the uniforms are drawn. Then the chunk runs one apply,
-    which broadcasts every register to every pair of every trial, one flip
-    of the cheats' rows, one undo and one measurement of the whole
+    One :class:`Cell` per kind, whose config is ``base`` with that strategy,
+    commit and reveal, so all cells share the seed, trials, pairs, policy and
+    ancillas that their draws depend on; the same counts as
+    ``_execute_trial``, bit for bit. A register before measurement is set by
+    the commit value and the cheat's flip alone, so configs that agree on both
+    share one register, and every config reads its own announced label from
+    that register's measurement. The registers' committed rows are one
+    ``(registers, 1, 1, dim)`` stack, the cheats' first, and each step runs
+    once over all of them. Without receiver operations each register is one
+    row, flipped once per run; if every one has exactly one nonzero outcome
+    probability, the run makes no draws and no chunks: those probabilities are
+    its smallest ones, and its one label accepts every trial. Otherwise each
+    chunk first makes the reference's draws in the reference's order: each
+    trial draws from its own generator, its Haar unitaries, then one uniform
+    per pair. The chunk's unitaries are one ``(trials, pairs, d, d)`` stack,
+    drawn and checked in one call; without receiver operations they are ones,
+    the receiver's no-op, and only the uniforms are drawn. Then the chunk runs
+    one apply, which broadcasts every register to every pair of every trial,
+    one flip of the cheats' rows, one undo and one measurement of the whole
     ``(registers, trials, pairs, dim)`` stack against the chunk's draws.
     """
-    config = configs[0]
-    if any(getattr(other, name) != getattr(config, name) for other in configs for name in _SHARED_FIELDS):
-        raise ValueError("configs run in one pass must agree on " + ", ".join(_SHARED_FIELDS))
-    width = op_width(config.bc_policy, config.m_ancillas)
+    configs = [replace(base, strategy=s, commit_value=c, reveal_value=r) for s, c, r in kinds]
+    width = op_width(base.bc_policy, base.m_ancillas)
     # one register per (commit value, flip), the cheats' first so that one slice holds
     # their rows; an honest commit has no flip, which keeps it apart from the identity flip
     flip_of = {c: pauli_for_flip(CHEAT_START_LABEL, commit_label(c.reveal_value))
@@ -248,7 +245,7 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
     keys = [(c.commit_value, flip_of.get(c)) for c in configs]
     registers = list(dict.fromkeys(sorted(keys, key=lambda key: key[1] is None)))
     slots = [(registers.index(key), commit_label(c.reveal_value)) for key, c in zip(keys, configs)]
-    committed = np.stack([alice_commit(value, 1, config.m_ancillas).states[None] for value, _ in registers])
+    committed = np.stack([alice_commit(value, 1, base.m_ancillas).states[None] for value, _ in registers])
     flips = PAULI[[flip for _, flip in registers if flip is not None]].reshape(-1, 1, 1, 2, 2)
 
     def flipped(states: np.ndarray) -> np.ndarray:
@@ -273,15 +270,15 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
             # draw u in [0, 1) passes the k zeros and stops at k, or, if
             # u >= p, passes all four and the slack rule takes argmax = k. The
             # reference gets these counts under any seed.
-            accepts[certain] = config.trials
+            accepts[certain] = base.trials
             return cells(probs)
-    n, trials = config.n_pairs, config.trials
+    n, trials = base.n_pairs, base.trials
     per_trial = n * (committed.shape[-1] + 4**width)
     chunk = min(max(1, _CHUNK_ENTRIES // per_trial), trials)
     low = np.full(accepts.shape, math.inf)
     labels = np.arange(len(BELL))
     for first in range(0, trials, chunk):
-        rngs = [_trial_generator(config.master_seed, trial) for trial in range(first, min(first + chunk, trials))]
+        rngs = [_trial_generator(base.master_seed, trial) for trial in range(first, min(first + chunk, trials))]
         ops = random_unitaries(width, n, *rngs) if width else np.ones(len(rngs) * n, complex)
         ops = ops.reshape(len(rngs), n, 2**width, 2**width)
         draws = np.empty((len(rngs), n))
@@ -302,7 +299,7 @@ def _run_many(*configs: ExperimentConfig) -> tuple[Cell, ...]:
 
 def run_experiment(config: ExperimentConfig) -> Cell:
     """``config``'s cell: its counts over ``config.trials`` independent trials."""
-    return _run_many(config)[0]
+    return _run_many(config, ((config.strategy, config.commit_value, config.reveal_value),))[0]
 
 
 def acceptance_matrix(base: ExperimentConfig) -> tuple[Cell, ...]:
@@ -321,21 +318,7 @@ def acceptance_matrix(base: ExperimentConfig) -> tuple[Cell, ...]:
     honest values), and each chunk measures all 8 in one call, each once for
     all the cells that hold it.
     """
-    configs = [
-        replace(base, strategy=Strategy.CHEAT, commit_value=CommitValue.BIT0, reveal_value=value)
-        for value in COMMIT_VALUES
-    ]
-    configs += [
-        replace(base, strategy=Strategy.HONEST, commit_value=value, reveal_value=value)
-        for value in COMMIT_VALUES
-    ]
-    configs += [
-        replace(base, strategy=Strategy.CONTROL, commit_value=commit, reveal_value=announce)
-        for commit in COMMIT_VALUES
-        for announce in COMMIT_VALUES
-        if commit is not announce
-    ]
-    return _run_many(*configs)
+    return _run_many(base, _MATRIX_KINDS)
 
 
 @dataclass(frozen=True)
@@ -371,7 +354,7 @@ def hiding_report(m_ancillas: int) -> HidingReport:
     D(rho, sigma), so the distances between the views before it acts are
     the distances after any receiver operations. Any distance above the
     threshold would mean the commitment leaks before the reveal. An ancilla
-    count outside ``0 .. MAX_ANCILLAS`` raises ``ValueError``.
+    count outside ``0 .. MAX_ANCILLAS`` raises :class:`ConfigError`.
     """
     reduced = receiver_states(np.concatenate([alice_commit(v, 1, m_ancillas).states for v in COMMIT_VALUES]))
     return HidingReport(tuple(map(tuple, trace_distances(reduced[:, None], reduced).tolist())))
@@ -418,12 +401,9 @@ def selftest(master_seed: int = 0) -> list[CheckResult]:
 
     # The committer's flip commutes with receiver-side unitaries: the
     # receiver's apply touches only the receiver's qubits.
-    states, ops = [], []
-    for _ in range(20):
-        vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        states.append(vec / np.linalg.norm(vec))
-        ops.append(random_unitaries(2, 1, rng))
-    states, ops = np.stack(states), np.concatenate(ops)
+    states = rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    ops = random_unitaries(2, 20, rng)
     flip = PAULI[3]
     a = apply_rows(apply_rows(states, flip, 0), ops, 1)
     b = apply_rows(apply_rows(states, ops, 1), flip, 0)

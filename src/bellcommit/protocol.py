@@ -56,8 +56,29 @@ class ProtocolError(RuntimeError):
     """An operation was invoked in the wrong protocol phase."""
 
 
+class ConfigError(ValueError):
+    """Invalid register or experiment configuration (CLI exit code 2)."""
+
+
+def check_register(n_pairs: int, m_ancillas: int) -> None:
+    """Raise :class:`ConfigError` unless both counts are integers (a ``bool`` is not one),
+    ``n_pairs >= 1`` and ``0 <= m_ancillas <= MAX_ANCILLAS``."""
+    for name, count in (("n_pairs", n_pairs), ("m_ancillas", m_ancillas)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {count!r}")
+    if n_pairs < 1:
+        raise ConfigError("n_pairs must be at least 1")
+    if not 0 <= m_ancillas <= MAX_ANCILLAS:
+        raise ConfigError(f"ancillas must be between 0 and {MAX_ANCILLAS}")
+
+
 def commit_label(value: CommitValue) -> int:
-    """Coding table: the Bell label prepared for ``value``, its place in ``COMMIT_VALUES``."""
+    """Coding table: the Bell label prepared for ``value``, its place in ``COMMIT_VALUES``.
+
+    A ``value`` that is not a :class:`CommitValue` raises ``TypeError``.
+    """
+    if not isinstance(value, CommitValue):
+        raise TypeError(f"expected a CommitValue, got {value!r}")
     return COMMIT_VALUES.index(value)
 
 
@@ -112,22 +133,21 @@ def _initial_row(label: int, m_ancillas: int) -> np.ndarray:
 
 def alice_commit(value: CommitValue, n_pairs: int, m_ancillas: int = 0) -> CommitmentSession:
     """Commit phase: prepare ``n_pairs`` identical Bell pairs encoding ``value``."""
-    for name, count in (("n_pairs", n_pairs), ("m_ancillas", m_ancillas)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    if not 0 <= m_ancillas <= MAX_ANCILLAS:
-        raise ValueError(f"ancillas must be between 0 and {MAX_ANCILLAS}")
+    check_register(n_pairs, m_ancillas)
     row = _initial_row(commit_label(value), m_ancillas)
     states = np.broadcast_to(row, (n_pairs, row.size))
     return CommitmentSession(value, states)
 
 
 def op_width(policy: BCPolicy, m_ancillas: int) -> int:
-    """Qubits each receiver-side unitary acts on under ``policy``; 0 for NONE."""
+    """Qubits each receiver-side unitary acts on under ``policy``; 0 for NONE.
+
+    RANDOM_ENTANGLED with no ancilla to entangle raises :class:`ConfigError`.
+    """
     if policy is BCPolicy.NONE:
         return 0
+    if policy is BCPolicy.RANDOM_ENTANGLED and m_ancillas < 1:
+        raise ConfigError("the random-entangled policy requires at least one ancilla")
     return 1 if policy is BCPolicy.RANDOM_LOCAL else 1 + m_ancillas
 
 
@@ -149,8 +169,6 @@ def bc_apply_operations(
         raise ProtocolError("receiver-side operations only apply while committed")
     if policy is BCPolicy.NONE:
         return session
-    if policy is BCPolicy.RANDOM_ENTANGLED and session.m_ancillas == 0:
-        raise ValueError("the entangling policy requires at least one ancilla")
     ops = random_unitaries(op_width(policy, session.m_ancillas), session.n_pairs, rng)
     session.states = apply_rows(session.states, ops, 1)
     session.ops.append(ops)

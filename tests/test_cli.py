@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -12,22 +11,11 @@ import pytest
 from bellcommit import cli, reports
 from bellcommit.harness import Cell, ExperimentConfig, Strategy, run_experiment
 from bellcommit.protocol import BCPolicy, CommitValue
+from children import KERNELS, child_env, run_on_kernel
 
 FAST = ["--pairs", "2", "--trials", "10"]
 README = Path(__file__).resolve().parents[1] / "README.md"
 VALUES = ["bit0", "bit1", "plus", "minus"]
-
-
-def _child_env():
-    """This environment with the checkout's ``src`` first on ``PYTHONPATH``.
-
-    A child process then imports the ``bellcommit`` under test, not whichever
-    one the inherited environment finds.
-    """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def _run(argv, capsys):
@@ -183,7 +171,7 @@ class TestInvalidConfigurations:
              "--pairs", "600000000000", "--trials", "1"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
             timeout=60,
         )
         _assert_one_line_error(result.returncode, result.stdout, result.stderr)
@@ -236,9 +224,7 @@ class TestInvalidConfigurations:
 
 
 class TestCertainOutcomes:
-    # OpenBLAS picks a kernel for the host at run time unless
-    # OPENBLAS_CORETYPE names one: Haswell is an AVX2 kernel, Prescott SSE3
-    @pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+    @pytest.mark.parametrize("coretype", [None, *KERNELS])
     @pytest.mark.parametrize("ancillas", [0, 1, 2])
     def test_default_matrix_never_imports_numpy_random(self, ancillas, coretype):
         # every receiver-free outcome is certain on every BLAS kernel, so the
@@ -249,12 +235,7 @@ class TestCertainOutcomes:
             f"code = cli.main(['matrix', '--ancillas', '{ancillas}'])\n"
             "sys.stderr.write(f\"{code} {'numpy.random' in sys.modules}\\n\")\n"
         )
-        env = _child_env()
-        env.pop("OPENBLAS_CORETYPE", None)
-        if coretype is not None:
-            env["OPENBLAS_CORETYPE"] = coretype
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                                env=env, timeout=120)
+        result = run_on_kernel(coretype, script)
         assert result.stderr == "0 False\n"
         assert "result  PASS" in result.stdout
 
@@ -349,7 +330,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "bellcommit", "run", "--pairs", "1", "--trials", "2"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
             timeout=120,
         )
         assert result.returncode == 0

@@ -13,14 +13,12 @@ and every such change must be deliberate.
 
 import json
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from bellcommit import __version__, cli
-from test_cli import _child_env
+from children import KERNELS, run_on_kernel
 
 GOLDEN = Path(__file__).parent / "golden"
 HAAR = ["--bc-ops", "random-entangled", "--ancillas", "1"]
@@ -64,9 +62,7 @@ def test_report_matches_golden(command, fmt, tmp_path):
 KERNEL_FREE = ("hiding", "selftest", "selftest-20260819")
 
 
-# OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
-# names one: Haswell is an AVX2 kernel, Prescott SSE3
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("coretype", KERNELS)
 def test_kernel_free_reports_match_golden_on_every_kernel(coretype, tmp_path):
     argvs = [[*COMMANDS[command], "--format", fmt, "--out", str(tmp_path / f"{command}.{fmt}")]
              for command in KERNEL_FREE for fmt in ("text", "json", "csv")]
@@ -75,10 +71,7 @@ def test_kernel_free_reports_match_golden_on_every_kernel(coretype, tmp_path):
         "from bellcommit import cli\n"
         "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))\n"
     )
-    env = _child_env()
-    env["OPENBLAS_CORETYPE"] = coretype
-    result = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True,
-                            text=True, env=env, timeout=120)
+    result = run_on_kernel(coretype, script, json.dumps(argvs))
     assert (result.returncode, result.stderr) == (0, "")
     written = sorted(tmp_path.iterdir())
     assert len(written) == 3 * len(KERNEL_FREE)

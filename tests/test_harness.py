@@ -1,7 +1,5 @@
 import json
-import os
-import subprocess
-import sys
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -33,9 +31,9 @@ from bellcommit.protocol import (
     commit_label,
 )
 from bellcommit.qcore import ATOL_ACCUM, ATOL_EXACT, StateVector, Unitary, receiver_states
+from children import KERNELS, run_on_kernel
 from reference import reduced_density, trace_distance
 from test_acceptance import POLICY_GRID
-from test_cli import _child_env
 from test_qcore import _off_unitarity
 
 HAAR_GRID = [(policy, m) for policy, m in POLICY_GRID if policy is not BCPolicy.NONE]
@@ -116,6 +114,20 @@ class TestConfigValidation:
     )
     def test_rejects_inconsistent_combinations(self, overrides):
         with pytest.raises(ConfigError):
+            _config(**overrides)
+
+    # a register's rules live in protocol, so a config refuses a register with protocol's own error
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_pairs=0), dict(n_pairs=2.5), dict(m_ancillas=3), dict(m_ancillas=-1), dict(m_ancillas=1.0),
+         dict(bc_policy=BCPolicy.RANDOM_ENTANGLED)],
+    )
+    def test_a_register_is_refused_with_the_protocols_error(self, overrides):
+        register = {**dict(n_pairs=2, m_ancillas=0, bc_policy=BCPolicy.NONE), **overrides}
+        with pytest.raises(ConfigError) as refused:
+            session = alice_commit(CommitValue.BIT0, register["n_pairs"], register["m_ancillas"])
+            bc_apply_operations(session, register["bc_policy"], np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(refused.value))}$"):
             _config(**overrides)
 
     # the enum check runs first, so it is what a string field reports
@@ -627,15 +639,6 @@ class TestBatchedEngine:
         assert all(cell.passed for cell in cells)
         assert (work["generators"], work["drawn"]) == (11, 33)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [dict(master_seed=8), dict(trials=26), dict(n_pairs=3),
-         dict(bc_policy=BCPolicy.RANDOM_LOCAL), dict(m_ancillas=1)],
-    )
-    def test_one_pass_needs_configs_that_share_their_draws(self, overrides):
-        with pytest.raises(ValueError, match="agree"):
-            harness._run_many(_config(), _config(**overrides))
-
     # the none cases guard the certain path: at 2.5 KB peaks one float per trial fails them
     @pytest.mark.parametrize(
         "n_pairs,policy,m",
@@ -677,17 +680,11 @@ class TestBatchedEngine:
 
         assert peak(8000) <= 1.1 * peak(1000)
 
-    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
-    # names one: Haswell is an AVX2 kernel, Prescott SSE3. Each child checks
-    # 4 bases x 2 chunk sizes x (20 cells + 2 runs) against the reference.
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    # each child checks 4 bases x 2 chunk sizes x (20 cells + 2 runs) against the reference
+    @pytest.mark.parametrize("coretype", KERNELS)
     def test_equals_the_reference_on_every_kernel(self, coretype):
-        env = _child_env()
-        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
-        env["OPENBLAS_CORETYPE"] = coretype
         script = "import json, test_harness\nprint(json.dumps(test_harness._cells_off_the_reference()))\n"
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                                timeout=120)
+        result = run_on_kernel(coretype, script)
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout) == [176, []]
 

@@ -5,12 +5,13 @@ its replacement, and the tests that must fail once the replacement is made.
 The string must occur exactly once, so a refactor that moves the site fails
 here and the table is updated with it. For each mutant, ``src/`` is copied
 to a temporary directory, mutated there, and the named tests run against the
-copy in a child pytest with ``-x``. The child gets ``-o pythonpath=<copy>``
+copy in a child pytest, where each of them must fail. The child gets ``-o pythonpath=<copy>``
 because ``pyproject.toml`` puts the checkout's ``src`` first on the path, so
 ``PYTHONPATH`` alone would import the unmutated code.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -71,6 +72,23 @@ MUTANTS = [
         "grid[announce, commit]",
         ["tests/test_reports.py::TestMatrixLayout::test_every_number_comes_from_its_own_cell"],
     ),
+    # a register rule has one home, which guards the protocol and the config alike
+    (
+        "register-of-no-pairs",
+        "protocol.py",
+        "n_pairs < 1",
+        "n_pairs < 0",
+        ["tests/test_protocol.py::TestCommit::test_rejects_bad_parameters",
+         "tests/test_harness.py::TestConfigValidation::test_rejects_inconsistent_combinations[overrides0]"],
+    ),
+    (
+        "entangling-without-ancilla",
+        "protocol.py",
+        "m_ancillas < 1",
+        "m_ancillas < 0",
+        ["tests/test_protocol.py::TestBCOperations::test_random_entangled_requires_ancillas",
+         "tests/test_harness.py::TestConfigValidation::test_rejects_inconsistent_combinations[overrides6]"],
+    ),
 ]
 
 
@@ -85,7 +103,7 @@ def _pytest(src: Path, node_ids: list[str]) -> subprocess.CompletedProcess:
     # plugin autoload, which costs a second per child and no named test uses
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    argv = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
             "-o", f"pythonpath={src}", *node_ids]
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
 
@@ -100,6 +118,10 @@ def test_the_named_tests_kill_the_mutant(name, file, source, replacement, node_i
     result = _pytest(src, node_ids)
     # exit code 1 is failed tests; a usage or collection error would be another code
     assert result.returncode == 1, result.stdout + result.stderr
+    # -rf lists each failed test, a parametrised one once per failed case
+    survived = [node for node in node_ids
+                if not re.search(rf"^FAILED {re.escape(node)}(\[| |$)", result.stdout, re.MULTILINE)]
+    assert survived == [], result.stdout
 
 
 def test_an_unmutated_copy_passes_every_named_test(tmp_path):

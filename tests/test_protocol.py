@@ -56,6 +56,23 @@ class TestCoding:
     def test_all_labels_distinct(self):
         assert len({commit_label(v) for v in COMMIT_VALUES}) == 4
 
+    # a value's name or label equals no member; each entry point names what it got
+    @pytest.mark.parametrize("value", ["plus", 0, None])
+    @pytest.mark.parametrize("entry", ["commit_label", "alice_commit", "alice_reveal_cheat"])
+    def test_a_value_that_is_not_a_commit_value_is_refused(self, entry, value):
+        session = alice_commit(CommitValue.BIT0, 2)
+        states = session.states
+        call = {
+            "commit_label": lambda: commit_label(value),
+            "alice_commit": lambda: alice_commit(value, 2),
+            "alice_reveal_cheat": lambda: alice_reveal_cheat(session, value),
+        }[entry]
+        with pytest.raises(TypeError, match=f"^expected a CommitValue, got {value!r}$"):
+            call()
+        # a refused reveal leaves the session committed and unflipped
+        assert not session.revealed
+        assert session.states is states
+
 
 class TestCommit:
     def test_prepares_identical_bell_pairs(self):
@@ -156,7 +173,7 @@ class TestBCOperations:
 
     def test_random_entangled_requires_ancillas(self):
         session = alice_commit(CommitValue.BIT1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the random-entangled policy requires at least one ancilla$"):
             bc_apply_operations(session, BCPolicy.RANDOM_ENTANGLED, _rng())
 
     # a policy's name equals no member: "none" would run a Haar step

@@ -1,8 +1,5 @@
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -38,6 +35,7 @@ from bellcommit.qcore import (
     receiver_states,
     trace_distances,
 )
+from children import KERNELS, run_on_kernel
 from reference import (
     basis_state,
     fidelity,
@@ -49,7 +47,6 @@ from reference import (
     tensor,
     trace_distance,
 )
-from test_cli import _child_env
 
 S = 1.0 / np.sqrt(2.0)
 
@@ -508,16 +505,10 @@ class TestRandomUnitaries:
             tracemalloc.stop()
         assert peak <= 3.2 * stack.nbytes
 
-    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
-    # names one: Haswell is an AVX2 kernel, Prescott SSE3
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    @pytest.mark.parametrize("coretype", KERNELS)
     def test_equals_the_public_qr_on_every_kernel(self, coretype):
-        env = _child_env()
-        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
-        env["OPENBLAS_CORETYPE"] = coretype
         script = "import json, test_qcore\nprint(json.dumps(test_qcore._draws_off_the_reference()))\n"
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                                timeout=120)
+        result = run_on_kernel(coretype, script)
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout) == [6, []]
 
@@ -684,16 +675,10 @@ class TestApplyRows:
         assert (got.shape, got.dtype) == (want.shape, want.dtype)
         assert got.tobytes() == want.tobytes()
 
-    # OpenBLAS picks a kernel for the host at run time unless OPENBLAS_CORETYPE
-    # names one: Haswell is an AVX2 kernel, Prescott SSE3
-    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    @pytest.mark.parametrize("coretype", KERNELS)
     def test_a_view_gives_the_bytes_of_its_copy_on_every_kernel(self, coretype):
-        env = _child_env()
-        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(__file__), env["PYTHONPATH"]])
-        env["OPENBLAS_CORETYPE"] = coretype
         script = "import json, test_qcore\nprint(json.dumps(test_qcore._views_off_the_copy()))\n"
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                                timeout=120)
+        result = run_on_kernel(coretype, script)
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout) == [9, []]
 
