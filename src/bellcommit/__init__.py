@@ -10,7 +10,7 @@ The top level is the protocol API; the state kernel and its reference
 oracle are imported from :mod:`bellcommit.qcore`.
 """
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 from .attack import (
     CHEAT_START_LABEL,
@@ -29,7 +29,6 @@ from .harness import (
     acceptance_matrix,
     hiding_report,
     run_experiment,
-    run_trial,
     selftest,
 )
 from .protocol import (
@@ -75,7 +74,6 @@ __all__ = [
     "hiding_report",
     "pauli_for_flip",
     "run_experiment",
-    "run_trial",
     "selftest",
     "verify",
     "__version__",

@@ -8,8 +8,8 @@ Subcommands:
 * ``selftest`` built-in invariant checks
 
 Exit codes: 0 all assertions hold, 1 an expected property failed,
-2 invalid configuration, one too large to allocate or to index, or an
-unwritable ``--out``.
+2 a :class:`.protocol.ConfigError`, out of memory, or an unwritable
+``--out``. A fault of the program propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .harness import (
     run_experiment,
     selftest,
 )
-from .protocol import BCPolicy, CommitValue
+from .protocol import BCPolicy, CommitValue, ConfigError
 
 _VALUE_NAMES = [value.value for value in CommitValue]
 _POLICY_NAMES = [policy.value for policy in BCPolicy]
@@ -116,17 +116,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _report(args)
-    except ValueError as exc:
-        # ConfigError, from a config or from a register that protocol refuses, such as hiding's
+    except ConfigError as exc:
+        # from a config or from a register that protocol refuses, such as hiding's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a register too large to allocate is a configuration this host cannot run
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # a register too large even to index, such as --pairs 2**63
-        print(f"error: too large to run: {exc}", file=sys.stderr)
         return 2
     rendered = report.render(args.format)
     if args.out is not None:

@@ -91,9 +91,10 @@ class ExperimentConfig:
     A config is checked when it is built: a field that is not a member of its
     enum, a register that :func:`.protocol.check_register` refuses, trials or
     a seed that are not integers, or an inconsistent combination, raises
-    :class:`ConfigError`, and pairs or trials of 2**63 or more raise
-    ``OverflowError``. An honest committer reveals what it committed, a
-    control announces another value, and a cheat prepares bit0.
+    :class:`ConfigError`, and so does one too large to run: pairs or trials
+    of 2**63 or more, or, on a policy that draws, pairs whose pass could not
+    be indexed. An honest committer reveals what it committed, a control
+    announces another value, and a cheat prepares bit0.
     """
 
     strategy: Strategy
@@ -132,7 +133,12 @@ class ExperimentConfig:
         # accept counts are int64, and so is every index of pairs and trials on
         # a path that draws; a path that makes no draws refuses what they cannot hold too
         if max(self.n_pairs, self.trials) >= 2**63:
-            raise OverflowError("pairs and trials must each be below 2**63")
+            raise ConfigError("too large to run: pairs and trials must each be below 2**63")
+        # a drawing pass holds up to 8 registers x n_pairs x 2**(2+m) complex128 per
+        # trial, n_pairs * 2**(9+m) bytes, and NumPy indexes no array of 2**63 bytes
+        if self.bc_policy is not BCPolicy.NONE and self.n_pairs >= 2 ** (54 - self.m_ancillas):
+            raise ConfigError(f"too large to run: with receiver operations and {self.m_ancillas} "
+                              f"ancillas, pairs must be below 2**{54 - self.m_ancillas}")
 
 
 @dataclass(frozen=True)
@@ -188,11 +194,6 @@ def _execute_trial(config: ExperimentConfig, trial_index: int) -> tuple[bool, fl
         alice_reveal_honest(session)
     report = verify(session, commit_label(config.reveal_value), rng)
     return report.accept, min(report.announced_probabilities)
-
-
-def run_trial(config: ExperimentConfig, trial_index: int) -> bool:
-    """One end-to-end protocol run; bit-reproducible given (config, trial_index)."""
-    return _execute_trial(config, trial_index)[0]
 
 
 # A chunk has as many trials (at least one) as fit this many complex entries

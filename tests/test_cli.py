@@ -178,6 +178,15 @@ class TestInvalidConfigurations:
         assert result.stderr.startswith("error: out of memory: ")
         assert "Traceback" not in result.stderr
 
+    # the config refuses a drawing pass NumPy could not index before any array
+    # is made, so its line is the config's and no allocation is attempted
+    @pytest.mark.parametrize("policy, ancillas", [("random-local", "0"), ("random-entangled", "2")])
+    def test_a_haar_register_too_large_to_index_exits_two(self, policy, ancillas, capsys):
+        code, out, err = _run(["run", "--bc-ops", policy, "--ancillas", ancillas, "--pairs", str(2**62),
+                               "--trials", "1"], capsys)
+        _assert_one_line_error(code, out, err)
+        assert err.startswith("error: too large to run: ")
+
     # certain outcomes need no draw, so a --bc-ops none run makes no array
     # of its pairs or trials; only the int64 counts can refuse them
     @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from bellcommit.harness import (
     acceptance_matrix,
     hiding_report,
     run_experiment,
-    run_trial,
     selftest,
 )
 from bellcommit.protocol import (
@@ -154,9 +153,20 @@ class TestConfigValidation:
         assert run_experiment(config) == run_experiment(base)
 
     @pytest.mark.parametrize("field", ["n_pairs", "trials"])
-    def test_counts_of_2_63_or_more_overflow(self, field):
-        with pytest.raises(OverflowError, match=r"^pairs and trials must each be below 2\*\*63$"):
+    def test_counts_of_2_63_or_more_are_too_large(self, field):
+        with pytest.raises(ConfigError, match=r"^too large to run: pairs and trials must each be below 2\*\*63$"):
             _config(**{field: 2**63})
+
+    # a drawing pass holds up to 8 registers of n_pairs rows of 2**(2+m)
+    # complex128 per trial, which NumPy indexes only below 2**63 bytes; the
+    # receiver-free path makes no array of its pairs and keeps only the int64 rule
+    @pytest.mark.parametrize("policy,m", HAAR_GRID)
+    def test_a_drawing_pass_too_large_to_index_is_refused(self, policy, m):
+        largest = (2**63 - 1) // (8 * 2 ** (2 + m) * 16)
+        _config(n_pairs=largest, bc_policy=policy, m_ancillas=m)
+        with pytest.raises(ConfigError, match=rf"^too large to run: .* pairs must be below 2\*\*{54 - m}$"):
+            _config(n_pairs=largest + 1, bc_policy=policy, m_ancillas=m)
+        _config(n_pairs=2**63 - 1, m_ancillas=m)
 
     def test_cheat_may_reveal_anything(self):
         for value in COMMIT_VALUES:
@@ -167,10 +177,10 @@ class TestRunTrial:
     def test_reproducible(self):
         cfg = _config(strategy=Strategy.CHEAT, reveal_value=CommitValue.MINUS,
                       bc_policy=BCPolicy.RANDOM_LOCAL)
-        assert run_trial(cfg, 3) == run_trial(cfg, 3)
+        assert harness._execute_trial(cfg, 3)[0] == harness._execute_trial(cfg, 3)[0]
 
     def test_honest_trial_accepts(self):
-        assert run_trial(_config(), 0) is True
+        assert harness._execute_trial(_config(), 0)[0] is True
 
 
 class TestRunExperiment:
@@ -194,7 +204,7 @@ class TestRunExperiment:
                       bc_policy=BCPolicy.RANDOM_LOCAL, trials=40)
         backwards = {i: harness._execute_trial(cfg, i) for i in reversed(range(cfg.trials))}
         assert [accept for accept, _ in backwards.values()] == [
-            run_trial(cfg, i) for i in reversed(range(cfg.trials))
+            harness._execute_trial(cfg, i)[0] for i in reversed(range(cfg.trials))
         ]
         cell = run_experiment(cfg)
         assert cell.accepts == sum(accept for accept, _ in backwards.values())
@@ -306,16 +316,19 @@ def _force_a_residue(monkeypatch):
     monkeypatch.setattr(harness, "bell_pair_probabilities", with_residue)
 
 
-def _mix_rows(monkeypatch):
-    """Commit each label as 0.8 of its Bell row plus 0.6 of the row with ``u_j`` flipped.
+def _mix_rows(monkeypatch, labels=(0, 1, 2, 3)):
+    """Commit each of ``labels`` as 0.8 of its Bell row plus 0.6 of the row with ``u_j`` flipped.
 
     Every pair of such a register measures two labels, with probabilities
     0.64 and 0.36, so a receiver-free run of it is uncertain on any kernel,
-    and a cell can accept some of its trials and reject others.
+    and a cell can accept some of its trials and reject others. Any other
+    label commits its Bell row, as the protocol does.
     """
     initial_row = protocol._initial_row
 
     def mixed(label, m_ancillas):
+        if label not in labels:
+            return initial_row(label, m_ancillas)
         # label 2*u_i + u_j, so u_j is its last bit
         row = 0.8 * initial_row(label, m_ancillas) + 0.6 * initial_row(label ^ 1, m_ancillas)
         row.setflags(write=False)
@@ -607,6 +620,19 @@ class TestBatchedEngine:
         want = [_reference_cell(config) for config in [cell.config for cell in cells] + [cheat]]
         assert got == want
         assert any(0 < cell.accepts < cfg.trials for cell in want)
+
+    # The certain path needs every register certain. With bit0 mixed, the four
+    # cheat registers and honest bit0 are uncertain and the other three honest
+    # registers stay certain, so the run must still draw for all of them.
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_a_partly_mixed_receiver_free_matrix_equals_the_reference(self, m, monkeypatch):
+        _mix_rows(monkeypatch, labels=(0,))
+        cfg = _config(n_pairs=3, trials=9, m_ancillas=m)
+        cells = acceptance_matrix(cfg)
+        assert [_is_certain(cell.config) for cell in cells[:8]] == [False] * 5 + [True] * 3
+        for cell in cells:
+            assert cell == _reference_cell(cell.config)
+        assert any(0 < cell.accepts < cfg.trials for cell in cells)
 
     def test_an_uncertain_receiver_free_run_keeps_memory_flat(self, monkeypatch):
         _force_a_residue(monkeypatch)

@@ -89,6 +89,22 @@ MUTANTS = [
         ["tests/test_protocol.py::TestBCOperations::test_random_entangled_requires_ancillas",
          "tests/test_harness.py::TestConfigValidation::test_rejects_inconsistent_combinations[overrides6]"],
     ),
+    # the certain path is taken only when every register is certain
+    (
+        "certainty-any",
+        "harness.py",
+        "(certain.sum(axis=1) == 1).all()",
+        "(certain.sum(axis=1) == 1).any()",
+        ["tests/test_harness.py::TestBatchedEngine::test_a_partly_mixed_receiver_free_matrix_equals_the_reference"],
+    ),
+    # exit 2 is refused input: a kernel guard's ValueError is a fault and propagates
+    (
+        "cli-catches-every-value-error",
+        "cli.py",
+        "except ConfigError as exc:",
+        "except ValueError as exc:",
+        ["tests/test_qcore.py::TestRandomUnitaries::test_a_draw_off_unitarity_propagates_from_the_cli"],
+    ),
 ]
 
 

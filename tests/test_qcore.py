@@ -14,6 +14,7 @@ from bellcommit.protocol import (
     COMMIT_VALUES,
     BCPolicy,
     CommitValue,
+    ConfigError,
     alice_commit,
     bc_apply_operations,
     commit_label,
@@ -557,14 +558,15 @@ class TestRandomUnitaries:
         with pytest.raises(ValueError, match="unitary"):
             DRAWING_CALLERS[caller]()
 
+    # a failed kernel guard is a fault of the program, not invalid input: the
+    # CLI lets it propagate with its traceback instead of exiting 2
     @pytest.mark.parametrize("defect", ["nan", "scaled-column"])
-    def test_a_draw_off_unitarity_exits_two(self, defect, monkeypatch, capsys):
+    def test_a_draw_off_unitarity_propagates_from_the_cli(self, defect, monkeypatch, capsys):
         monkeypatch.setattr(qcore, "random_unitary", _off_unitarity(defect))
-        code = cli.main(["run", "--bc-ops", "random-local", "--pairs", "2", "--trials", "3"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "unitary" in captured.err
+        with pytest.raises(ValueError, match="unitary") as excinfo:
+            cli.main(["run", "--bc-ops", "random-local", "--pairs", "2", "--trials", "3"])
+        assert not isinstance(excinfo.value, ConfigError)
+        assert capsys.readouterr().out == ""
 
 
 HAAR_DRAWS = 10000
